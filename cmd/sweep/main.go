@@ -67,7 +67,7 @@ func main() {
 		}
 		workload.RegisterSource(src)
 		*name = src.Name()
-		const margin = 150_000 // lockstep tapes run well ahead of retirement
+		const margin = 10_000 // the frontend fetches ahead of retirement
 		if uint64(src.Len()) < *warmup+*instrs+margin {
 			avail := uint64(src.Len())
 			if avail <= *warmup+margin {
@@ -142,9 +142,9 @@ func main() {
 	// identical at any -j, batched or not.
 	results := make([]sim.Result, len(grid))
 	if *batch {
-		// Lockstep mode: every swept machine reads one shared tape of
-		// the workload's architectural stream instead of re-executing
-		// it per cell.
+		// Lockstep mode: every swept machine reads one shared
+		// architectural stream (a tape of the executor, or the decoded
+		// trace) instead of re-executing it per cell.
 		cfgs := make([]sim.Config, len(grid))
 		for i := range grid {
 			cfgs[i] = cellConfig(i)

@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"udpsim/internal/obs"
 	"udpsim/internal/sim"
 )
 
@@ -118,5 +120,64 @@ func TestRunDescriptorObservedCancel(t *testing.T) {
 	_, err := RunDescriptorObserved(d, nil, 1, Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCanceledRunnerDoesNotFailWaiters: a runner claims every key it
+// will simulate up front. When its own context cancels it before it
+// reaches a claimed key, a caller waiting on that key with a live
+// context resolves the cell itself instead of inheriting the
+// cancellation.
+func TestCanceledRunnerDoesNotFailWaiters(t *testing.T) {
+	FlushResultCache()
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	oB := Options{Instructions: 21_201, Warmup: 2_000, Simpoints: 1}
+	oA := oB
+	oA.Context = ctxA
+	oA.Parallelism = 1
+
+	// A simulates its first cell while holding the claim on the shared
+	// second one; once that first cell's warmup ends, B joins the
+	// shared key and A is canceled.
+	var once sync.Once
+	var bRes sim.Result
+	var bErr error
+	bDone := make(chan struct{})
+	oA.OnSpan = func(sp obs.Span) {
+		if sp.Name != "warmup" {
+			return
+		}
+		once.Do(func() {
+			waits := obs.CacheInflightWaits.Value()
+			go func() {
+				bRes, bErr = oB.run("mysql", sim.MechBaseline, nil)
+				close(bDone)
+			}()
+			for deadline := time.Now().Add(10 * time.Second); obs.CacheInflightWaits.Value() == waits; {
+				if time.Now().After(deadline) {
+					t.Error("B never waited on the key A claimed")
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancelA()
+		})
+	}
+	_, err := oA.runAll([]jobSpec{{app: "mysql", mech: sim.MechUDP}, {app: "mysql", mech: sim.MechBaseline}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled runner err = %v, want context.Canceled", err)
+	}
+	<-bDone
+	if bErr != nil {
+		t.Fatalf("waiter inherited the runner's cancellation: %v", bErr)
+	}
+	FlushResultCache()
+	want, err := oB.run("mysql", sim.MechBaseline, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bRes != want {
+		t.Errorf("waiter's result differs from a fresh run\n got: %+v\nwant: %+v", bRes, want)
 	}
 }

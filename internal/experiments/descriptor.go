@@ -426,25 +426,21 @@ func RunDescriptorsBatched(ctx context.Context, jobs []DescriptorJob, parallelis
 }
 
 // runDescriptorGrids is the shared descriptor engine: it materializes
-// every job's (workload × config) grid, runs the merged pool — batched
-// (one lockstep group per workload image, spanning jobs) when any job
-// asks for it, per-cell otherwise — and splits results back per job.
+// every job's (workload × config) grid, resolves the merged pool —
+// batched (one lockstep group per workload image, spanning jobs) when
+// any job asks for it — and splits results back per job.
 func runDescriptorGrids(jobs []DescriptorJob, parallelism int) ([][]DescriptorResult, []error) {
-	type cell struct {
-		job      int
-		workload string
-		spec     ConfigSpec
-		opts     Options
-	}
+	type slot struct{ job, pos int } // a cell's place in its job's grid
 	var cells []cell
+	var slots []slot
 	batch := false
-	jobOpts := make([]Options, len(jobs))
+	out := make([][]DescriptorResult, len(jobs))
 	for j, job := range jobs {
 		d := job.D
 		// Per-cell engine options: the descriptor's effort knobs, the
 		// caller's observability hooks, no engine-level progress (the
 		// descriptor layer prints its own labeled lines below).
-		jobOpts[j] = Options{
+		opts := Options{
 			Instructions: d.Instructions,
 			Warmup:       d.Warmup,
 			Simpoints:    d.Simpoints,
@@ -459,74 +455,40 @@ func runDescriptorGrids(jobs []DescriptorJob, parallelism int) ([][]DescriptorRe
 		batch = batch || job.Opts.Batch
 		for _, w := range d.Workloads {
 			for _, cs := range d.Configs {
-				cells = append(cells, cell{job: j, workload: w, spec: cs, opts: jobOpts[j]})
+				cells = append(cells, cell{name: w, mech: sim.Mechanism(cs.Mechanism),
+					cfg: CellConfig(d, w, cs), opts: opts})
+				slots = append(slots, slot{j, len(out[j])})
+				out[j] = append(out[j], DescriptorResult{Workload: w, Label: cs.Label})
 			}
 		}
 	}
-	out := make([][]DescriptorResult, len(jobs))
-	errs := make([]error, len(jobs))
-	pos := make([]int, len(cells)) // cell index -> slot in its job's grid
-	for i, c := range cells {
-		pos[i] = len(out[c.job])
-		out[c.job] = append(out[c.job], DescriptorResult{Workload: c.workload, Label: c.spec.Label})
+	if len(cells) == 0 {
+		return out, make([]error, len(jobs))
 	}
 
-	emit := func(i int, agg sim.Result) {
-		c := cells[i]
-		out[c.job][pos[i]].Result = agg
-		if p := jobs[c.job].Progress; p != nil {
+	// The merged pool runs under the first job's context
+	// (RunDescriptorsBatched already unified the contexts, and a
+	// single-job call has only its own).
+	res, cerrs := resolveCells(cells[0].opts.ctx(), cells, parallelism, batch, nil)
+	perJob := make([][]error, len(jobs))
+	for i, sl := range slots {
+		r := &out[sl.job][sl.pos]
+		if cerrs[i] != nil {
+			perJob[sl.job] = append(perJob[sl.job], fmt.Errorf("experiments: %s/%s: %w", r.Workload, r.Label, cerrs[i]))
+			continue
+		}
+		r.Result = res[i]
+		if p := jobs[sl.job].Progress; p != nil {
 			progressMu.Lock()
-			p(fmt.Sprintf("%s/%s: IPC %.4f", c.workload, c.spec.Label, agg.IPC))
+			p(fmt.Sprintf("%s/%s: IPC %.4f", r.Workload, r.Label, res[i].IPC))
 			progressMu.Unlock()
 		}
 	}
-
-	if batch {
-		bcells := make([]batchCell, len(cells))
-		for i, c := range cells {
-			bcells[i] = batchCell{
-				name: c.workload, mech: sim.Mechanism(c.spec.Mechanism),
-				cfg: CellConfig(jobs[c.job].D, c.workload, c.spec), opts: c.opts,
-			}
-		}
-		// The merged pool runs under the first job's context; per-cell
-		// waits use the same (RunDescriptorsBatched already unified the
-		// contexts, and a single-job call has only its own).
-		res, cerrs := runCellsBatched(cells[0].opts.ctx(), bcells, parallelism, nil)
-		perJob := make([][]error, len(jobs))
-		for i, c := range cells {
-			if cerrs[i] != nil {
-				perJob[c.job] = append(perJob[c.job],
-					fmt.Errorf("experiments: %s/%s: %w", c.workload, c.spec.Label, cerrs[i]))
-				continue
-			}
-			emit(i, res[i])
-		}
-		for j := range jobs {
-			if len(perJob[j]) > 0 {
-				out[j] = nil
-				errs[j] = errors.Join(perJob[j]...)
-			}
-		}
-		return out, errs
-	}
-
-	err := ForEachCtx(cells[0].opts.ctx(), len(cells), parallelism, func(i int) error {
-		c := cells[i]
-		cfg := CellConfig(jobs[c.job].D, c.workload, c.spec)
-		agg, err := c.opts.runConfig(c.workload, sim.Mechanism(c.spec.Mechanism), cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", c.workload, c.spec.Label, err)
-		}
-		emit(i, agg)
-		return nil
-	})
-	if err != nil {
-		// The per-cell path is only reached with a single job (multi-job
-		// pools force batching), so the joined grid error is the job's.
-		for j := range jobs {
-			errs[j] = err
+	errs := make([]error, len(jobs))
+	for j := range jobs {
+		if len(perJob[j]) > 0 {
 			out[j] = nil
+			errs[j] = errors.Join(perJob[j]...)
 		}
 	}
 	return out, errs

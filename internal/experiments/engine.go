@@ -23,9 +23,9 @@ import (
 // jobs (or two figures sharing a baseline) request the same canonical
 // config key, the second blocks on the first runner instead of
 // simulating the same deterministic region twice. Waiters never
-// deadlock the pool: an in-flight entry only exists once its runner
-// already occupies a worker slot, so every waiter's dependency is
-// guaranteed to be executing.
+// deadlock: a runner simulates every key it claimed before it waits on
+// anyone else's, so every waiter's dependency is guaranteed to make
+// progress (see resolveCells).
 
 // resultCache memoizes completed runs process-wide: several figures
 // share configurations (every speedup figure needs the same baselines,
@@ -59,35 +59,20 @@ type jobSpec struct {
 	mutate func(*sim.Config)
 }
 
-// runAll executes the jobs on a bounded worker pool and returns their
-// results in input order. Errors are aggregated (errors.Join) rather
-// than short-circuiting, so a failed cell reports every failure of the
-// grid at once. Cancellation (Options.Context) both skips cells that
-// have not started and stops in-flight machines cooperatively.
+// runAll resolves the jobs as one grid and returns their results in
+// input order. Errors are aggregated (errors.Join) rather than
+// short-circuiting, so a failed cell reports every failure of the grid
+// at once. Cancellation (Options.Context) both skips cells that have
+// not started and stops in-flight machines cooperatively.
 func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
-	results := make([]sim.Result, len(jobs))
-	workers := o.parallelism()
+	cells := make([]cell, len(jobs))
+	for i, j := range jobs {
+		cells[i] = o.cell(j.app, j.mech, j.mutate)
+	}
 	// Live grid-cell progress for the expvar endpoint (/debug/vars).
 	obs.JobsTotal.Add(int64(len(jobs)))
-	if o.Batch {
-		cells := make([]batchCell, len(jobs))
-		for i, j := range jobs {
-			cells[i] = batchCell{
-				name: j.app, mech: j.mech,
-				cfg: o.cellConfig(j.app, j.mech, j.mutate), opts: o,
-			}
-		}
-		res, errs := runCellsBatched(o.ctx(), cells, workers, func() { obs.JobsDone.Add(1) })
-		copy(results, res)
-		return results, errors.Join(errs...)
-	}
-	err := ForEachCtx(o.ctx(), len(jobs), workers, func(i int) error {
-		var err error
-		results[i], err = o.run(jobs[i].app, jobs[i].mech, jobs[i].mutate)
-		obs.JobsDone.Add(1)
-		return err
-	})
-	return results, err
+	results, errs := resolveCells(o.ctx(), cells, o.parallelism(), o.Batch, func() { obs.JobsDone.Add(1) })
+	return results, errors.Join(errs...)
 }
 
 // maxBatchSize caps how many machines share one lockstep batch. Past
@@ -95,50 +80,51 @@ func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
 // eat the locality win, and 16 matches the headline 16-config sweep.
 const maxBatchSize = 16
 
-// batchCell is one grid cell of a batched run: its identity for
-// progress lines, its full config, and the Options owning its cache
-// behaviour and observability hooks (cells of a coalesced daemon group
-// carry different Options).
-type batchCell struct {
+// cell is one grid cell: its identity for progress lines, its full
+// config, and the Options owning its cache behaviour and observability
+// hooks (cells of a coalesced daemon group carry different Options).
+type cell struct {
 	name string
 	mech sim.Mechanism
 	cfg  sim.Config
 	opts Options
 }
 
-// runCellsBatched is the batched counterpart of per-cell Options.run:
-// it resolves every cell against the memoized cache, the in-flight
-// table, and the persistent store exactly like runConfig does, then
-// groups the cells that actually need simulating by workload image and
-// runs each group in lockstep over one shared stream. The singleflight
-// protocol inverts from one-writer-per-cell to one-writer-per-batch:
-// this call claims every key it will simulate up front (so concurrent
-// unbatched or batched runners wait on it), publishes each key as its
-// batch completes, and only then waits for keys claimed by others —
+// resolveCells takes every cell through the cell protocol: the memoized
+// cache, then a wait on a key another runner is simulating, then the
+// persistent store, then simulation, store write-back and publication.
+// The protocol is one writer per key: this call claims every key it
+// will simulate up front (so concurrent runners wait on it instead of
+// simulating the same deterministic region twice), publishes each key
+// as it completes, and only then waits for keys claimed by others —
 // claimed keys always belong to a runner already executing, so the
-// wait graph stays acyclic. onCellDone (if non-nil) fires once per
+// wait graph stays acyclic.
+//
+// batch chooses only how the claimed keys simulate: in lockstep groups
+// per workload image (sim.RunBatchSimpoints), or one
+// sim.RunSimpointsCtx per key on the worker pool. Results are
+// bit-identical either way. onCellDone (if non-nil) fires once per
 // finalized cell (the expvar progress counter).
-func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCellDone func()) ([]sim.Result, []error) {
-	n := len(cells)
-	results := make([]sim.Result, n)
-	errs := make([]error, n)
-	done := func(int) {
+func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, onCellDone func()) ([]sim.Result, []error) {
+	results := make([]sim.Result, len(cells))
+	errs := make([]error, len(cells))
+	done := func() {
 		if onCellDone != nil {
 			onCellDone()
 		}
 	}
 
-	// group is one unique cache key: the cell indices sharing it and,
-	// when this call claims the key, the inflight entry to resolve.
+	// group is one unique key this call claimed: the cell indices
+	// sharing it and the inflight entry to resolve.
 	type group struct {
 		key   string
 		call  *resultCall
 		cells []int
 	}
-	var claimed []*group              // keys this call simulates, in first-cell order
-	byKey := map[string]*group{}      // claimed groups
-	waiting := map[int]*resultCall{}  // cell -> another runner's inflight entry
-	cached := map[int]sim.Result{}    // cells served from the in-memory cache
+	var claimed []*group             // in first-cell order
+	byKey := map[string]*group{}     // claimed groups
+	waiting := map[int]*resultCall{} // cell -> another runner's inflight entry
+	cached := map[int]sim.Result{}   // cells served from the in-memory cache
 
 	resultMu.Lock()
 	for i, c := range cells {
@@ -166,14 +152,13 @@ func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCell
 	for i, r := range cached {
 		obs.CacheHits.Add(1)
 		results[i] = r
-		c := cells[i]
-		c.opts.progress("%s/%s ftq=%d: IPC %.4f (cached)", c.name, c.mech, r.FinalFTQDepth, r.IPC)
-		done(i)
+		cells[i].progress(r, " (cached)")
+		done()
 	}
 
 	// finish publishes one claimed key — cache, waiters, and every cell
 	// of the group — exactly once.
-	finish := func(g *group, res sim.Result, err error) {
+	finish := func(g *group, res sim.Result, err error, how string) {
 		resultMu.Lock()
 		if err == nil {
 			resultCache[g.key] = res
@@ -184,60 +169,73 @@ func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCell
 		close(g.call.done)
 		for _, i := range g.cells {
 			results[i], errs[i] = res, err
-			done(i)
+			done()
+		}
+		if err == nil {
+			cells[g.cells[0]].progress(res, how)
 		}
 	}
+	// complete publishes a simulated key, writing it back to the store.
+	complete := func(g *group, res sim.Result, err error) {
+		if err == nil {
+			c := cells[g.cells[0]]
+			writeStart := time.Now()
+			c.opts.storeSave(g.key, res)
+			if c.opts.spanStore() {
+				c.opts.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
+					Args: map[string]any{"key": g.key}})
+			}
+		}
+		finish(g, res, err, "")
+	}
 
-	// Persistent-store read-through for claimed keys; the rest simulate.
-	var toRun []*group
-	for _, g := range claimed {
+	// Persistent-store read-through for claimed keys; the misses
+	// simulate.
+	missed := make([]bool, len(claimed))
+	_ = ForEach(len(claimed), workers, func(j int) error {
+		g := claimed[j]
 		c := cells[g.cells[0]]
-		spanStore := c.opts.spanStore()
 		readStart := time.Now()
-		agg, hit := c.opts.storeLoad(g.key)
-		if spanStore {
+		res, hit := c.opts.storeLoad(g.key)
+		if c.opts.spanStore() {
 			c.opts.OnSpan(obs.Span{Name: "store-read", Start: readStart, End: time.Now(),
 				Args: map[string]any{"key": g.key, "hit": hit}})
 		}
 		if hit {
-			finish(g, agg, nil)
-			c.opts.progress("%s/%s ftq=%d: IPC %.4f (store)", c.name, c.mech, agg.FinalFTQDepth, agg.IPC)
-			continue
+			finish(g, res, nil, " (store)")
+			return nil
 		}
 		obs.CacheMisses.Add(1)
-		toRun = append(toRun, g)
+		missed[j] = true
+		return nil
+	})
+	var toRun []*group
+	for j, g := range claimed {
+		if missed[j] {
+			toRun = append(toRun, g)
+		}
 	}
 
-	// Group the remaining work by (workload image, simpoint count) —
-	// the identity of the shared stream — and run each group's configs
-	// in lockstep, maxBatchSize machines at a time.
-	type imageGroup struct {
-		key    string
-		groups []*group
-	}
-	var images []*imageGroup
-	byImage := map[string]*imageGroup{}
-	for _, g := range toRun {
-		c := cells[g.cells[0]]
-		ik := fmt.Sprintf("%s|sp=%d", sim.SourceKey(c.cfg), c.opts.simpoints())
-		ig, ok := byImage[ik]
-		if !ok {
-			ig = &imageGroup{key: ik}
-			byImage[ik] = ig
-			images = append(images, ig)
-		}
-		ig.groups = append(ig.groups, g)
-	}
-	for _, ig := range images {
-		for lo := 0; lo < len(ig.groups); lo += maxBatchSize {
-			hi := lo + maxBatchSize
-			if hi > len(ig.groups) {
-				hi = len(ig.groups)
+	if batch {
+		// Group the work by (workload image, simpoint count) — the
+		// identity of the shared stream — and run each group's configs
+		// in lockstep, maxBatchSize machines at a time.
+		var chunks [][]*group
+		open := map[string]int{} // image key -> index of its open chunk
+		for _, g := range toRun {
+			c := cells[g.cells[0]]
+			ik := fmt.Sprintf("%s|sp=%d", sim.SourceKey(c.cfg), c.opts.simpoints())
+			if j, ok := open[ik]; ok && len(chunks[j]) < maxBatchSize {
+				chunks[j] = append(chunks[j], g)
+				continue
 			}
-			chunk := ig.groups[lo:hi]
+			open[ik] = len(chunks)
+			chunks = append(chunks, []*group{g})
+		}
+		for _, chunk := range chunks {
 			if err := ctx.Err(); err != nil {
 				for _, g := range chunk {
-					finish(g, sim.Result{}, err)
+					finish(g, sim.Result{}, err, "")
 				}
 				continue
 			}
@@ -255,54 +253,71 @@ func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCell
 					}
 				})
 			for k, g := range chunk {
-				if rerrs[k] != nil {
-					finish(g, sim.Result{}, rerrs[k])
-					continue
-				}
-				c := cells[g.cells[0]]
-				spanStore := c.opts.spanStore()
-				writeStart := time.Now()
-				c.opts.storeSave(g.key, res[k])
-				if spanStore {
-					c.opts.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
-						Args: map[string]any{"key": g.key}})
-				}
-				finish(g, res[k], nil)
-				c.opts.progress("%s/%s ftq=%d: IPC %.4f", c.name, c.mech, res[k].FinalFTQDepth, res[k].IPC)
+				complete(g, res[k], rerrs[k])
 			}
 		}
+	} else {
+		_ = ForEach(len(toRun), workers, func(j int) error {
+			g := toRun[j]
+			if err := ctx.Err(); err != nil {
+				finish(g, sim.Result{}, err, "")
+				return nil
+			}
+			c := cells[g.cells[0]]
+			_, res, err := sim.RunSimpointsCtx(ctx, c.cfg, c.opts.Simpoints, 1, c.opts.attachCell(c.name, c.mech))
+			complete(g, res, err)
+			return nil
+		})
 	}
 
 	// Finally resolve cells whose keys another runner claimed. That
-	// runner held a worker slot before we claimed anything, so it
-	// completes (or cancels) independently of us.
+	// runner held its claims before we claimed anything, so it completes
+	// (or cancels) independently of us.
 	for i, call := range waiting {
 		obs.CacheInflightWaits.Add(1)
-		c := cells[i]
 		select {
 		case <-call.done:
 		case <-ctx.Done():
 			errs[i] = ctx.Err()
-			done(i)
+			done()
+			continue
+		}
+		if canceled(call.err) && ctx.Err() == nil {
+			// The claiming runner was cancelled, not this call: resolve
+			// the cell afresh (alone, so unbatched).
+			rs, es := resolveCells(ctx, cells[i:i+1], 1, false, nil)
+			results[i], errs[i] = rs[0], es[0]
+			done()
 			continue
 		}
 		if call.err != nil {
 			errs[i] = call.err
-			done(i)
+			done()
 			continue
 		}
 		results[i] = call.res
-		c.opts.progress("%s/%s ftq=%d: IPC %.4f (cached)", c.name, c.mech, call.res.FinalFTQDepth, call.res.IPC)
-		done(i)
+		cells[i].progress(call.res, " (cached)")
+		done()
 	}
 	return results, errs
+}
+
+// canceled reports whether err is a context's cancellation.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// progress reports one resolved cell; how tags where the result came
+// from (" (cached)", " (store)", or "" when simulated).
+func (c cell) progress(r sim.Result, how string) {
+	c.opts.progress("%s/%s ftq=%d: IPC %.4f%s", c.name, c.mech, r.FinalFTQDepth, r.IPC, how)
 }
 
 // ForEach runs fn(i) for i in [0, n) on a bounded worker pool of the
 // given width (<= 0 means GOMAXPROCS, 1 runs serially) and aggregates
 // all errors — the engine primitive for grids whose per-cell work is
 // not a plain Options.run call (Table I's trace characterization,
-// descriptor cells, cmd/sweep's grid). fn must write its result into
+// cmd/sweep's grid). fn must write its result into
 // slot i of a caller-owned slice so output order stays deterministic.
 func ForEach(n, workers int, fn func(int) error) error {
 	return ForEachCtx(context.Background(), n, workers, fn)

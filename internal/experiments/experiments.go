@@ -226,24 +226,24 @@ func (o Options) spanStore() bool {
 	return o.OnSpan != nil && o.store() != nil
 }
 
-// run executes one configuration over the option's simpoints, memoized
-// process-wide and singleflighted: concurrent callers with the same
-// canonical config key block on the first runner instead of simulating
-// the same deterministic region twice. When a persistent ResultStore is
+// run resolves one configuration over the option's simpoints through
+// the cell protocol (resolveCells): memoized process-wide and
+// singleflighted, so concurrent callers with the same canonical config
+// key block on the first runner instead of simulating the same
+// deterministic region twice. When a persistent ResultStore is
 // installed (SetResultStore) the cache reads through it: an in-memory
 // miss probes the store before simulating, and completed simulations
 // are written back — so a daemon restart serves known configurations
-// from disk.
+// from disk. A lone cell has no stream to share, so it never batches.
 func (o Options) run(name string, mech sim.Mechanism, mutate func(*sim.Config)) (sim.Result, error) {
-	cfg := o.cellConfig(name, mech, mutate)
-	return o.runConfig(name, mech, cfg)
+	res, errs := resolveCells(o.ctx(), []cell{o.cell(name, mech, mutate)}, 1, false, nil)
+	return res[0], errs[0]
 }
 
-// cellConfig builds the simulated configuration for one grid cell. A
-// "trace:<name>" cell resolves through the source registry (the trace
-// must already be loaded and registered — cmd mains and ResolveTraces
-// do that before any grid runs).
-func (o Options) cellConfig(name string, mech sim.Mechanism, mutate func(*sim.Config)) sim.Config {
+// cell builds one grid cell. A "trace:<name>" cell resolves through the
+// source registry (the trace must already be loaded and registered —
+// cmd mains and ResolveTraces do that before any grid runs).
+func (o Options) cell(name string, mech sim.Mechanism, mutate func(*sim.Config)) cell {
 	var cfg sim.Config
 	if tn, ok := strings.CutPrefix(name, "trace:"); ok {
 		src, ok := workload.SourceByName(tn)
@@ -259,85 +259,7 @@ func (o Options) cellConfig(name string, mech sim.Mechanism, mutate func(*sim.Co
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return cfg
-}
-
-func (o Options) runConfig(name string, mech sim.Mechanism, cfg sim.Config) (sim.Result, error) {
-	key := CacheKey(cfg, o.Simpoints)
-	ctx := o.ctx()
-
-	resultMu.Lock()
-	if cached, ok := resultCache[key]; ok {
-		resultMu.Unlock()
-		obs.CacheHits.Add(1)
-		o.progress("%s/%s ftq=%d: IPC %.4f (cached)", name, mech, cached.FinalFTQDepth, cached.IPC)
-		return cached, nil
-	}
-	if call, ok := resultInflight[key]; ok {
-		// Another goroutine is already simulating this key: wait for
-		// it. The runner necessarily holds a worker slot already, so
-		// waiting here cannot deadlock the pool. A canceled waiter
-		// abandons the wait (the runner itself is driven by its own
-		// submitter's context and finishes or cancels independently).
-		resultMu.Unlock()
-		obs.CacheInflightWaits.Add(1)
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return sim.Result{}, ctx.Err()
-		}
-		if call.err != nil {
-			return sim.Result{}, call.err
-		}
-		o.progress("%s/%s ftq=%d: IPC %.4f (cached)", name, mech, call.res.FinalFTQDepth, call.res.IPC)
-		return call.res, nil
-	}
-	call := &resultCall{done: make(chan struct{})}
-	resultInflight[key] = call
-	resultMu.Unlock()
-
-	// In-memory miss: read through the persistent store before paying
-	// for a simulation. A hit is published exactly like a computed
-	// result so concurrent waiters resolve.
-	spanStore := o.spanStore()
-	readStart := time.Now()
-	agg, hit := o.storeLoad(key)
-	if spanStore {
-		o.OnSpan(obs.Span{Name: "store-read", Start: readStart, End: time.Now(),
-			Args: map[string]any{"key": key, "hit": hit}})
-	}
-	var err error
-	if !hit {
-		obs.CacheMisses.Add(1)
-		_, agg, err = sim.RunSimpointsCtx(ctx, cfg, o.Simpoints, 1, o.attachCell(name, mech))
-		if err == nil {
-			writeStart := time.Now()
-			o.storeSave(key, agg)
-			if spanStore {
-				o.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
-					Args: map[string]any{"key": key}})
-			}
-		}
-	}
-
-	resultMu.Lock()
-	if err == nil {
-		resultCache[key] = agg
-	}
-	call.res, call.err = agg, err
-	delete(resultInflight, key)
-	resultMu.Unlock()
-	close(call.done)
-
-	if err != nil {
-		return sim.Result{}, err
-	}
-	if hit {
-		o.progress("%s/%s ftq=%d: IPC %.4f (store)", name, mech, agg.FinalFTQDepth, agg.IPC)
-	} else {
-		o.progress("%s/%s ftq=%d: IPC %.4f", name, mech, agg.FinalFTQDepth, agg.IPC)
-	}
-	return agg, nil
+	return cell{name: name, mech: mech, cfg: cfg, opts: o}
 }
 
 // SpeedupRow is one bar of a speedup figure.

@@ -55,31 +55,45 @@ func AddDescriptorTraces(raw []byte, files string) (*Descriptor, error) {
 // final and machine construction can resolve Config.TraceRef through
 // the source registry. Specs that carry a hash of an already-registered
 // source are accepted without touching the filesystem — the daemon path
-// for re-submitted descriptors. Call it after ParseDescriptor and
+// for re-submitted descriptors. A trace holding fewer records than the
+// descriptor's warmup + instructions is rejected as a *ValidationError:
+// its run would replay past the end. Call it after ParseDescriptor and
 // before running or enqueueing the descriptor.
 func ResolveTraces(d *Descriptor) error {
 	for i := range d.Traces {
 		t := &d.Traces[i]
+		var src *trace.Source
 		if t.SHA256 != "" {
-			if _, ok := workload.SourceByKey("trace:" + t.SHA256); ok {
-				continue
-			}
+			s, _ := workload.SourceByKey("trace:" + t.SHA256)
+			src, _ = s.(*trace.Source)
+		}
+		registered := src != nil
+		if !registered {
 			if t.File == "" {
 				return fmt.Errorf("experiments: trace %q: sha256 %s is not a registered trace and no file is given",
 					t.Name, t.SHA256)
 			}
+			var err error
+			if src, err = trace.LoadSource(t.File); err != nil {
+				return fmt.Errorf("experiments: trace %q: %w", t.Name, err)
+			}
+			if t.SHA256 != "" && t.SHA256 != src.SHA256() {
+				return fmt.Errorf("experiments: trace %q: file %s hashes to %s, descriptor pins %s",
+					t.Name, t.File, src.SHA256(), t.SHA256)
+			}
 		}
-		src, err := trace.LoadSource(t.File)
-		if err != nil {
-			return fmt.Errorf("experiments: trace %q: %w", t.Name, err)
+		if need := d.Warmup + d.Instructions; src.Len() < need {
+			return &ValidationError{Descriptor: d.Name, Fields: []FieldError{{
+				Field: fmt.Sprintf("traces[%d]", i),
+				Reason: fmt.Sprintf("trace %q holds %d records, fewer than warmup + instructions (%d)",
+					t.Name, src.Len(), need),
+			}}}
 		}
-		if t.SHA256 != "" && t.SHA256 != src.SHA256() {
-			return fmt.Errorf("experiments: trace %q: file %s hashes to %s, descriptor pins %s",
-				t.Name, t.File, src.SHA256(), t.SHA256)
+		if !registered {
+			t.SHA256 = src.SHA256()
+			src.SetName(t.Name)
+			workload.RegisterSource(src)
 		}
-		t.SHA256 = src.SHA256()
-		src.SetName(t.Name)
-		workload.RegisterSource(src)
 	}
 	return nil
 }

@@ -47,12 +47,16 @@ func validationReasons(t *testing.T, err error) []string {
 	return out
 }
 
+// traceDescriptor declares specs with a region that fits inside a
+// writeTestTrace recording (ResolveTraces rejects longer ones).
 func traceDescriptor(specs []TraceSpec, workloads []string) *Descriptor {
 	return &Descriptor{
-		Name:      "trace-test",
-		Traces:    specs,
-		Workloads: workloads,
-		Configs:   []ConfigSpec{{Label: "base", Mechanism: "baseline"}},
+		Name:         "trace-test",
+		Traces:       specs,
+		Workloads:    workloads,
+		Instructions: 2_000,
+		Warmup:       500,
+		Configs:      []ConfigSpec{{Label: "base", Mechanism: "baseline"}},
 	}
 }
 
@@ -195,6 +199,22 @@ func TestResolveTraces(t *testing.T) {
 	if err := ResolveTraces(d4); err == nil || !strings.Contains(err.Error(), "pins") {
 		t.Errorf("hash mismatch not rejected: %v", err)
 	}
+
+	// A region longer than the recording would replay past its end: a
+	// structured validation error naming the trace, whether the trace
+	// comes from a file or from the registry.
+	for _, spec := range []TraceSpec{{Name: "svc", File: path}, {Name: "svc", SHA256: sha}} {
+		d5 := traceDescriptor([]TraceSpec{spec}, nil)
+		d5.Instructions = 50_000
+		if err := d5.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		ve := AsValidationError(ResolveTraces(d5))
+		if ve == nil || len(ve.Fields) != 1 || ve.Fields[0].Field != "traces[0]" ||
+			!strings.Contains(ve.Fields[0].Reason, "5000 records") {
+			t.Errorf("over-long region not rejected as a traces[0] validation error: %v", ve)
+		}
+	}
 }
 
 func TestCellConfigTraceBranch(t *testing.T) {
@@ -287,5 +307,17 @@ func TestRunDescriptorTraceCell(t *testing.T) {
 	}
 	if res[0].Workload != "trace:svc-e2e" {
 		t.Errorf("cell workload = %q", res[0].Workload)
+	}
+
+	// The lockstep path must replay the same short trace to the same
+	// result: batch machines read the trace directly, so they never
+	// pull records beyond what the unbatched run reads.
+	FlushResultCache()
+	batched, err := RunDescriptorObserved(d, nil, 1, Options{Batch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batched[0] != res[0] {
+		t.Errorf("batched trace cell differs\n got: %+v\nwant: %+v", batched[0], res[0])
 	}
 }

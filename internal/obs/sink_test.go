@@ -18,7 +18,7 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	events := []Event{
 		{Cycle: 10, Kind: EvPrefetchEmitted, Addr: 0x1000},
 		{Cycle: 60, Kind: EvPrefetchArrived, Addr: 0x1000, A: 10},
-		{Cycle: 90, Kind: EvPrefetchHit, Addr: 0x1000},           // timely: instant
+		{Cycle: 90, Kind: EvPrefetchHit, Addr: 0x1000},               // timely: instant
 		{Cycle: 120, Kind: EvPrefetchHit, Addr: 0x2000, A: 15, B: 1}, // late: slice
 		{Cycle: 130, Kind: EvFTQResize, A: 32, B: 48},
 		{Cycle: 140, Kind: EvUFTQWindow, Addr: 48, A: 900, B: 850},

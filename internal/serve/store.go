@@ -76,8 +76,8 @@ type Store struct {
 	log *slog.Logger
 
 	mu       sync.Mutex
-	lruCap   int64 // byte budget for cached payloads
-	lruBytes int64 // payload bytes currently cached
+	lruCap   int64                    // byte budget for cached payloads
+	lruBytes int64                    // payload bytes currently cached
 	lru      *list.List               // front = most recently used
 	lruIdx   map[string]*list.Element // addr → element
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -135,5 +136,46 @@ func TestServerTraceDescriptorDedup(t *testing.T) {
 	}
 	if f4.Cells[0].IPC != wantIPC {
 		t.Fatalf("restarted IPC %v != original %v", f4.Cells[0].IPC, wantIPC)
+	}
+}
+
+// TestServerRejectsOverlongTraceDescriptor: a trace descriptor whose
+// region is longer than its recording is a structured 400 at submit —
+// it never reaches a scheduler worker, where replaying past the end of
+// the trace would take the whole daemon down — and the daemon keeps
+// answering afterwards.
+func TestServerRejectsOverlongTraceDescriptor(t *testing.T) {
+	dir := t.TempDir()
+	p := workload.MustByName("postgres")
+	p.Funcs = 30
+	p.DispatchTargets = 20
+	var buf bytes.Buffer
+	if err := trace.RecordN2(&buf, p, 7, 5_000, trace.EncBinary); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "short.udpt2")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	desc := []byte(fmt.Sprintf(`{
+		"name": "trace-overlong",
+		"traces": [{"name": "short", "file": %q}],
+		"instructions": 50000,
+		"configs": [{"label": "base", "mechanism": "baseline"}]
+	}`, path))
+
+	_, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1})
+	defer stop()
+	_, err := c.Submit(context.Background(), desc, client.SubmitOptions{})
+	apiErr, ok := err.(*client.APIError)
+	if !ok || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit err = %v, want a 400", err)
+	}
+	if len(apiErr.Body.Fields) != 1 || apiErr.Body.Fields[0].Field != "traces[0]" {
+		t.Fatalf("400 fields = %+v, want one traces[0] entry", apiErr.Body.Fields)
+	}
+	h, err := c.Health(context.Background())
+	if err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after the rejected submit: %+v, err %v", h, err)
 	}
 }

@@ -6,38 +6,30 @@ import (
 	"runtime"
 	"sync"
 
+	"udpsim/internal/frontend"
 	"udpsim/internal/isa"
 	"udpsim/internal/workload"
 )
 
 // Batched lockstep simulation: K config variants of one workload region
-// step over a single shared architectural stream. The workload executor
-// runs exactly once (inside a workload.Tape); every machine's oracle
-// reads the tape through its own TapeReader, and wrong-path divergence
-// stays local to each frontend exactly as in an independent run — the
-// tape carries only the on-path stream, and each frontend walks the
-// static image itself for (possibly wrong-path) fetch.
+// step over a single shared architectural stream. For a synthetic
+// workload the executor runs exactly once, inside a workload.Tape, and
+// every machine's oracle reads the tape through its own TapeReader. A
+// trace is already decoded in memory with random access, so machines
+// over a trace read it directly and no tape is needed. Wrong-path
+// divergence stays local to each frontend exactly as in an independent
+// run: the stream carries only the on-path instructions, and each
+// frontend walks the static image itself for (possibly wrong-path)
+// fetch.
 //
-// Scheduling keeps the machines' stream cursors close together
-// (smallest-cursor-first, in slices of batchStride cycles), which
-// bounds tape memory to the cursor spread of the group and keeps the
-// shared chunks hot in cache across machines. Per-machine run state —
-// phase, retire target, forward-progress limit, saved observer
-// interval — lives in structure-of-arrays form on the runner rather
-// than per-machine wrappers, so the scheduler's scan touches a few
-// dense slices instead of K scattered structs.
-//
-// Equivalence: each machine sees the byte-identical instruction stream,
-// step sequence, warmup/measure transition, and snapshot point it would
-// see under Machine.RunCtx, so batched results are bit-for-bit equal to
-// unbatched ones (asserted by TestRunBatchEquivalence).
-
-// batchStride is how many cycles a machine advances per scheduling
-// slice: large enough to amortize the scheduler scan and the tape
-// pre-extension lock, small enough to keep cursor spread (and therefore
-// resident tape memory) tight. Matches cancelCheckStride so cancellation
-// latency is the same as the unbatched loop's.
-const batchStride = cancelCheckStride
+// Each machine runs through the same Machine.advance that RunCtx calls,
+// one runStride slice at a time, so it sees the identical instruction
+// stream, step sequence, phase transitions and snapshot point; batched
+// results are therefore bit-for-bit equal to unbatched ones (asserted
+// by TestRunBatchEquivalence). The scheduler only decides whose slice
+// runs next: smallest stream cursor first, which bounds tape memory to
+// the cursor spread of the group and keeps the shared chunks hot in
+// cache across machines.
 
 // SimpointSalt returns the seed salt selecting simpoint region i. The
 // offset keeps region 0 distinct from a plain non-simpoint run (salt 0):
@@ -46,224 +38,132 @@ const batchStride = cancelCheckStride
 // grouping, trace filenames).
 func SimpointSalt(i int) uint64 { return uint64(i+1) * 7919 }
 
-// batchRunner holds the shared tape and the per-machine scheduling
-// state for one lockstep group.
+// batchRunner holds the shared stream and the scheduling state for one
+// lockstep group.
 type batchRunner struct {
-	tape    *workload.Tape
+	tape    *workload.Tape         // nil for a trace group
 	ms      []*Machine             // nil where construction failed
-	readers []*workload.TapeReader // nil where construction failed
+	readers []*workload.TapeReader // nil when there is no tape
+	res     []Result
+	errs    []error
 
-	// Structure-of-arrays per-machine run state (hot scheduler data).
-	phase   []uint8  // 0 warmup, 1 measured, 2 done
-	target  []uint64 // retired-instruction count ending the phase
-	limit   []uint64 // forward-progress cycle bound for the phase
-	savedIv []uint64 // observer interval suppressed during warmup
-	consume []uint64 // max oracle records one cycle can consume
-
-	res  []Result
-	errs []error
-
-	// Parallel-mode coordination.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	claimed []bool
+	done    []bool
 	live    int
 	stopped error
 }
 
-const (
-	phaseWarmup   = 0
-	phaseMeasured = 1
-	phaseDone     = 2
-)
-
-// newBatchRunner builds the K machines over one shared tape. attach (if
-// non-nil) runs per machine after construction, before any stepping —
-// the observer hook, mirroring RunSimpointsCtx. Construction failures
-// land in errs; surviving machines still run.
+// newBatchRunner builds the K machines, over the tape when there is
+// one, and starts their runs. attach (if non-nil) runs per machine
+// after construction, before its run starts — the observer hook,
+// mirroring RunSimpointsCtx. Construction failures land in errs;
+// surviving machines still run.
 func newBatchRunner(cfgs []Config, prog *workload.Program, tape *workload.Tape, attach func(k int, m *Machine)) *batchRunner {
 	k := len(cfgs)
 	b := &batchRunner{
 		tape:    tape,
 		ms:      make([]*Machine, k),
 		readers: make([]*workload.TapeReader, k),
-		phase:   make([]uint8, k),
-		target:  make([]uint64, k),
-		limit:   make([]uint64, k),
-		savedIv: make([]uint64, k),
-		consume: make([]uint64, k),
 		res:     make([]Result, k),
 		errs:    make([]error, k),
 		claimed: make([]bool, k),
+		done:    make([]bool, k),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	for i, cfg := range cfgs {
-		r := b.tape.Reader()
-		m, err := NewMachineWithSource(cfg, prog, r)
+		// A nil source makes the machine open its own stream, which
+		// for a trace config reads the registered trace directly.
+		var src frontend.InstrSource
+		if tape != nil {
+			b.readers[i] = tape.Reader()
+			src = b.readers[i]
+		}
+		m, err := NewMachineWithSource(cfg, prog, src)
 		if err != nil {
 			b.errs[i] = err
-			b.phase[i] = phaseDone
-			r.Close()
+			b.finish(i)
 			continue
 		}
 		b.ms[i] = m
-		b.readers[i] = r
 		b.live++
 		if attach != nil {
 			attach(i, m)
 		}
-		b.consume[i] = uint64(cfg.BlocksPerCycle)*isa.InstrPerBlock + 1
-		maxInstr := cfg.MaxInstructions
-		if maxInstr == 0 {
-			maxInstr = 1_000_000
-		}
-		if w := cfg.WarmupInstructions; w > 0 {
-			b.phase[i] = phaseWarmup
-			b.target[i] = m.BE.Stats.Retired + w
-			b.limit[i] = m.cycle + w*400 + 1_000_000
-			// Suppress interval samples during warmup, exactly as
-			// Machine.RunCtx does.
-			if m.obs != nil {
-				b.savedIv[i], m.obs.Interval = m.obs.Interval, 0
-			}
-			m.notePhase("warmup")
-		} else {
-			b.phase[i] = phaseMeasured
-			b.target[i] = m.BE.Stats.Retired + maxInstr
-			b.limit[i] = m.cycle + maxInstr*400 + 1_000_000
-			m.notePhase("measure")
-		}
+		m.startRun()
 	}
 	return b
 }
 
-// maybeTransition advances machine k across phase boundaries when its
-// retire target is met, replicating RunCtx's sequence exactly: warmup →
-// ResetStats, restore observer interval, arm the measured region;
-// measured → flush observer, snapshot, done. Returns true once done.
-func (b *batchRunner) maybeTransition(k int) bool {
-	m := b.ms[k]
-	for m.BE.Stats.Retired >= b.target[k] {
-		switch b.phase[k] {
-		case phaseWarmup:
-			m.ResetStats()
-			if m.obs != nil {
-				m.obs.Interval = b.savedIv[k]
-			}
-			maxInstr := m.cfg.MaxInstructions
-			if maxInstr == 0 {
-				maxInstr = 1_000_000
-			}
-			b.phase[k] = phaseMeasured
-			b.target[k] = m.BE.Stats.Retired + maxInstr
-			b.limit[k] = m.cycle + maxInstr*400 + 1_000_000
-			m.notePhase("measure")
-		case phaseMeasured:
-			m.obsFlush()
-			b.res[k] = m.Snapshot()
-			b.phase[k] = phaseDone
-			b.readers[k].Close()
-			m.notePhase("done")
-			return true
-		default:
-			return true
-		}
-	}
-	return false
-}
-
-// advance steps machine k for up to stride cycles (stopping early when
-// its run completes). The tape is pre-extended past everything the
-// slice can consume, so the cycle loop itself allocates nothing — the
-// zero-alloc Machine.Step invariant holds in batch mode.
-func (b *batchRunner) advance(k, stride int) {
-	if b.maybeTransition(k) {
-		return
-	}
-	m := b.ms[k]
-	b.tape.EnsureAhead(m.Oracle.Cursor() + uint64(stride)*b.consume[k])
-	for i := 0; i < stride; i++ {
-		m.Step()
-		if m.cycle > b.limit[k] {
-			panic(fmt.Sprintf("sim: no forward progress (retired %d of target %d at cycle %d)",
-				m.BE.Stats.Retired, b.target[k], m.cycle))
-		}
-		if m.BE.Stats.Retired >= b.target[k] && b.maybeTransition(k) {
-			return
-		}
+// finish retires machine k from the group, releasing its tape reader.
+func (b *batchRunner) finish(k int) {
+	b.done[k] = true
+	if b.readers[k] != nil {
+		b.readers[k].Close()
 	}
 }
 
-// cursor returns machine k's stream position (the scheduling key).
-func (b *batchRunner) cursor(k int) uint64 { return b.ms[k].Oracle.Cursor() }
+// step advances machine k by one slice and reports whether its run
+// completed. The tape is pre-extended past everything the slice can
+// consume, so the cycle loop itself allocates nothing — the zero-alloc
+// Machine.Step invariant holds in batch mode.
+func (b *batchRunner) step(k int) bool {
+	m := b.ms[k]
+	if b.tape != nil {
+		perCycle := uint64(m.cfg.BlocksPerCycle)*isa.InstrPerBlock + 1
+		b.tape.EnsureAhead(m.Oracle.Cursor() + runStride*perCycle)
+	}
+	if !m.advance(runStride) {
+		return false
+	}
+	b.res[k] = m.res
+	return true
+}
 
-// run drives every live machine to completion, smallest stream cursor
-// first. Serial below parallelism 2; otherwise a worker pool in which
-// each worker repeatedly claims the furthest-behind unclaimed machine.
-// ctx cancellation (polled once per slice, like the unbatched loop)
-// abandons unfinished machines with ctx.Err().
+// run drives every live machine to completion with parallelism workers
+// (the calling goroutine is one of them). ctx cancellation, polled once
+// per slice like the unbatched loop, abandons unfinished machines with
+// ctx.Err().
 func (b *batchRunner) run(ctx context.Context, parallelism int) {
-	poll := ctx.Done() != nil
 	if parallelism > b.live {
 		parallelism = b.live
 	}
-	if parallelism <= 1 {
-		for {
-			if poll {
-				if err := ctx.Err(); err != nil {
-					b.abandon(err)
-					return
-				}
-			}
-			k := -1
-			var best uint64
-			for i := range b.ms {
-				if b.phase[i] == phaseDone {
-					continue
-				}
-				if c := b.cursor(i); k < 0 || c < best {
-					k, best = i, c
-				}
-			}
-			if k < 0 {
-				return
-			}
-			b.advance(k, batchStride)
-		}
-	}
-
 	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
+	for w := 1; w < parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.worker(ctx, poll)
+			b.worker(ctx)
 		}()
 	}
+	b.worker(ctx)
 	wg.Wait()
 	if b.stopped != nil {
-		b.abandon(b.stopped)
+		for i, m := range b.ms {
+			if m != nil && !b.done[i] {
+				b.errs[i] = b.stopped
+				b.finish(i)
+			}
+		}
 	}
 }
 
 // worker claims the furthest-behind unclaimed live machine, advances it
 // one slice, and repeats until no live machines remain. Machine state is
-// only touched while claimed; phase[i] of an unclaimed machine is
-// stable, so the scan under b.mu is race-free.
-func (b *batchRunner) worker(ctx context.Context, poll bool) {
+// only touched while claimed, and claimed/done only under b.mu, so the
+// scan is race-free.
+func (b *batchRunner) worker(ctx context.Context) {
 	b.mu.Lock()
-	for {
-		if b.stopped != nil || b.live == 0 {
-			b.mu.Unlock()
-			return
-		}
+	defer b.mu.Unlock()
+	for b.stopped == nil && b.live > 0 {
 		k := -1
 		var best uint64
-		for i := range b.ms {
-			if b.claimed[i] || b.phase[i] == phaseDone {
+		for i, m := range b.ms {
+			if b.claimed[i] || b.done[i] {
 				continue
 			}
-			if c := b.cursor(i); k < 0 || c < best {
+			if c := m.Oracle.Cursor(); k < 0 || c < best {
 				k, best = i, c
 			}
 		}
@@ -275,37 +175,19 @@ func (b *batchRunner) worker(ctx context.Context, poll bool) {
 		b.claimed[k] = true
 		b.mu.Unlock()
 
-		if poll {
-			if err := ctx.Err(); err != nil {
-				b.mu.Lock()
-				b.claimed[k] = false
-				if b.stopped == nil {
-					b.stopped = err
-				}
-				b.cond.Broadcast()
-				b.mu.Unlock()
-				return
-			}
-		}
-		b.advance(k, batchStride)
+		err := ctx.Err()
+		completed := err == nil && b.step(k)
 
 		b.mu.Lock()
 		b.claimed[k] = false
-		if b.phase[k] == phaseDone {
+		if err != nil && b.stopped == nil {
+			b.stopped = err
+		}
+		if completed {
+			b.finish(k)
 			b.live--
 		}
 		b.cond.Broadcast()
-	}
-}
-
-// abandon marks every unfinished machine with err (cancellation).
-func (b *batchRunner) abandon(err error) {
-	for i := range b.ms {
-		if b.ms[i] != nil && b.phase[i] != phaseDone {
-			b.errs[i] = err
-			b.phase[i] = phaseDone
-			b.readers[i].Close()
-		}
 	}
 }
 
@@ -354,22 +236,10 @@ func RunBatchCtx(ctx context.Context, cfgs []Config, parallelism int, attach fun
 	if err != nil {
 		return fail(err)
 	}
+	// Only a synthetic group needs a tape: machines over a trace read
+	// the decoded records directly.
 	var tape *workload.Tape
-	if cfgs[0].TraceRef != "" {
-		// Trace-driven batch: the tape replays the registered source's
-		// recorded stream instead of a live executor, and everything
-		// downstream — lockstep scheduling, chunk trimming, equivalence
-		// to the serial path — is unchanged.
-		src, ok := workload.SourceByKey(sk)
-		if !ok {
-			return fail(fmt.Errorf("sim: trace %s not registered (load it with trace.LoadSource + workload.RegisterSource)", cfgs[0].TraceRef))
-		}
-		stream, err := src.Stream(cfgs[0].SeedSalt)
-		if err != nil {
-			return fail(err)
-		}
-		tape = workload.NewTapeFromStream(stream)
-	} else {
+	if cfgs[0].TraceRef == "" {
 		tape = workload.NewTape(prog, cfgs[0].SeedSalt)
 	}
 	b := newBatchRunner(cfgs, prog, tape, attach)

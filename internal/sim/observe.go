@@ -167,12 +167,6 @@ func RunSimpointsCtx(ctx context.Context, cfg Config, n, parallelism int, attach
 	if parallelism > n {
 		parallelism = n
 	}
-	// Background contexts never cancel; skip the per-cycle polling
-	// entirely so the common path stays byte-identical to the seed.
-	runCtx := ctx
-	if ctx.Done() == nil {
-		runCtx = nil
-	}
 	results := make([]Result, n)
 	errs := make([]error, n)
 	runRegion := func(i int) {
@@ -194,7 +188,7 @@ func RunSimpointsCtx(ctx context.Context, cfg Config, n, parallelism int, attach
 		if attach != nil {
 			attach(i, m)
 		}
-		results[i], errs[i] = m.RunCtx(runCtx)
+		results[i], errs[i] = m.RunCtx(ctx)
 	}
 	if parallelism <= 1 {
 		for i := 0; i < n; i++ {

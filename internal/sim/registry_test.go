@@ -128,7 +128,7 @@ func TestUnknownMechanismErrorListsRegistered(t *testing.T) {
 // through the binding for the mechanisms that expose them.
 func TestTypedAccessors(t *testing.T) {
 	cases := []struct {
-		mech                Mechanism
+		mech                       Mechanism
 		wantUDP, wantUFTQ, wantEIP bool
 	}{
 		{MechBaseline, false, false, false},

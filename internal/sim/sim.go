@@ -188,7 +188,6 @@ func NewConfig(w workload.Profile, m Mechanism) Config {
 type Machine struct {
 	cfg  Config
 	prog *workload.Program
-	src  frontend.InstrSource
 
 	Dir    *bp.Tage
 	BTB    *btb.BTB
@@ -207,6 +206,15 @@ type Machine struct {
 	resetters []StatsResetter
 
 	cycle uint64
+
+	// Run state (see advance): the current phase, the retired count
+	// that ends it, its forward-progress cycle bound, the observer
+	// interval suppressed during warmup, and the finished run's result.
+	phase   runPhase
+	target  uint64
+	limit   uint64
+	savedIv uint64
+	res     Result
 
 	// Observability (attached post-construction via AttachObserver so
 	// Config — and the result-cache key — stays unchanged). The
@@ -271,6 +279,9 @@ func NewMachineWithProgram(cfg Config, prog *workload.Program) (*Machine, error)
 // nil source runs the live executor with cfg.SeedSalt.
 func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.InstrSource) (*Machine, error) {
 	cfg.Mechanism = NormalizeMechanism(cfg.Mechanism)
+	if cfg.MaxInstructions == 0 {
+		cfg.MaxInstructions = 1_000_000 // Run's default measured region
+	}
 	if err := validateGeometry(cfg); err != nil {
 		return nil, err
 	}
@@ -326,7 +337,6 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 			src = workload.NewExecutor(prog, cfg.SeedSalt)
 		}
 	}
-	m.src = src
 	m.Oracle = frontend.NewOracleStream(src)
 
 	feCfg := frontend.Config{
@@ -490,91 +500,116 @@ func (m *Machine) Run() Result {
 	return r
 }
 
-// RunCtx is Run with cooperative cancellation: the cycle loop polls
-// ctx every cancelCheckStride cycles (cheap — one atomic load every few
-// microseconds of simulation) and returns ctx's error as soon as it is
-// observed, discarding the partial region. A nil or background context
-// degrades to the plain uncancellable Run.
-func (m *Machine) RunCtx(ctx context.Context) (res Result, err error) {
-	// Trace replay has no per-cycle error path, so cancellation reaches
-	// it through a duck-typed context on the stream plus a panic/recover
-	// abort protocol; the synthetic executor implements neither and the
-	// run loop below is untouched (bit-identical to the uncancellable
-	// path).
-	if ctx != nil && ctx.Done() != nil {
-		if cs, ok := m.src.(interface{ SetRunContext(context.Context) }); ok {
-			cs.SetRunContext(ctx)
-			defer cs.SetRunContext(nil)
-			defer func() {
-				if r := recover(); r != nil {
-					ab, ok := r.(interface{ RunAborted() error })
-					if !ok {
-						panic(r)
-					}
-					res, err = Result{}, ab.RunAborted()
-				}
-			}()
+// RunCtx is Run with cooperative cancellation: ctx is polled before
+// every stride of runStride cycles, and its error is returned as soon
+// as it is observed, discarding the partial region. A nil context never
+// cancels. The poll sits outside the cycle loop, so it cannot change
+// what is simulated: every source — live executor or trace — stops the
+// same way.
+func (m *Machine) RunCtx(ctx context.Context) (Result, error) {
+	m.startRun()
+	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
+		}
+		if m.advance(runStride) {
+			return m.res, nil
 		}
 	}
-	maxInstr := m.cfg.MaxInstructions
-	if maxInstr == 0 {
-		maxInstr = 1_000_000
-	}
+}
+
+// runStride is how many cycles a run advances between context polls,
+// and per scheduling slice in a lockstep batch: frequent enough that
+// cancellation latency is a few milliseconds of wall time, rare enough
+// that the poll and the batch scheduler's scan are invisible in
+// BenchmarkMachineStep-scale profiles.
+const runStride = 4096
+
+// runPhase is where a machine stands in its run.
+type runPhase uint8
+
+const (
+	phaseWarmup runPhase = iota
+	phaseMeasure
+	phaseDone
+)
+
+// startRun arms a run: the warmup region when WarmupInstructions is
+// non-zero, else the measured region directly.
+func (m *Machine) startRun() {
 	if w := m.cfg.WarmupInstructions; w > 0 {
 		// Suppress interval samples during warmup so a streaming metrics
 		// sink sees only measured-region rows (their retired deltas must
 		// sum to Result.Instructions).
-		var iv uint64
 		if m.obs != nil {
-			iv, m.obs.Interval = m.obs.Interval, 0
+			m.savedIv, m.obs.Interval = m.obs.Interval, 0
 		}
-		m.notePhase("warmup")
-		if err := m.runInstructions(w, ctx); err != nil {
-			return Result{}, err
-		}
-		m.ResetStats()
-		if m.obs != nil {
-			m.obs.Interval = iv
-		}
+		m.enterPhase(phaseWarmup, w, "warmup")
+		return
 	}
-	m.notePhase("measure")
-	if err := m.runInstructions(maxInstr, ctx); err != nil {
-		return Result{}, err
-	}
-	m.obsFlush()
-	m.notePhase("done")
-	return m.Snapshot(), nil
+	m.enterPhase(phaseMeasure, m.cfg.MaxInstructions, "measure")
 }
 
-// cancelCheckStride is how many cycles elapse between context polls in
-// the run loop: frequent enough that cancellation latency is a few
-// milliseconds of wall time, rare enough that the poll is invisible in
-// BenchmarkMachineStep-scale profiles.
-const cancelCheckStride = 4096
-
-// RunInstructions advances until n more instructions retire. A safety
-// bound of 400 cycles/instruction guards against modelling deadlock.
-func (m *Machine) RunInstructions(n uint64) {
-	// A nil context never cancels, so the error path is unreachable.
-	_ = m.runInstructions(n, nil)
+// enterPhase starts a phase that ends after n more retired instructions.
+func (m *Machine) enterPhase(p runPhase, n uint64, name string) {
+	m.phase = p
+	m.arm(n)
+	m.notePhase(name)
 }
 
-func (m *Machine) runInstructions(n uint64, ctx context.Context) error {
-	target := m.BE.Stats.Retired + n
-	limit := m.cycle + n*400 + 1_000_000
-	for m.BE.Stats.Retired < target {
-		m.Step()
-		if m.cycle > limit {
-			panic(fmt.Sprintf("sim: no forward progress (retired %d of target %d at cycle %d)",
-				m.BE.Stats.Retired, target, m.cycle))
+// advance steps the run by up to stride cycles, stopping early when it
+// completes, and reports whether it is done. It is the only place a run
+// changes phase: warmup → measure resets the statistics and restores
+// the observer interval; measure → done flushes the observer and takes
+// the Snapshot that RunCtx (or a lockstep batch) returns.
+func (m *Machine) advance(stride int) bool {
+	for i := 0; i < stride && m.phase != phaseDone; i++ {
+		m.stepChecked()
+		if m.BE.Stats.Retired < m.target {
+			continue
 		}
-		if ctx != nil && m.cycle%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+		if m.phase == phaseWarmup {
+			m.ResetStats()
+			if m.obs != nil {
+				m.obs.Interval = m.savedIv
 			}
+			m.enterPhase(phaseMeasure, m.cfg.MaxInstructions, "measure")
+			continue
 		}
+		m.obsFlush()
+		m.res = m.Snapshot()
+		m.phase = phaseDone
+		m.notePhase("done")
 	}
-	return nil
+	return m.phase == phaseDone
+}
+
+// arm sets the retire target for the next n instructions and its
+// forward-progress bound: 400 cycles/instruction guards against
+// modelling deadlock.
+func (m *Machine) arm(n uint64) {
+	m.target = m.BE.Stats.Retired + n
+	m.limit = m.cycle + n*400 + 1_000_000
+}
+
+// stepChecked is Step plus the forward-progress check.
+func (m *Machine) stepChecked() {
+	m.Step()
+	if m.cycle > m.limit {
+		panic(fmt.Sprintf("sim: no forward progress (retired %d of target %d at cycle %d)",
+			m.BE.Stats.Retired, m.target, m.cycle))
+	}
+}
+
+// RunInstructions advances until n more instructions retire, outside
+// any run phase (no warmup, no snapshot).
+func (m *Machine) RunInstructions(n uint64) {
+	m.arm(n)
+	for m.BE.Stats.Retired < m.target {
+		m.stepChecked()
+	}
 }
 
 // ResetStats clears all accumulated statistics (end of warmup) while

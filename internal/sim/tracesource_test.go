@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -81,10 +82,8 @@ func TestTraceSourceEquivalenceAllMechanisms(t *testing.T) {
 }
 
 // TestTraceSourceEquivalenceBatched holds the same gate on the lockstep
-// path: a batch of all mechanisms sharing one trace tape must equal the
-// identically shaped batch over the live executor. The recording is
-// sized with the batch scheduler's runahead margin (EnsureAhead strides
-// plus chunk rounding) beyond warmup+measure.
+// path: a batch of all mechanisms reading one trace must equal the
+// identically shaped batch over the live executor's tape.
 func TestTraceSourceEquivalenceBatched(t *testing.T) {
 	src := testTraceSource(t, 250_000)
 	mechs := Mechanisms()
@@ -140,10 +139,12 @@ func TestMachineStepZeroAllocTraceSource(t *testing.T) {
 	}
 }
 
-// TestTraceRunCancellation exercises the stream abort plumbing for both
-// trace frontends: a canceled context must surface as an error from
-// RunCtx — not a panic, not a completed run — for the v2 source stream
-// and the v1 replayer alike.
+// TestTraceRunCancellation: a canceled context must surface as an
+// error from RunCtx — not a panic, not a completed run — for the v2
+// source stream and the v1 replayer alike, whether it is canceled
+// before the run starts or in the middle of it. A mid-run cancel must
+// stop the run within one stride of the cycle loop, serially and in a
+// lockstep batch.
 func TestTraceRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -183,6 +184,57 @@ func TestTraceRunCancellation(t *testing.T) {
 		}
 		if _, err := m.RunCtx(ctx); err == nil {
 			t.Fatal("canceled replayer-driven run completed")
+		}
+	})
+
+	// The mid-run cases cancel from the phase hook as the measured
+	// region begins. cancelAtMeasure arms m that way and returns where
+	// the cycle counter stood when it fired.
+	cfg := traceTestConfig(t, testTraceSource(t, 100_000), MechUDP)
+	cancelAtMeasure := func(m *Machine, cancel context.CancelFunc) *uint64 {
+		at := new(uint64)
+		m.SetPhaseHook(func(p string) {
+			if p == "measure" {
+				*at = m.Cycle()
+				cancel()
+			}
+		})
+		return at
+	}
+
+	t.Run("v2-source-mid-run", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := cancelAtMeasure(m, cancel)
+		if _, err := m.RunCtx(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunCtx err = %v, want context.Canceled", err)
+		}
+		if *at == 0 || m.Cycle()-*at > runStride {
+			t.Fatalf("canceled at cycle %d, stopped at %d: more than one stride (%d)", *at, m.Cycle(), runStride)
+		}
+	})
+
+	t.Run("v2-source-batch-mid-run", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var first *Machine
+		var at *uint64
+		_, errs := RunBatchCtx(ctx, []Config{cfg, cfg, cfg}, 1, func(k int, m *Machine) {
+			if k == 0 {
+				first, at = m, cancelAtMeasure(m, cancel)
+			}
+		})
+		for k, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("machine %d: err = %v, want context.Canceled", k, err)
+			}
+		}
+		if *at == 0 || first.Cycle()-*at > runStride {
+			t.Fatalf("canceled at cycle %d, stopped at %d: more than one stride (%d)", *at, first.Cycle(), runStride)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -118,42 +117,17 @@ func (s *Source) Stream(seedSalt uint64) (workload.Stream, error) {
 
 // sourceStream replays the materialized records. It implements both the
 // sequential frontend.InstrSource protocol (Next) and random access
-// (At), which puts the oracle in ring-free direct mode; and the
-// SetRunContext duck interface, so a canceled daemon job aborts the
-// replay promptly (sim.RunCtx polls via the panic/recover abort
-// protocol since the hot path returns no error).
+// (At), which puts the oracle in ring-free direct mode. It has no
+// cancellation of its own: a run stops between strides of the machine's
+// cycle loop (sim.Machine.RunCtx), whatever feeds the oracle.
 type sourceStream struct {
 	recs []isa.DynInstr
 	pos  uint64
 	name string
-	ctx  context.Context
-}
-
-// abortPollMask throttles context polls to one per 4096 records,
-// mirroring the cycle-loop poll stride in sim.RunCtx.
-const abortPollMask = 4096 - 1
-
-// abortError carries a context cancellation out of the allocation-free
-// stream path; sim.RunCtx recovers it via the RunAborted duck interface.
-type abortError struct{ err error }
-
-func (e abortError) Error() string     { return "trace: replay aborted: " + e.err.Error() }
-func (e abortError) RunAborted() error { return e.err }
-
-// SetRunContext installs (or with nil clears) the cancellation context.
-func (s *sourceStream) SetRunContext(ctx context.Context) { s.ctx = ctx }
-
-func (s *sourceStream) pollAbort(i uint64) {
-	if i&abortPollMask == 0 && s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			panic(abortError{err})
-		}
-	}
 }
 
 // At implements frontend.RandomAccessSource.
 func (s *sourceStream) At(i uint64) isa.DynInstr {
-	s.pollAbort(i)
 	if i >= uint64(len(s.recs)) {
 		panic(fmt.Sprintf("trace: %s replay past end of trace (%d records, want %d); record a longer region (simulation length + oracle runahead margin)",
 			s.name, len(s.recs), i+1))

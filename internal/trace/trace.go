@@ -13,7 +13,6 @@ package trace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -262,19 +261,14 @@ func RecordN(w io.Writer, p workload.Profile, salt uint64, n uint64) error {
 // each record's static context from the (regenerated) program image.
 // Reading past the end of the trace is a caller error (traces must be
 // sized to the simulation, plus the oracle's runahead window) and
-// panics rather than silently wrapping around.
+// panics rather than silently wrapping around. Cancellation is the
+// machine's: sim.Machine.RunCtx polls its context between strides of
+// the cycle loop.
 type Replayer struct {
 	prog *workload.Program
 	r    *Reader
 	seq  uint64
-	ctx  context.Context
 }
-
-// SetRunContext installs (or with nil clears) a cancellation context:
-// Next polls it every 4096 records and aborts the run through the
-// panic/recover protocol sim.RunCtx installs, so a canceled daemon job
-// stops a trace-driven run promptly instead of replaying to the end.
-func (rp *Replayer) SetRunContext(ctx context.Context) { rp.ctx = ctx }
 
 // NewReplayer builds a replayer over a program image matching the
 // trace's profile.
@@ -288,11 +282,6 @@ func NewReplayer(prog *workload.Program, r *Reader) (*Replayer, error) {
 
 // Next implements frontend.InstrSource.
 func (rp *Replayer) Next() isa.DynInstr {
-	if rp.seq&abortPollMask == 0 && rp.ctx != nil {
-		if err := rp.ctx.Err(); err != nil {
-			panic(abortError{err})
-		}
-	}
 	rec, err := rp.r.Read()
 	if err != nil {
 		panic(fmt.Sprintf("trace: replay past end of trace (%d records): %v", rp.r.Count(), err))

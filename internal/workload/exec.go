@@ -145,7 +145,7 @@ func (e *Executor) resolveCond(si *isa.StaticInstr) bool {
 		}
 		e.loopIter[m.Idx] = 0
 		e.loopGoal[m.Idx] = 0 // unset: re-roll the trip next entry
-		return false // exit
+		return false          // exit
 	default:
 		return false
 	}

@@ -65,21 +65,6 @@ func TestSourceRegistry(t *testing.T) {
 	MustSourceByKey("trace:definitely-not-registered")
 }
 
-// TestTapeFromStreamMatchesNewTape pins the tape generalization: a tape
-// over an explicit executor stream replays exactly what NewTape records.
-func TestTapeFromStreamMatchesNewTape(t *testing.T) {
-	p := tinySourceProfile()
-	prog := MustGenerate(p)
-	a := NewTape(prog, 5).Reader()
-	b := NewTapeFromStream(NewExecutor(prog, 5)).Reader()
-	for i := 0; i < 40_000; i++ { // crosses a tape chunk boundary
-		x, y := a.Next(), b.Next()
-		if x != y {
-			t.Fatalf("tape streams diverge at %d: %+v vs %+v", i, x, y)
-		}
-	}
-}
-
 func TestProfileKeyDistinguishes(t *testing.T) {
 	p := tinySourceProfile()
 	if p.Key() != p.Key() {

@@ -51,14 +51,7 @@ type Tape struct {
 // NewTape starts a tape over a fresh executor for (prog, seedSalt) —
 // the same stream NewExecutor(prog, seedSalt) would produce.
 func NewTape(prog *Program, seedSalt uint64) *Tape {
-	return NewTapeFromStream(NewExecutor(prog, seedSalt))
-}
-
-// NewTapeFromStream starts a tape over any workload stream — how
-// trace-driven cells enter the batched lockstep path. The tape takes
-// ownership: nothing else may consume src.
-func NewTapeFromStream(src Stream) *Tape {
-	return &Tape{src: src}
+	return &Tape{src: NewExecutor(prog, seedSalt)}
 }
 
 // Reader registers a new reader at position 0. Must be called before
