@@ -83,12 +83,16 @@ const (
 
 type robEntry struct {
 	fi        *frontend.FrontInstr
-	state     entryState
 	readyAt   uint64 // execute completion cycle
 	depOffset int    // dependence distance in ROB slots (0 = none)
-	valid     bool
 	// gen disambiguates slot reuse for the compact scheduling lists.
-	gen uint32
+	gen   uint32
+	state entryState
+	// class and branch copy fi.Static's class and IsBranch at decode,
+	// so the per-cycle scheduler loops need not dereference fi.
+	class  isa.Class
+	branch bool
+	valid  bool
 }
 
 // entryRef is a generation-checked reference into the ROB ring, letting
@@ -211,7 +215,7 @@ func (b *Backend) retire(cycle uint64) {
 		fi := e.fi
 		if fi.OnPath {
 			b.Stats.Retired++
-			if fi.Static.IsBranch() {
+			if e.branch {
 				b.Stats.RetiredBranches++
 			}
 			b.fe.OnRetire(fi, cycle)
@@ -250,10 +254,10 @@ func (b *Backend) complete(cycle uint64) {
 		}
 		e.state = stateDone
 		b.rsBusy--
-		if e.fi.Static.Class == isa.ClassLoad {
+		switch e.class {
+		case isa.ClassLoad:
 			b.inFlightLoads--
-		}
-		if e.fi.Static.Class == isa.ClassStore {
+		case isa.ClassStore:
 			b.inFlightStores--
 		}
 		if e.fi.Divergence != nil {
@@ -281,10 +285,10 @@ func (b *Backend) recoverAt(idx int, cycle uint64) {
 		e := &b.rob[k]
 		if e.valid {
 			if e.state == stateIssued {
-				if e.fi.Static.Class == isa.ClassLoad {
+				switch e.class {
+				case isa.ClassLoad:
 					b.inFlightLoads--
-				}
-				if e.fi.Static.Class == isa.ClassStore {
+				case isa.ClassStore:
 					b.inFlightStores--
 				}
 			}
@@ -337,7 +341,7 @@ func (b *Backend) issue(cycle uint64) {
 			}
 		}
 		var lat uint64
-		switch e.fi.Static.Class {
+		switch e.class {
 		case isa.ClassLoad:
 			if ld == 0 || b.inFlightLoads >= b.cfg.LoadBuffer {
 				keep = append(keep, ref)
@@ -385,7 +389,7 @@ func (b *Backend) issue(cycle uint64) {
 			}
 			alu--
 			lat = 1
-			if e.fi.Static.IsBranch() {
+			if e.branch {
 				// Resolution happens at the end of the execute stage,
 				// a full pipeline traversal after decode.
 				lat += uint64(b.cfg.BranchResolveExtra)
@@ -446,7 +450,8 @@ func (b *Backend) decode(cycle uint64) {
 		resteered := b.fe.OnDecode(fi, cycle)
 		e := &b.rob[b.tail]
 		gen := e.gen + 1
-		*e = robEntry{fi: fi, state: stateDispatched, valid: true, gen: gen}
+		*e = robEntry{fi: fi, state: stateDispatched, valid: true, gen: gen,
+			class: fi.Static.Class, branch: fi.Static.IsBranch()}
 		b.pendingIssue = append(b.pendingIssue, entryRef{idx: b.tail, gen: gen})
 		// Synthetic dependence assignment.
 		b.rng = b.rng*6364136223846793005 + 1442695040888963407

@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"udpsim/internal/isa"
 )
@@ -34,17 +35,21 @@ func (p ReplacementPolicy) String() string {
 	}
 }
 
-// line is one cache line's metadata. The simulator tracks no data bytes:
+// line is one cache line's metadata apart from its tag, which lives in
+// the cache's packed tag array. The simulator tracks no data bytes:
 // only presence and provenance matter for timing.
 type line struct {
-	tag      uint64
-	valid    bool
 	prefetch bool // set when installed by a prefetch, cleared on demand hit
 	// offPath records that the installing prefetch was emitted on the
 	// wrong path (UDP learns from demand hits on such lines).
 	offPath bool
 	stamp   uint64 // LRU: last-use cycle; FIFO: insert cycle
 }
+
+// invalidTag marks an empty way in the tag array. A tag is an address
+// shifted right by log2(LineBytes)+log2(sets) bits, so with lines of
+// two or more bytes no real tag reaches it.
+const invalidTag = ^uint64(0)
 
 // Config describes a cache's geometry.
 type Config struct {
@@ -64,21 +69,43 @@ func (c Config) Sets() int {
 	return c.SizeBytes / (c.Ways * c.LineBytes)
 }
 
-// Validate reports configuration errors.
+// ConfigError is the structured geometry failure Validate returns:
+// which cache, which Config field, and why.
+type ConfigError struct {
+	Cache  string
+	Field  string
+	Reason string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("cache %s: %s: %s", e.Cache, e.Field, e.Reason)
+}
+
+// Validate reports configuration errors as a *ConfigError. Indexing is
+// by shifts, so the line size and the set count must be powers of two.
 func (c Config) Validate() error {
-	if c.SizeBytes <= 0 || c.Ways <= 0 {
-		return fmt.Errorf("cache %s: size and ways must be positive", c.Name)
+	bad := func(field, format string, args ...any) error {
+		return &ConfigError{Cache: c.Name, Field: field, Reason: fmt.Sprintf(format, args...)}
+	}
+	if c.SizeBytes <= 0 {
+		return bad("SizeBytes", "size %d must be positive", c.SizeBytes)
+	}
+	if c.Ways <= 0 {
+		return bad("Ways", "ways %d must be positive", c.Ways)
 	}
 	lb := c.LineBytes
 	if lb == 0 {
 		lb = isa.LineBytes
 	}
+	if lb < 0 || lb&(lb-1) != 0 {
+		return bad("LineBytes", "line size %d is not a power of two", lb)
+	}
 	if c.SizeBytes%(c.Ways*lb) != 0 {
-		return fmt.Errorf("cache %s: size %d not divisible by ways*linesize %d", c.Name, c.SizeBytes, c.Ways*lb)
+		return bad("SizeBytes", "size %d not divisible by ways*linesize %d", c.SizeBytes, c.Ways*lb)
 	}
 	sets := c.SizeBytes / (c.Ways * lb)
 	if sets&(sets-1) != 0 {
-		return fmt.Errorf("cache %s: set count %d is not a power of two", c.Name, sets)
+		return bad("SizeBytes", "set count %d is not a power of two", sets)
 	}
 	return nil
 }
@@ -116,11 +143,22 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Cache is a set-associative cache over line addresses.
+// Cache is a set-associative cache over line addresses. The tags of a
+// set are packed contiguously (way w of set s at s*ways+w), so a probe
+// scans ways*8 bytes; the per-line metadata sits in a parallel array
+// touched only on a hit, a fill or an eviction.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	setMask  uint64
+	cfg     Config
+	tags    []uint64 // invalidTag marks an empty way
+	lines   []line
+	setMask uint64
+	// lineShift and setShift split a line address into set and tag:
+	// log2(LineBytes) and log2(sets), fixed at construction.
+	lineShift uint
+	setShift  uint
+	// version changes whenever a line is installed or removed, so a
+	// caller can tell that a miss it observed would miss again.
+	version  uint64
 	rngState uint64
 	Stats    Stats
 }
@@ -135,36 +173,52 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	tags := make([]uint64, nsets*cfg.Ways)
+	for i := range tags {
+		tags[i] = invalidTag
 	}
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setMask:  uint64(nsets - 1),
-		rngState: 0x853c49e6748fea9b,
+		cfg:       cfg,
+		tags:      tags,
+		lines:     make([]line, nsets*cfg.Ways),
+		setMask:   uint64(nsets - 1),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setShift:  uint(bits.TrailingZeros(uint(nsets))),
+		rngState:  0x853c49e6748fea9b,
 	}
 }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// Version returns a counter that changes whenever a line is installed,
+// invalidated or flushed. Equal versions mean the set of present lines
+// is unchanged (replacement stamps and prefetch bits may still move).
+func (c *Cache) Version() uint64 { return c.version }
+
+// index splits lineAddr into its set and tag.
 func (c *Cache) index(lineAddr isa.Addr) (set uint64, tag uint64) {
-	n := uint64(lineAddr) / uint64(c.cfg.LineBytes)
-	return n & c.setMask, n >> uint64(log2(len(c.sets)))
+	n := uint64(lineAddr) >> c.lineShift
+	return n & c.setMask, n >> c.setShift
+}
+
+// find returns the index into tags/lines of lineAddr's way, or -1, plus
+// the set and tag it computed.
+func (c *Cache) find(lineAddr isa.Addr) (at int, set, tag uint64) {
+	set, tag = c.index(lineAddr)
+	base := int(set) * c.cfg.Ways
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == tag {
+			return base + i, set, tag
+		}
+	}
+	return -1, set, tag
 }
 
 // Lookup probes the cache without updating replacement state or stats.
 func (c *Cache) Lookup(lineAddr isa.Addr) bool {
-	set, tag := c.index(lineAddr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			return true
-		}
-	}
-	return false
+	at, _, _ := c.find(lineAddr)
+	return at >= 0
 }
 
 // AccessResult describes the outcome of a demand access.
@@ -183,25 +237,23 @@ type AccessResult struct {
 // Access performs a demand access at the given cycle: on hit it updates
 // replacement state and clears the prefetch bit.
 func (c *Cache) Access(lineAddr isa.Addr, cycle uint64) AccessResult {
-	set, tag := c.index(lineAddr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			c.Stats.Hits++
-			res := AccessResult{Hit: true, WasPrefetched: ln.prefetch, WasOffPathPrefetch: ln.prefetch && ln.offPath}
-			if ln.prefetch {
-				c.Stats.PrefetchHits++
-				ln.prefetch = false
-				ln.offPath = false
-			}
-			if c.cfg.Policy == LRU {
-				ln.stamp = cycle
-			}
-			return res
-		}
+	at, _, _ := c.find(lineAddr)
+	if at < 0 {
+		c.Stats.Misses++
+		return AccessResult{}
 	}
-	c.Stats.Misses++
-	return AccessResult{}
+	ln := &c.lines[at]
+	c.Stats.Hits++
+	res := AccessResult{Hit: true, WasPrefetched: ln.prefetch, WasOffPathPrefetch: ln.prefetch && ln.offPath}
+	if ln.prefetch {
+		c.Stats.PrefetchHits++
+		ln.prefetch = false
+		ln.offPath = false
+	}
+	if c.cfg.Policy == LRU {
+		ln.stamp = cycle
+	}
+	return res
 }
 
 // Eviction describes a line displaced by Insert.
@@ -224,31 +276,29 @@ func (c *Cache) Insert(lineAddr isa.Addr, cycle uint64, isPrefetch bool) Evictio
 // InsertPath is Insert with explicit wrong-path provenance for
 // prefetched lines.
 func (c *Cache) InsertPath(lineAddr isa.Addr, cycle uint64, isPrefetch, offPath bool) Eviction {
-	set, tag := c.index(lineAddr)
-	ways := c.sets[set]
-	// Already present (e.g. racing fill): refresh, preserving a clear
-	// prefetch bit if the line was already demanded.
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			if c.cfg.Policy == LRU {
-				ways[i].stamp = cycle
-			}
-			return Eviction{}
+	at, set, tag := c.find(lineAddr)
+	if at >= 0 {
+		// Already present (e.g. racing fill): refresh, preserving a
+		// clear prefetch bit if the line was already demanded.
+		if c.cfg.Policy == LRU {
+			c.lines[at].stamp = cycle
 		}
+		return Eviction{}
 	}
+	base := int(set) * c.cfg.Ways
 	victim := -1
-	for i := range ways {
-		if !ways[i].valid {
-			victim = i
+	for i, t := range c.tags[base : base+c.cfg.Ways] {
+		if t == invalidTag {
+			victim = base + i
 			break
 		}
 	}
 	var ev Eviction
 	if victim < 0 {
-		victim = c.pickVictim(ways)
-		v := &ways[victim]
+		victim = base + c.pickVictim(c.lines[base:base+c.cfg.Ways])
+		v := &c.lines[victim]
 		ev = Eviction{
-			LineAddr:          c.reconstruct(set, v.tag),
+			LineAddr:          c.reconstruct(set, c.tags[victim]),
 			Valid:             true,
 			WasUnusedPrefetch: v.prefetch,
 			WasOffPath:        v.prefetch && v.offPath,
@@ -258,7 +308,9 @@ func (c *Cache) InsertPath(lineAddr isa.Addr, cycle uint64, isPrefetch, offPath 
 			c.Stats.UselessPrefetchEvictions++
 		}
 	}
-	ways[victim] = line{tag: tag, valid: true, prefetch: isPrefetch, offPath: isPrefetch && offPath, stamp: cycle}
+	c.tags[victim] = tag
+	c.lines[victim] = line{prefetch: isPrefetch, offPath: isPrefetch && offPath, stamp: cycle}
+	c.version++
 	c.Stats.Inserts++
 	if isPrefetch {
 		c.Stats.PrefetchInserts++
@@ -269,60 +321,51 @@ func (c *Cache) InsertPath(lineAddr isa.Addr, cycle uint64, isPrefetch, offPath 
 // Invalidate removes lineAddr if present, reporting whether it was an
 // unused prefetch.
 func (c *Cache) Invalidate(lineAddr isa.Addr) (present, wasUnusedPrefetch bool) {
-	set, tag := c.index(lineAddr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
-		if ln.valid && ln.tag == tag {
-			c.Stats.Invalidations++
-			wasUnusedPrefetch = ln.prefetch
-			ln.valid = false
-			return true, wasUnusedPrefetch
-		}
+	at, _, _ := c.find(lineAddr)
+	if at < 0 {
+		return false, false
 	}
-	return false, false
+	c.Stats.Invalidations++
+	c.tags[at] = invalidTag
+	c.version++
+	return true, c.lines[at].prefetch
 }
 
 // PrefetchBit reports whether lineAddr is present with its prefetch bit
 // still set.
 func (c *Cache) PrefetchBit(lineAddr isa.Addr) bool {
-	set, tag := c.index(lineAddr)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			return c.sets[set][i].prefetch
-		}
-	}
-	return false
+	at, _, _ := c.find(lineAddr)
+	return at >= 0 && c.lines[at].prefetch
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != invalidTag {
+			n++
 		}
 	}
 	return n
 }
 
 // Capacity returns the total number of lines.
-func (c *Cache) Capacity() int { return len(c.sets) * c.cfg.Ways }
+func (c *Cache) Capacity() int { return len(c.tags) }
 
 // Flush invalidates every line, counting still-unused prefetched lines
 // as useless.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].prefetch {
-				c.Stats.UselessPrefetchEvictions++
-			}
-			set[i] = line{}
+	for i, t := range c.tags {
+		if t != invalidTag && c.lines[i].prefetch {
+			c.Stats.UselessPrefetchEvictions++
 		}
+		c.tags[i] = invalidTag
+		c.lines[i] = line{}
 	}
+	c.version++
 }
 
+// pickVictim chooses the way to evict from a full set's metadata.
 func (c *Cache) pickVictim(ways []line) int {
 	switch c.cfg.Policy {
 	case Random:
@@ -340,14 +383,5 @@ func (c *Cache) pickVictim(ways []line) int {
 }
 
 func (c *Cache) reconstruct(set, tag uint64) isa.Addr {
-	n := tag<<uint64(log2(len(c.sets))) | set
-	return isa.Addr(n * uint64(c.cfg.LineBytes))
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
+	return isa.Addr((tag<<c.setShift | set) << c.lineShift)
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -23,11 +24,20 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "negways", SizeBytes: 1024, Ways: 0},
 		{Name: "indivisible", SizeBytes: 1000, Ways: 3},
 		{Name: "nonpow2sets", SizeBytes: 3 * 64 * 4, Ways: 4}, // 3 sets
+		{Name: "nonpow2line", SizeBytes: 96 * 64, Ways: 4, LineBytes: 96},
+		{Name: "negline", SizeBytes: 1024, Ways: 4, LineBytes: -64},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q accepted", c.Name)
 		}
+	}
+	// Shift indexing needs a power-of-two line size: the rejection names
+	// the field rather than rounding the size.
+	var ce *ConfigError
+	err := Config{Name: "l", SizeBytes: 96 * 64, Ways: 4, LineBytes: 96}.Validate()
+	if !errors.As(err, &ce) || ce.Field != "LineBytes" || ce.Cache != "l" {
+		t.Errorf("non-power-of-two line size: got %v, want a *ConfigError on LineBytes", err)
 	}
 	if good.Sets() != 32*1024/(8*64) {
 		t.Errorf("Sets() = %d", good.Sets())
@@ -231,4 +241,37 @@ func TestPolicyStrings(t *testing.T) {
 			t.Errorf("empty string for %d", p)
 		}
 	}
+}
+
+func TestCacheVersion(t *testing.T) {
+	c := small()
+	v := c.Version()
+	changed := func(op string) {
+		t.Helper()
+		if c.Version() == v {
+			t.Errorf("%s did not change the version", op)
+		}
+		v = c.Version()
+	}
+	unchanged := func(op string) {
+		t.Helper()
+		if c.Version() != v {
+			t.Errorf("%s changed the version", op)
+		}
+	}
+	c.Insert(ln(1), 1, true)
+	changed("Insert")
+	c.Access(ln(1), 2)
+	c.Access(ln(2), 3)
+	c.Lookup(ln(1))
+	c.Insert(ln(1), 4, false) // already present: a refresh
+	unchanged("hit, miss, lookup and refresh")
+	c.Invalidate(ln(2))
+	unchanged("Invalidate of an absent line")
+	c.Invalidate(ln(1))
+	changed("Invalidate")
+	c.Insert(ln(3), 5, false)
+	changed("Insert")
+	c.Flush()
+	changed("Flush")
 }

@@ -9,7 +9,6 @@ import "udpsim/internal/isa"
 // paper counts as an *untimely* (but still useful) prefetch hit.
 type MSHR struct {
 	LineAddr isa.Addr
-	Valid    bool
 	// Prefetch is true while the fill was initiated by a prefetch and no
 	// demand access has merged into it yet.
 	Prefetch bool
@@ -40,28 +39,49 @@ type MSHRStats struct {
 // earliest in-flight completion cycle are tracked incrementally so the
 // per-cycle Completed sweep is O(1) when nothing can complete — the
 // file sits on the simulator's hot loop at every cache level.
+//
+// The line addresses and ready cycles of the entries are also kept
+// packed in lines and ready, with freeLine and neverReady marking a free
+// slot, so Lookup, Allocate and the Completed sweep scan one word per
+// entry instead of striding the MSHR structs.
 type MSHRFile struct {
 	entries   []MSHR
+	lines     []isa.Addr // lines[i] is entries[i].LineAddr, or freeLine
+	ready     []uint64   // ready[i] is entries[i].ReadyCycle, or neverReady
 	occupied  int
 	nextReady uint64 // earliest ReadyCycle among valid entries (neverReady when empty)
-	Stats     MSHRStats
+	// version changes whenever an entry is allocated, completed or
+	// flushed (see Version).
+	version uint64
+	Stats   MSHRStats
 }
 
 // neverReady is the nextReady sentinel for an empty file.
 const neverReady = ^uint64(0)
+
+// freeLine marks a free slot in MSHRFile.lines. Line addresses are
+// line-aligned, so no real line address equals it.
+const freeLine = ^isa.Addr(0)
 
 // NewMSHRFile builds a file with n entries.
 func NewMSHRFile(n int) *MSHRFile {
 	if n <= 0 {
 		panic("cache: MSHR file needs at least one entry")
 	}
-	return &MSHRFile{entries: make([]MSHR, n), nextReady: neverReady}
+	f := &MSHRFile{entries: make([]MSHR, n), lines: make([]isa.Addr, n), ready: make([]uint64, n)}
+	f.Flush()
+	return f
 }
+
+// Version returns a counter that changes whenever an entry is
+// allocated, completed or flushed. Equal versions mean the set of
+// in-flight lines, and so Full, is unchanged.
+func (f *MSHRFile) Version() uint64 { return f.version }
 
 // Lookup returns the in-flight entry for lineAddr, or nil.
 func (f *MSHRFile) Lookup(lineAddr isa.Addr) *MSHR {
-	for i := range f.entries {
-		if f.entries[i].Valid && f.entries[i].LineAddr == lineAddr {
+	for i, l := range f.lines {
+		if l == lineAddr {
 			return &f.entries[i]
 		}
 	}
@@ -71,11 +91,15 @@ func (f *MSHRFile) Lookup(lineAddr isa.Addr) *MSHR {
 // Allocate reserves an entry for a new fill. It returns nil when the file
 // is full (the requester must retry or stall).
 func (f *MSHRFile) Allocate(lineAddr isa.Addr, issue, ready uint64, prefetch, offPath bool) *MSHR {
-	for i := range f.entries {
-		if !f.entries[i].Valid {
+	if f.occupied < len(f.entries) {
+		for i, l := range f.lines {
+			if l != freeLine {
+				continue
+			}
+			f.lines[i] = lineAddr
+			f.ready[i] = ready
 			f.entries[i] = MSHR{
 				LineAddr:   lineAddr,
-				Valid:      true,
 				Prefetch:   prefetch,
 				IssueCycle: issue,
 				ReadyCycle: ready,
@@ -86,6 +110,7 @@ func (f *MSHRFile) Allocate(lineAddr isa.Addr, issue, ready uint64, prefetch, of
 				f.Stats.PrefetchAllocations++
 			}
 			f.occupied++
+			f.version++
 			if ready < f.nextReady {
 				f.nextReady = ready
 			}
@@ -119,21 +144,23 @@ func (f *MSHRFile) Completed(cycle uint64, install func(MSHR)) {
 	// then fold in the minimum over the surviving entries below.
 	f.nextReady = neverReady
 	next := uint64(neverReady)
-	for i := range f.entries {
-		if !f.entries[i].Valid {
+	for i, r := range f.ready {
+		if r > cycle {
+			if r < next {
+				next = r
+			}
 			continue
 		}
-		if f.entries[i].ReadyCycle <= cycle {
-			e := f.entries[i]
-			f.entries[i].Valid = false
-			f.occupied--
-			f.Stats.Completions++
-			install(e)
-			continue
+		if f.lines[i] == freeLine {
+			continue // only a Drain sweep (cycle = neverReady) gets here
 		}
-		if f.entries[i].ReadyCycle < next {
-			next = f.entries[i].ReadyCycle
-		}
+		e := f.entries[i]
+		f.lines[i] = freeLine
+		f.ready[i] = neverReady
+		f.occupied--
+		f.version++
+		f.Stats.Completions++
+		install(e)
 	}
 	if next < f.nextReady {
 		f.nextReady = next
@@ -152,9 +179,11 @@ func (f *MSHRFile) Full() bool { return f.occupied == len(f.entries) }
 // Flush drops all in-flight entries (used only by tests and machine
 // reset; real fills are never cancelled mid-flight by the frontend).
 func (f *MSHRFile) Flush() {
-	for i := range f.entries {
-		f.entries[i].Valid = false
+	for i := range f.lines {
+		f.lines[i] = freeLine
+		f.ready[i] = neverReady
 	}
 	f.occupied = 0
 	f.nextReady = neverReady
+	f.version++
 }

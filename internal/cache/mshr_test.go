@@ -102,3 +102,33 @@ func TestMSHRPanicsOnZeroSize(t *testing.T) {
 	}()
 	NewMSHRFile(0)
 }
+
+func TestMSHRVersion(t *testing.T) {
+	f := NewMSHRFile(2)
+	v := f.Version()
+	changed := func(op string) {
+		t.Helper()
+		if f.Version() == v {
+			t.Errorf("%s did not change the version", op)
+		}
+		v = f.Version()
+	}
+	f.Allocate(ln(1), 0, 10, false, false)
+	changed("Allocate")
+	m := f.Allocate(ln(2), 0, 20, true, false)
+	changed("Allocate")
+	f.Allocate(ln(3), 0, 20, false, false) // full: fails
+	f.Lookup(ln(1))
+	f.MergeDemand(m)
+	f.Completed(5, func(MSHR) { t.Error("nothing is ready at cycle 5") })
+	if f.Version() != v {
+		t.Error("a failed Allocate, Lookup, MergeDemand or empty sweep changed the version")
+	}
+	f.Completed(10, func(MSHR) {})
+	changed("Completed")
+	f.Flush()
+	changed("Flush")
+	if f.Lookup(ln(2)) != nil || f.Occupancy() != 0 {
+		t.Error("Flush left an entry in flight")
+	}
+}

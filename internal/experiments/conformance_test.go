@@ -72,6 +72,26 @@ func TestRegistryConformance(t *testing.T) {
 				t.Errorf("implausible IPC %.3f", r.IPC)
 			}
 
+			// Retry ledger: every load/store issue the backend saw
+			// rejected is one L1D demand retry in the hierarchy, and vice
+			// versa. Checked on the default run and on one whose 2-entry
+			// L1D MSHR file forces a retry storm.
+			tight := cfg
+			tight.L1DMSHRs = 2
+			rt, err := sim.RunOne(tight)
+			if err != nil {
+				t.Fatalf("RunOne with 2 L1D MSHRs: %v", err)
+			}
+			if rt.BE.MemRetries == 0 {
+				t.Error("2 L1D MSHRs produced no rejected load/store issue")
+			}
+			for _, res := range []sim.Result{r, rt} {
+				if res.BE.MemRetries != res.Mem.L1D.Retries {
+					t.Errorf("retry ledger: backend MemRetries %d != hierarchy L1D retries %d",
+						res.BE.MemRetries, res.Mem.L1D.Retries)
+				}
+			}
+
 			// Counter-sanity invariant of the memory request path: over
 			// an unreset window (warmup must be zero — ResetStats wipes
 			// the request side of in-flight fills) every line a level

@@ -40,6 +40,29 @@ func BenchmarkHierarchyRequest(b *testing.B) {
 			cycle++
 		}
 	})
+	b.Run("data-retry", func(b *testing.B) {
+		// A full L1D MSHR file whose fills do not land within the run,
+		// and four blocked loads re-issued every cycle: the retry storm
+		// of a memory-bound phase.
+		cfg := testConfig()
+		cfg.DRAMLatency = 1 << 40
+		h := New(cfg)
+		for i := 0; i < h.L1DMSHRFile().Capacity(); i++ {
+			h.DataRequest(ln(i), 1)
+		}
+		const blocked = 4
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle := uint64(2 + i/blocked)
+			h.Tick(cycle)
+			h.DataRequest(ln(1000+i%blocked), cycle)
+		}
+		b.StopTimer()
+		if h.Stats.L1D.Retries != uint64(b.N) {
+			b.Fatalf("%d of %d requests rejected, want all", h.Stats.L1D.Retries, b.N)
+		}
+	})
 }
 
 // TestHierarchyRequestZeroAlloc pins the zero-allocation contract of

@@ -51,6 +51,18 @@ func (h *Hierarchy) InstrRequest(lineAddr isa.Addr, cycle uint64, prefetch bool)
 // backend retires them without waiting.
 func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, level Level, ok bool) {
 	lineAddr := addr.Line()
+	memo := &h.rejected[uint64(lineAddr)/isa.LineBytes%rejectedSlots]
+	if memo.line == lineAddr && memo.l1dVersion == h.L1D.Version() && memo.mshrVersion == h.l1dm.Version() {
+		// A retry of a demand the full L1D MSHR file rejected, with no
+		// L1D install or removal and no L1D MSHR allocation or
+		// completion since: the L1D probe would miss, the MSHR lookup
+		// would find nothing and the file is still full. Count exactly
+		// what that slow path counts.
+		h.L1D.Stats.Misses++
+		h.Stats.L1D.FillRequests++
+		h.rejectL1DDemand(lineAddr)
+		return 0, LevelL1, false
+	}
 	hitLat := uint64(h.cfg.L1D.HitLatency)
 	if h.L1D.Access(lineAddr, cycle).Hit {
 		h.Stats.DataAccesses++
@@ -74,9 +86,8 @@ func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, le
 	}
 	h.Stats.L1D.FillRequests++
 	if h.l1dm.Full() {
-		h.Stats.L1D.Retries++
-		h.l1dm.Stats.AllocFailures++
-		h.memBackpressure(LevelL1, lineAddr, false)
+		*memo = rejectedDemand{line: lineAddr, l1dVersion: h.L1D.Version(), mshrVersion: h.l1dm.Version()}
+		h.rejectL1DDemand(lineAddr)
 		return 0, LevelL1, false
 	}
 	ready, level, ok := h.request(lineAddr, cycle, ReqDataDemand)
@@ -101,6 +112,14 @@ func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, le
 	// Data is forwarded to the core as it arrives (ready); the line
 	// becomes visible in the L1D at its fill completion (install).
 	return ready - cycle, level, true
+}
+
+// rejectL1DDemand records a data demand rejected because the L1D MSHR
+// file is full.
+func (h *Hierarchy) rejectL1DDemand(lineAddr isa.Addr) {
+	h.Stats.L1D.Retries++
+	h.l1dm.Stats.AllocFailures++
+	h.memBackpressure(LevelL1, lineAddr, false)
 }
 
 // observeStream feeds the stream prefetcher after the demand itself has
