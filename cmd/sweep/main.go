@@ -67,15 +67,14 @@ func main() {
 		}
 		workload.RegisterSource(src)
 		*name = src.Name()
-		const margin = 10_000 // the frontend fetches ahead of retirement
-		if uint64(src.Len()) < *warmup+*instrs+margin {
-			avail := uint64(src.Len())
-			if avail <= *warmup+margin {
-				fatal("trace too short for -warmup", "records", src.Len(), "warmup", *warmup)
-			}
-			*instrs = avail - *warmup - margin
-			log.Info("trace shorter than requested run; clamping -instrs", "instrs", *instrs)
+		n, err := trace.FitRegion(src.Len(), *warmup, *instrs)
+		if err != nil {
+			fatal("trace too short for -warmup", "records", src.Len(), "warmup", *warmup)
 		}
+		if n < *instrs {
+			log.Info("trace shorter than requested run; clamping -instrs", "instrs", n)
+		}
+		*instrs = n
 		baseConfig = func(m sim.Mechanism) sim.Config {
 			return sim.NewTraceConfig(src.Name(), src.SHA256(), m)
 		}

@@ -1,17 +1,13 @@
-// Command trace records, inspects, converts, and selects simpoints
-// from workload traces — the repository's stand-in for the paper's
-// DynamoRIO/Intel-PT + SimPoint tooling. Recording defaults to the
-// self-contained UDPT2 format (embedded static image, chunked +
-// checksummed, gzip binary or JSONL encoding); the profile-bound UDPT1
-// format remains readable everywhere and convertible.
+// Command trace records, inspects, and selects simpoints from workload
+// traces — the repository's stand-in for the paper's DynamoRIO/Intel-PT
+// + SimPoint tooling. Traces are self-contained UDPT2 files (embedded
+// static image, chunked + checksummed, gzip binary or JSONL encoding).
 //
 // Subcommands:
 //
 //	trace record -workload mysql -instrs 1000000 -o mysql.udpt2
-//	trace record -workload mysql -format v1 -o mysql.udpt
 //	trace info mysql.udpt2
 //	trace inspect -top 10 mysql.udpt2
-//	trace convert mysql.udpt mysql.udpt2
 //	trace simpoints -k 10 -interval 100000 mysql.udpt2
 //	trace replay -mechanism udp mysql.udpt2   # re-simulate from the trace
 package main
@@ -38,8 +34,6 @@ func main() {
 		err = cmdInfo(os.Args[2:])
 	case "inspect":
 		err = cmdInspect(os.Args[2:])
-	case "convert":
-		err = cmdConvert(os.Args[2:])
 	case "simpoints":
 		err = cmdSimpoints(os.Args[2:])
 	case "replay":
@@ -54,7 +48,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: trace {record|info|inspect|convert|simpoints|replay} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: trace {record|info|inspect|simpoints|replay} [flags]")
 	os.Exit(2)
 }
 
@@ -63,128 +57,66 @@ func cmdRecord(args []string) error {
 	name := fs.String("workload", "mysql", "application to trace")
 	instrs := fs.Uint64("instrs", 1_000_000, "instructions to record")
 	salt := fs.Uint64("salt", 0, "executor salt (simpoint seed)")
-	format := fs.String("format", "v2", "trace format: v2 (self-contained) or v1 (profile-bound)")
-	encName := fs.String("enc", "binary", "v2 record encoding: binary or jsonl")
-	out := fs.String("o", "", "output file (default <workload>.udpt2, or .udpt for -format v1)")
+	encName := fs.String("enc", "binary", "record encoding: binary or jsonl")
+	out := fs.String("o", "", "output file (default <workload>.udpt2)")
 	fs.Parse(args)
 
 	prof, ok := workload.ByName(*name)
 	if !ok {
 		return fmt.Errorf("unknown workload %q", *name)
 	}
+	enc, err := trace.ParseEncoding(*encName)
+	if err != nil {
+		return err
+	}
 	path := *out
-	var write func(f *os.File) error
-	switch *format {
-	case "v2":
-		enc, err := trace.ParseEncoding(*encName)
-		if err != nil {
-			return err
-		}
-		if path == "" {
-			path = *name + ".udpt2"
-		}
-		write = func(f *os.File) error { return trace.RecordN2(f, prof, *salt, *instrs, enc) }
-	case "v1":
-		if path == "" {
-			path = *name + ".udpt"
-		}
-		write = func(f *os.File) error { return trace.RecordN(f, prof, *salt, *instrs) }
-	default:
-		return fmt.Errorf("unknown format %q (want v1 or v2)", *format)
+	if path == "" {
+		path = *name + ".udpt2"
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := write(f); err != nil {
+	if err := trace.RecordN2(f, prof, *salt, *instrs, enc); err != nil {
 		return err
 	}
 	info, err := os.Stat(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d instructions of %s to %s (%s, %d KiB, %.2f B/instr)\n",
-		*instrs, *name, path, *format, info.Size()/1024, float64(info.Size())/float64(*instrs))
+	fmt.Printf("recorded %d instructions of %s to %s (v2, %d KiB, %.2f B/instr)\n",
+		*instrs, *name, path, info.Size()/1024, float64(info.Size())/float64(*instrs))
 	return nil
 }
 
-// traceHandle unifies the two formats behind the analysis surface:
-// a record reader plus the trace's program image and identity.
+// traceHandle is an open trace: its record reader plus the embedded
+// program image.
 type traceHandle struct {
-	r       trace.RecordReader
-	prog    *workload.Program
-	name    string
-	salt    uint64
-	version int
-	f       *os.File
+	*trace.Reader2
+	prog *workload.Program
+	f    *os.File
 }
 
 func (h *traceHandle) Close() { h.f.Close() }
 
-// sniffVersion reads the magic without consuming the stream position.
-func sniffVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	magic := make([]byte, len(trace.Magic2))
-	n, _ := f.Read(magic)
-	switch string(magic[:n]) {
-	case trace.Magic2:
-		return 2, nil
-	case trace.Magic:
-		return 1, nil
-	}
-	return 0, fmt.Errorf("%s is not a UDPT trace (magic %q)", path, magic[:n])
-}
-
-// openTrace opens a trace of either format, resolving the image: v2
-// decodes the embedded image, v1 regenerates it from the named profile.
+// openTrace opens a trace and decodes its embedded image.
 func openTrace(path string) (*traceHandle, error) {
-	ver, err := sniffVersion(path)
-	if err != nil {
-		return nil, err
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if ver == 2 {
-		r, err := trace.NewReader2(f)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		prog, err := r.Image()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		return &traceHandle{r: r, prog: prog, name: r.Workload(), salt: r.Salt(), version: 2, f: f}, nil
-	}
-	r, err := trace.NewReader(f)
+	r, err := trace.NewReader2(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	prof, ok := workload.ByName(r.Workload())
-	if !ok {
-		f.Close()
-		return nil, fmt.Errorf("v1 trace references unknown workload %q (convert real traces to v2)", r.Workload())
-	}
-	if prof.Seed != r.Seed() {
-		f.Close()
-		return nil, fmt.Errorf("trace seed %#x does not match current %s profile (%#x)",
-			r.Seed(), prof.Name, prof.Seed)
-	}
-	prog, err := sim.SharedImage(prof)
+	prog, err := r.Image()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &traceHandle{r: r, prog: prog, name: r.Workload(), salt: r.Salt(), version: 1, f: f}, nil
+	return &traceHandle{Reader2: r, prog: prog, f: f}, nil
 }
 
 func cmdInfo(args []string) error {
@@ -198,12 +130,12 @@ func cmdInfo(args []string) error {
 		return err
 	}
 	defer h.Close()
-	st, err := trace.Analyze(h.prog, h.r)
+	st, err := trace.Analyze(h.prog, h)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("format     UDPT%d\n", h.version)
-	fmt.Printf("workload   %s (salt %d)\n", h.name, h.salt)
+	fmt.Println("format     UDPT2")
+	fmt.Printf("workload   %s (salt %d)\n", h.Workload(), h.Salt())
 	fmt.Printf("image      %s\n", h.prog)
 	fmt.Printf("dynamic    %v\n", &st)
 	return nil
@@ -224,39 +156,11 @@ func cmdInspect(args []string) error {
 		return err
 	}
 	defer h.Close()
-	st, err := trace.Analyze(h.prog, h.r)
+	st, err := trace.Analyze(h.prog, h)
 	if err != nil {
 		return err
 	}
-	return trace.InspectReport(os.Stdout, h.name, h.prog, &st, *top)
-}
-
-func cmdConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	encName := fs.String("enc", "binary", "v2 record encoding: binary or jsonl")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		return fmt.Errorf("convert needs a v1 input and a v2 output path")
-	}
-	enc, err := trace.ParseEncoding(*encName)
-	if err != nil {
-		return err
-	}
-	in, err := os.Open(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	if err := trace.ConvertV1(out, in, enc); err != nil {
-		return err
-	}
-	fmt.Printf("converted %s to UDPT2 (%s) at %s\n", fs.Arg(0), enc, fs.Arg(1))
-	return nil
+	return trace.InspectReport(os.Stdout, h.Workload(), h.prog, &st, *top)
 }
 
 func cmdSimpoints(args []string) error {
@@ -272,7 +176,7 @@ func cmdSimpoints(args []string) error {
 		return err
 	}
 	defer h.Close()
-	intervals, err := trace.Intervals(h.r, *interval)
+	intervals, err := trace.Intervals(h, *interval)
 	if err != nil {
 		return err
 	}
@@ -294,93 +198,19 @@ func cmdReplay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay needs exactly one trace file")
 	}
-	path := fs.Arg(0)
-	ver, err := sniffVersion(path)
-	if err != nil {
-		return err
-	}
-	if ver == 2 {
-		return replayV2(path, *mech, *instrs, *warmup)
-	}
-	return replayV1(path, *mech, *instrs, *warmup)
-}
-
-// replayMargin is the oracle-runahead slack a trace must hold beyond
-// the simulated region (the frontend fetches ahead of retirement).
-const replayMargin = 10_000
-
-// replayLength sizes a run against the trace length.
-func replayLength(length, instrs, warmup uint64) (uint64, error) {
-	if length < 2*replayMargin+warmup {
-		return 0, fmt.Errorf("trace too short to replay (%d records)", length)
-	}
-	max := length - replayMargin - warmup
-	if instrs > 0 && instrs < max {
-		max = instrs
-	}
-	return max, nil
-}
-
-func replayV2(path, mech string, instrs, warmup uint64) error {
-	src, err := trace.LoadSource(path)
+	src, err := trace.LoadSource(fs.Arg(0))
 	if err != nil {
 		return err
 	}
 	workload.RegisterSource(src)
-	cfg := sim.NewTraceConfig(src.Name(), src.SHA256(), sim.Mechanism(mech))
+	cfg := sim.NewTraceConfig(src.Name(), src.SHA256(), sim.Mechanism(*mech))
 	cfg.SeedSalt = src.Salt()
-	cfg.WarmupInstructions = warmup
-	cfg.MaxInstructions, err = replayLength(src.Len(), instrs, warmup)
+	cfg.WarmupInstructions = *warmup
+	cfg.MaxInstructions, err = trace.FitRegion(src.Len(), *warmup, *instrs)
 	if err != nil {
 		return err
 	}
 	m, err := sim.NewMachine(cfg)
-	if err != nil {
-		return err
-	}
-	res := m.Run()
-	fmt.Printf("replayed %d instructions under %s: IPC %.4f, icache MPKI %.2f\n",
-		res.Instructions, res.Mechanism, res.IPC, res.IcacheMPKI)
-	return nil
-}
-
-func replayV1(path, mech string, instrs, warmup uint64) error {
-	h, err := openTrace(path)
-	if err != nil {
-		return err
-	}
-	// Count the trace to size the run (leaving the oracle's runahead
-	// margin), then reopen for the actual replay.
-	var length uint64
-	for {
-		if _, err := h.r.Read(); err != nil {
-			break
-		}
-		length++
-	}
-	h.Close()
-
-	cfg := sim.NewConfig(h.prog.Profile(), sim.Mechanism(mech))
-	cfg.WarmupInstructions = warmup
-	cfg.MaxInstructions, err = replayLength(length, instrs, warmup)
-	if err != nil {
-		return err
-	}
-
-	f2, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f2.Close()
-	r2, err := trace.NewReader(f2)
-	if err != nil {
-		return err
-	}
-	rp, err := trace.NewReplayer(h.prog, r2)
-	if err != nil {
-		return err
-	}
-	m, err := sim.NewMachineWithSource(cfg, h.prog, rp)
 	if err != nil {
 		return err
 	}

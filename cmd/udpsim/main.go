@@ -109,16 +109,15 @@ func main() {
 		// The frontend runs ahead of retirement, so leave slack at the
 		// tail of the recording; clamp -instrs instead of panicking
 		// mid-run on a short trace.
-		const margin = 10_000
-		if uint64(src.Len()) < *warmup+*instrs+margin {
-			avail := uint64(src.Len())
-			if avail <= *warmup+margin {
-				fatal("trace too short for -warmup", "records", src.Len(), "warmup", *warmup)
-			}
-			*instrs = avail - *warmup - margin
-			log.Info("trace shorter than requested run; clamping -instrs",
-				"records", src.Len(), "instrs", *instrs)
+		n, err := trace.FitRegion(src.Len(), *warmup, *instrs)
+		if err != nil {
+			fatal("trace too short for -warmup", "records", src.Len(), "warmup", *warmup)
 		}
+		if n < *instrs {
+			log.Info("trace shorter than requested run; clamping -instrs",
+				"records", src.Len(), "instrs", n)
+		}
+		*instrs = n
 	} else {
 		prof, ok := workload.ByName(*name)
 		if !ok {

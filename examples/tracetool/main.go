@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"udpsim"
-	"udpsim/internal/sim"
 	"udpsim/internal/trace"
 	"udpsim/internal/workload"
 )
@@ -26,12 +25,12 @@ func main() {
 	}
 
 	// 1. Record.
-	path := "postgres.udpt"
+	path := "postgres.udpt2"
 	f, err := os.Create(path)
 	if err != nil {
 		panic(err)
 	}
-	if err := trace.RecordN(f, prof, 0, n); err != nil {
+	if err := trace.RecordN2(f, prof, 0, n, trace.EncBinary); err != nil {
 		panic(err)
 	}
 	if err := f.Close(); err != nil {
@@ -46,38 +45,40 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	r, err := trace.NewReader(bytes.NewReader(data))
+	open := func() *trace.Reader2 {
+		r, err := trace.NewReader2(bytes.NewReader(data))
+		if err != nil {
+			panic(err)
+		}
+		return r
+	}
+	r := open()
+	prog, err := r.Image() // the trace carries its own static image
 	if err != nil {
 		panic(err)
 	}
-	prog, err := sim.SharedImage(prof)
-	if err != nil {
-		panic(err)
-	}
-	rp, err := trace.NewReplayer(prog, r)
-	if err != nil {
-		panic(err)
-	}
-	live := workload.NewExecutor(prog, 0)
+	live := workload.NewExecutor(workload.MustGenerate(prof), 0)
 	for i := 0; i < n; i++ {
-		a, b := rp.Next(), live.Next()
-		if a.PC() != b.PC() || a.Taken != b.Taken || a.Target != b.Target {
-			panic(fmt.Sprintf("replay diverged at instruction %d: %v vs %v", i, a, b))
+		a, err := r.Read()
+		if err != nil {
+			panic(err)
+		}
+		b := live.Next()
+		if a.PC != b.PC() || a.Taken != b.Taken || a.Target != b.Target || a.DataAddr != b.DataAddr {
+			panic(fmt.Sprintf("replay diverged at instruction %d: %+v vs %v", i, a, b))
 		}
 	}
 	fmt.Printf("replay verified: %d instructions identical to live execution\n", n)
 
 	// 3. Summarize.
-	r2, _ := trace.NewReader(bytes.NewReader(data))
-	stats, err := trace.Analyze(prog, r2)
+	stats, err := trace.Analyze(prog, open())
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("trace stats: %v\n", &stats)
 
 	// 4. Simpoints.
-	r3, _ := trace.NewReader(bytes.NewReader(data))
-	intervals, err := trace.Intervals(r3, 50_000)
+	intervals, err := trace.Intervals(open(), 50_000)
 	if err != nil {
 		panic(err)
 	}

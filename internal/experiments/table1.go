@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bytes"
+	"io"
 
 	"udpsim/internal/sim"
 	"udpsim/internal/trace"
@@ -46,20 +46,12 @@ func Table1(o Options) ([]Table1Row, error) {
 			return err
 		}
 
-		// Dynamic characterization from a recorded window.
-		var buf bytes.Buffer
+		// Dynamic characterization of the executed window.
 		n := o.Instructions
 		if n < 100_000 {
 			n = 100_000
 		}
-		if err := trace.RecordN(&buf, prof, 0, n); err != nil {
-			return err
-		}
-		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return err
-		}
-		st, err := trace.Analyze(prog, r)
+		st, err := trace.Analyze(prog, &execRecords{exec: workload.NewExecutor(prog, 0), left: n})
 		if err != nil {
 			return err
 		}
@@ -85,4 +77,20 @@ func Table1(o Options) ([]Table1Row, error) {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// execRecords reads the first left instructions of a live execution as
+// trace records, so Analyze characterizes it without a recorded trace.
+type execRecords struct {
+	exec *workload.Executor
+	left uint64
+}
+
+func (e *execRecords) Read() (trace.Record, error) {
+	if e.left == 0 {
+		return trace.Record{}, io.EOF
+	}
+	e.left--
+	d := e.exec.Next()
+	return trace.Record{PC: d.PC(), Target: d.Target, DataAddr: d.DataAddr, Taken: d.Taken}, nil
 }

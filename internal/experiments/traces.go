@@ -56,8 +56,8 @@ func AddDescriptorTraces(raw []byte, files string) (*Descriptor, error) {
 // the source registry. Specs that carry a hash of an already-registered
 // source are accepted without touching the filesystem — the daemon path
 // for re-submitted descriptors. A trace holding fewer records than the
-// descriptor's warmup + instructions is rejected as a *ValidationError:
-// its run would replay past the end. Call it after ParseDescriptor and
+// descriptor's warmup + instructions + trace.RunAhead is rejected as a
+// *ValidationError: the frontend's run-ahead would replay past its end. Call it after ParseDescriptor and
 // before running or enqueueing the descriptor.
 func ResolveTraces(d *Descriptor) error {
 	for i := range d.Traces {
@@ -82,10 +82,10 @@ func ResolveTraces(d *Descriptor) error {
 					t.Name, t.File, src.SHA256(), t.SHA256)
 			}
 		}
-		if need := d.Warmup + d.Instructions; src.Len() < need {
+		if need := d.Warmup + d.Instructions + trace.RunAhead; src.Len() < need {
 			return &ValidationError{Descriptor: d.Name, Fields: []FieldError{{
 				Field: fmt.Sprintf("traces[%d]", i),
-				Reason: fmt.Sprintf("trace %q holds %d records, fewer than warmup + instructions (%d)",
+				Reason: fmt.Sprintf("trace %q holds %d records, fewer than warmup + instructions + run-ahead margin (%d)",
 					t.Name, src.Len(), need),
 			}}}
 		}

@@ -16,14 +16,15 @@ import (
 const zeroSHA = "0000000000000000000000000000000000000000000000000000000000000000"
 
 // writeTestTrace records a short UDPT2 trace of a small profile into
-// dir and returns its path.
+// dir and returns its path. Its 12,500 records are exactly the
+// traceDescriptor region (2,500) plus the trace.RunAhead margin.
 func writeTestTrace(t *testing.T, dir, file string, salt uint64) string {
 	t.Helper()
 	p := workload.MustByName("postgres")
 	p.Funcs = 30
 	p.DispatchTargets = 20
 	var buf bytes.Buffer
-	if err := trace.RecordN2(&buf, p, salt, 5_000, trace.EncBinary); err != nil {
+	if err := trace.RecordN2(&buf, p, salt, 12_500, trace.EncBinary); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, file)
@@ -200,19 +201,23 @@ func TestResolveTraces(t *testing.T) {
 		t.Errorf("hash mismatch not rejected: %v", err)
 	}
 
-	// A region longer than the recording would replay past its end: a
+	// A region longer than the recording would replay past its end, and
+	// so would one that fits but leaves less than the run-ahead margin
+	// after it (the frontend's oracle reads past retirement): each is a
 	// structured validation error naming the trace, whether the trace
 	// comes from a file or from the registry.
-	for _, spec := range []TraceSpec{{Name: "svc", File: path}, {Name: "svc", SHA256: sha}} {
-		d5 := traceDescriptor([]TraceSpec{spec}, nil)
-		d5.Instructions = 50_000
-		if err := d5.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		ve := AsValidationError(ResolveTraces(d5))
-		if ve == nil || len(ve.Fields) != 1 || ve.Fields[0].Field != "traces[0]" ||
-			!strings.Contains(ve.Fields[0].Reason, "5000 records") {
-			t.Errorf("over-long region not rejected as a traces[0] validation error: %v", ve)
+	for _, region := range []struct{ warmup, instrs uint64 }{{500, 50_000}, {1_000, 4_000}} {
+		for _, spec := range []TraceSpec{{Name: "svc", File: path}, {Name: "svc", SHA256: sha}} {
+			d5 := traceDescriptor([]TraceSpec{spec}, nil)
+			d5.Warmup, d5.Instructions = region.warmup, region.instrs
+			if err := d5.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ve := AsValidationError(ResolveTraces(d5))
+			if ve == nil || len(ve.Fields) != 1 || ve.Fields[0].Field != "traces[0]" ||
+				!strings.Contains(ve.Fields[0].Reason, "12500 records") {
+				t.Errorf("region %+v not rejected as a traces[0] validation error: %v", region, ve)
+			}
 		}
 	}
 }

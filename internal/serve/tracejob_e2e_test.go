@@ -140,7 +140,8 @@ func TestServerTraceDescriptorDedup(t *testing.T) {
 }
 
 // TestServerRejectsOverlongTraceDescriptor: a trace descriptor whose
-// region is longer than its recording is a structured 400 at submit —
+// region is longer than its recording, or fits but leaves less than
+// the trace.RunAhead margin after it, is a structured 400 at submit —
 // it never reaches a scheduler worker, where replaying past the end of
 // the trace would take the whole daemon down — and the daemon keeps
 // answering afterwards.
@@ -157,25 +158,28 @@ func TestServerRejectsOverlongTraceDescriptor(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	desc := []byte(fmt.Sprintf(`{
-		"name": "trace-overlong",
-		"traces": [{"name": "short", "file": %q}],
-		"instructions": 50000,
-		"configs": [{"label": "base", "mechanism": "baseline"}]
-	}`, path))
 
 	_, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1})
 	defer stop()
-	_, err := c.Submit(context.Background(), desc, client.SubmitOptions{})
-	apiErr, ok := err.(*client.APIError)
-	if !ok || apiErr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("submit err = %v, want a 400", err)
-	}
-	if len(apiErr.Body.Fields) != 1 || apiErr.Body.Fields[0].Field != "traces[0]" {
-		t.Fatalf("400 fields = %+v, want one traces[0] entry", apiErr.Body.Fields)
-	}
-	h, err := c.Health(context.Background())
-	if err != nil || h.Status != "ok" {
-		t.Fatalf("healthz after the rejected submit: %+v, err %v", h, err)
+	for _, region := range []struct{ warmup, instrs uint64 }{{0, 50_000}, {1_000, 4_000}} {
+		desc := []byte(fmt.Sprintf(`{
+			"name": "trace-overlong",
+			"traces": [{"name": "short", "file": %q}],
+			"warmup": %d,
+			"instructions": %d,
+			"configs": [{"label": "base", "mechanism": "baseline"}]
+		}`, path, region.warmup, region.instrs))
+		_, err := c.Submit(context.Background(), desc, client.SubmitOptions{})
+		apiErr, ok := err.(*client.APIError)
+		if !ok || apiErr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("region %+v: submit err = %v, want a 400", region, err)
+		}
+		if len(apiErr.Body.Fields) != 1 || apiErr.Body.Fields[0].Field != "traces[0]" {
+			t.Fatalf("region %+v: 400 fields = %+v, want one traces[0] entry", region, apiErr.Body.Fields)
+		}
+		h, err := c.Health(context.Background())
+		if err != nil || h.Status != "ok" {
+			t.Fatalf("healthz after the rejected submit: %+v, err %v", h, err)
+		}
 	}
 }

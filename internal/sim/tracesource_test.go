@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"udpsim/internal/frontend"
 	"udpsim/internal/trace"
 	"udpsim/internal/workload"
 )
@@ -106,6 +107,30 @@ func TestTraceSourceEquivalenceBatched(t *testing.T) {
 	}
 }
 
+// TestTraceRunAheadMargin pins trace.RunAhead, the slack every trace
+// consumer demands past the measured region, to the frontend: it must
+// cover the oracle's window, and a trace holding exactly warmup +
+// instructions + RunAhead records must replay to completion under every
+// mechanism.
+func TestTraceRunAheadMargin(t *testing.T) {
+	if trace.RunAhead < frontend.OracleWindow {
+		t.Fatalf("trace.RunAhead = %d < frontend.OracleWindow = %d", trace.RunAhead, frontend.OracleWindow)
+	}
+	const warmup, instrs = 1_000, 5_000
+	src := testTraceSource(t, warmup+instrs+trace.RunAhead)
+	for _, mech := range Mechanisms() {
+		cfg := traceTestConfig(t, src, mech)
+		cfg.WarmupInstructions, cfg.MaxInstructions = warmup, instrs
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := m.Run(); res.Instructions < instrs {
+			t.Errorf("%s: replayed %d instructions, want %d", mech, res.Instructions, instrs)
+		}
+	}
+}
+
 // TestBatchRejectsMixedSources pins the batch identity check: a live
 // config and a trace config cannot share one tape.
 func TestBatchRejectsMixedSources(t *testing.T) {
@@ -140,9 +165,9 @@ func TestMachineStepZeroAllocTraceSource(t *testing.T) {
 }
 
 // TestTraceRunCancellation: a canceled context must surface as an
-// error from RunCtx — not a panic, not a completed run — for the v2
-// source stream and the v1 replayer alike, whether it is canceled
-// before the run starts or in the middle of it. A mid-run cancel must
+// error from RunCtx — not a panic, not a completed run — for a trace
+// source stream, whether it is canceled before the run starts or in
+// the middle of it. A mid-run cancel must
 // stop the run within one stride of the cycle loop, serially and in a
 // lockstep batch.
 func TestTraceRunCancellation(t *testing.T) {
@@ -157,33 +182,6 @@ func TestTraceRunCancellation(t *testing.T) {
 		}
 		if _, err := m.RunCtx(ctx); err == nil {
 			t.Fatal("canceled trace-driven run completed")
-		}
-	})
-
-	t.Run("v1-replayer", func(t *testing.T) {
-		cfg := testConfig(MechBaseline)
-		var buf bytes.Buffer
-		if err := trace.RecordN(&buf, cfg.Workload, cfg.SeedSalt, 100_000); err != nil {
-			t.Fatal(err)
-		}
-		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := SharedImage(cfg.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := trace.NewReplayer(prog, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := NewMachineWithSource(cfg, prog, rp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.RunCtx(ctx); err == nil {
-			t.Fatal("canceled replayer-driven run completed")
 		}
 	})
 

@@ -10,58 +10,6 @@ import (
 	"udpsim/internal/workload"
 )
 
-// FuzzReader feeds arbitrary bytes to the trace decoder: it must never
-// panic, and for inputs it accepts, every decoded record must be
-// internally consistent. (Seeds run as part of the normal test suite;
-// `go test -fuzz=FuzzReader ./internal/trace` explores further.)
-func FuzzReader(f *testing.F) {
-	// Seed 1: a valid small trace.
-	var valid bytes.Buffer
-	p := workload.MustByName("postgres")
-	p.Funcs = 20
-	p.DispatchTargets = 10
-	if err := RecordN(&valid, p, 0, 200); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	// Seed 2: truncated valid trace.
-	f.Add(valid.Bytes()[:valid.Len()/2])
-	// Seed 3: magic only.
-	f.Add([]byte(Magic))
-	// Seed 4: garbage.
-	f.Add([]byte("not a trace at all, definitely"))
-	// Seed 5: valid header, corrupt body.
-	hdr := append([]byte{}, valid.Bytes()[:24]...)
-	f.Add(append(hdr, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			return // rejected header: fine
-		}
-		count := uint64(0)
-		for {
-			rec, err := r.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				break // corrupt body reported as error: fine
-			}
-			count++
-			if rec.Target == 0 {
-				t.Errorf("decoded record %d has zero target", count)
-			}
-			if count > 1_000_000 {
-				t.Fatal("decoder runaway")
-			}
-		}
-		if r.Count() != count {
-			t.Errorf("Count() = %d, decoded %d", r.Count(), count)
-		}
-	})
-}
-
 // FuzzReader2 feeds arbitrary bytes to the UDPT2 decoder: whatever the
 // chunk headers claim, it must never panic or allocate unboundedly, and
 // every rejection must be a structured error (*FormatError past the
@@ -123,43 +71,22 @@ func FuzzReader2(f *testing.F) {
 }
 
 // FuzzRoundtrip checks that any PC/flag sequence encodes and decodes
-// identically.
+// identically in both record encodings.
 func FuzzRoundtrip(f *testing.F) {
 	f.Add(uint32(0x400000), uint32(0x400100), true)
 	f.Add(uint32(0), uint32(4), false)
 	f.Add(uint32(1<<31), uint32(12), true)
+	prog := workload.MustGenerate(tinyProfile())
 	f.Fuzz(func(t *testing.T, pc, tgt uint32, taken bool) {
 		rec := Record{
 			PC:     isa.Addr(pc) &^ 3,
 			Target: isa.Addr(tgt) &^ 3,
 			Taken:  taken,
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, workload.MustByName("mysql"), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Zero target encodes as fall-through.
-		want := rec
-		if want.Target == 0 {
-			want.Target = want.PC + 4
-		}
-		if got != want {
-			t.Errorf("roundtrip %+v → %+v", want, got)
+		for _, enc := range []Encoding{EncBinary, EncJSONL} {
+			if got := roundtrip(t, prog, enc, []Record{rec})[0]; got != encoded(rec, enc) {
+				t.Errorf("%v roundtrip %+v → %+v", enc, encoded(rec, enc), got)
+			}
 		}
 	})
 }

@@ -141,3 +141,24 @@ func (s *sourceStream) Next() isa.DynInstr {
 	s.pos++
 	return d
 }
+
+// RunAhead is the slack, in records, a trace must hold past the end of
+// the replayed region: the frontend's oracle fetches ahead of
+// retirement, up to frontend.OracleWindow instructions.
+const RunAhead = 10_000
+
+// FitRegion sizes the measured region for replaying a trace of length
+// records after warmup instructions, leaving RunAhead records spare:
+// it returns instrs, cut down to the longest region that fits, or that
+// longest region when instrs is 0. It fails when warmup and the margin
+// leave no room at all.
+func FitRegion(length, warmup, instrs uint64) (uint64, error) {
+	if length <= warmup+RunAhead {
+		return 0, fmt.Errorf("trace: %d records leave no measured region after %d warmup and the %d-record run-ahead margin",
+			length, warmup, RunAhead)
+	}
+	if room := length - warmup - RunAhead; instrs == 0 || instrs > room {
+		return room, nil
+	}
+	return instrs, nil
+}

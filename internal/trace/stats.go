@@ -9,8 +9,8 @@ import (
 	"udpsim/internal/workload"
 )
 
-// RecordReader is the decode protocol both trace readers share (v1
-// Reader, v2 Reader2), so analysis code is format-agnostic.
+// RecordReader is the record stream analysis reads: a trace's Reader2,
+// or any other producer of records (such as a live execution).
 type RecordReader interface {
 	Read() (Record, error)
 }

@@ -17,211 +17,86 @@ func tinyProfile() workload.Profile {
 	return p
 }
 
-func TestRoundtripAgainstExecutor(t *testing.T) {
-	p := tinyProfile()
+// roundtrip writes recs as a trace of prog in enc and reads them back,
+// failing on any error or on a record count that differs.
+func roundtrip(t testing.TB, prog *workload.Program, enc Encoding, recs []Record) []Record {
+	t.Helper()
 	var buf bytes.Buffer
-	const n = 30_000
-	if err := RecordN(&buf, p, 5, n); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	w, err := NewWriter2(&buf, prog, 0, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Workload() != p.Name || r.Seed() != p.Seed || r.Salt() != 5 {
-		t.Errorf("header: %s/%#x/%d", r.Workload(), r.Seed(), r.Salt())
-	}
-	prog := workload.MustGenerate(p)
-	live := workload.NewExecutor(prog, 5)
-	for i := 0; i < n; i++ {
-		rec, err := r.Read()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		want := live.Next()
-		if rec.PC != want.PC() || rec.Taken != want.Taken || rec.Target != want.Target || rec.DataAddr != want.DataAddr {
-			t.Fatalf("record %d: %+v vs live %+v", i, rec, want)
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-}
-
-// Property: arbitrary record sequences survive the varint/delta
-// encoding bit-exactly.
-func TestRecordRoundtripProperty(t *testing.T) {
-	f := func(pcs []uint32, flags []bool) bool {
-		var recs []Record
-		for i, pc := range pcs {
-			taken := i < len(flags) && flags[i]
-			recs = append(recs, Record{
-				PC:       isa.Addr(pc) &^ 3,
-				Target:   isa.Addr(pc+8) &^ 3,
-				DataAddr: isa.Addr(pc * 3),
-				Taken:    taken,
-			})
-		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, tinyProfile(), 0)
-		if err != nil {
-			return false
-		}
-		for _, rec := range recs {
-			if err := w.Write(rec); err != nil {
-				return false
-			}
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return false
-		}
-		for _, want := range recs {
-			got, err := r.Read()
-			if err != nil {
-				return false
-			}
-			// DataAddr of 0 is encoded as "absent".
-			if want.DataAddr == 0 {
-				got.DataAddr = 0
-			}
-			if got != want {
-				return false
-			}
-		}
-		_, err = r.Read()
-		return err == io.EOF
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBadMagicRejected(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOPE!\nxxxxx"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestTruncatedTraceReported(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RecordN(&buf, tinyProfile(), 0, 100); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	// Cut the trace mid-record.
-	data := buf.Bytes()[:buf.Len()-3]
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := NewReader2(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	var got []Record
 	for {
-		if _, err = r.Read(); err != nil {
+		rec, err := r.Read()
+		if err == io.EOF {
 			break
 		}
-	}
-	if err == io.EOF && r.Count() == 100 {
-		t.Skip("truncation landed on a record boundary")
-	}
-	if err == nil {
-		t.Error("no error on truncated trace")
-	}
-}
-
-func TestReplayerMismatchRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RecordN(&buf, tinyProfile(), 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	other := tinyProfile()
-	other.Seed++
-	prog := workload.MustGenerate(other)
-	if _, err := NewReplayer(prog, r); err == nil {
-		t.Error("mismatched image accepted")
-	}
-}
-
-func TestReplayerStream(t *testing.T) {
-	p := tinyProfile()
-	var buf bytes.Buffer
-	if err := RecordN(&buf, p, 0, 5000); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	prog := workload.MustGenerate(p)
-	rp, err := NewReplayer(prog, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := workload.NewExecutor(prog, 0)
-	for i := 0; i < 5000; i++ {
-		a, b := rp.Next(), live.Next()
-		if a.PC() != b.PC() || a.Taken != b.Taken || a.Target != b.Target {
-			t.Fatalf("replay mismatch at %d", i)
+		if err != nil {
+			t.Fatalf("read %d: %v", len(got), err)
 		}
-		if a.Static != b.Static {
-			t.Fatalf("replay static context not shared at %d", i)
-		}
-		if a.Seq != uint64(i+1) {
-			t.Fatalf("replay Seq %d at %d", a.Seq, i)
-		}
+		got = append(got, rec)
 	}
+	if len(got) != len(recs) {
+		t.Fatalf("wrote %d records, read %d", len(recs), len(got))
+	}
+	return got
 }
 
-func TestReplayerPanicsPastEnd(t *testing.T) {
-	p := tinyProfile()
-	var buf bytes.Buffer
-	if err := RecordN(&buf, p, 0, 3); err != nil {
-		t.Fatal(err)
+// encoded is what a record decodes to under enc: the binary encoding
+// stores a zero target as the fall-through.
+func encoded(rec Record, enc Encoding) Record {
+	if enc == EncBinary && rec.Target == 0 {
+		rec.Target = rec.PC + isa.InstrBytes
 	}
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
-	rp, _ := NewReplayer(workload.MustGenerate(p), r)
-	for i := 0; i < 3; i++ {
-		rp.Next()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic past end")
+	return rec
+}
+
+// Property: arbitrary record sequences survive both record encodings
+// (the binary delta/varint scheme and JSONL) bit-exactly.
+func TestRecordRoundtripProperty(t *testing.T) {
+	prog := workload.MustGenerate(tinyProfile())
+	for _, enc := range []Encoding{EncBinary, EncJSONL} {
+		f := func(pcs []uint32, flags []bool) bool {
+			var recs []Record
+			for i, pc := range pcs {
+				taken := i < len(flags) && flags[i]
+				recs = append(recs, Record{
+					PC:       isa.Addr(pc) &^ 3,
+					Target:   isa.Addr(pc+8) &^ 3,
+					DataAddr: isa.Addr(pc * 3),
+					Taken:    taken,
+				})
+			}
+			for i, got := range roundtrip(t, prog, enc, recs) {
+				if got != encoded(recs[i], enc) {
+					return false
+				}
+			}
+			return true
 		}
-	}()
-	rp.Next()
-}
-
-func TestWriteAfterFlushFails(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, tinyProfile(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	if err := w.Write(Record{}); err == nil {
-		t.Error("write after flush succeeded")
-	}
-}
-
-func TestCompressionDensity(t *testing.T) {
-	var buf bytes.Buffer
-	const n = 50_000
-	if err := RecordN(&buf, tinyProfile(), 0, n); err != nil {
-		t.Fatal(err)
-	}
-	perInstr := float64(buf.Len()) / n
-	if perInstr > 6 {
-		t.Errorf("%.2f bytes/instr — delta compression broken", perInstr)
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%v: %v", enc, err)
+		}
 	}
 }
 
 func TestAnalyze(t *testing.T) {
 	p := tinyProfile()
-	var buf bytes.Buffer
 	const n = 20_000
-	if err := RecordN(&buf, p, 0, n); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
+	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, n, EncBinary)))
 	prog := workload.MustGenerate(p)
 	s, err := Analyze(prog, r)
 	if err != nil {
@@ -242,12 +117,7 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestIntervalsAndSelect(t *testing.T) {
-	p := tinyProfile()
-	var buf bytes.Buffer
-	if err := RecordN(&buf, p, 0, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
+	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, 100_000, EncBinary)))
 	intervals, err := Intervals(r, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -305,10 +175,29 @@ func TestSelectEdgeCases(t *testing.T) {
 }
 
 func TestIntervalsRejectsZeroLength(t *testing.T) {
-	var buf bytes.Buffer
-	RecordN(&buf, tinyProfile(), 0, 10)
-	r, _ := NewReader(bytes.NewReader(buf.Bytes()))
+	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, 10, EncBinary)))
 	if _, err := Intervals(r, 0); err == nil {
 		t.Error("zero interval length accepted")
+	}
+}
+
+func TestFitRegion(t *testing.T) {
+	for _, tc := range []struct {
+		length, warmup, instrs uint64
+		want                   uint64
+		ok                     bool
+	}{
+		{length: 50_000, warmup: 1_000, instrs: 2_000, want: 2_000, ok: true},
+		{length: 13_000, warmup: 1_000, instrs: 2_000, want: 2_000, ok: true},
+		{length: 12_000, warmup: 1_000, instrs: 2_000, want: 1_000, ok: true}, // clamped
+		{length: 50_000, warmup: 1_000, instrs: 0, want: 39_000, ok: true},    // whole trace
+		{length: 11_000, warmup: 1_000, instrs: 2_000, ok: false},             // no room
+		{length: 5_000, warmup: 1_000, instrs: 4_000, ok: false},
+	} {
+		got, err := FitRegion(tc.length, tc.warmup, tc.instrs)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("FitRegion(%d, %d, %d) = %d, %v; want %d (ok %v)",
+				tc.length, tc.warmup, tc.instrs, got, err, tc.want, tc.ok)
+		}
 	}
 }

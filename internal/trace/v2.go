@@ -15,11 +15,10 @@ import (
 	"udpsim/internal/workload"
 )
 
-// UDPT2 is the self-contained trace format: unlike UDPT1, which names a
-// synthetic profile and regenerates the image from it, a v2 trace
-// embeds the static code layout itself, so any (pc, target, taken)
-// stream — including one captured from a real binary — replays without
-// the generator. The layout is
+// UDPT2 is the self-contained trace format: a trace embeds the static
+// code layout itself, so any (pc, target, taken) stream — including one
+// captured from a real binary — replays without the generator. The
+// layout is
 //
 //	"UDPT2\n" <encoding byte> <image chunk> <record chunk>* <end chunk>
 //
@@ -35,7 +34,7 @@ import (
 // structured *FormatError at the damaged chunk instead of decoding
 // garbage. Image and record payloads are gzip-compressed; the encoding
 // byte selects how records serialize inside their payload — binary
-// (the v1 delta+varint scheme) or JSONL (one JSON object per record,
+// (flags plus delta varints) or JSONL (one JSON object per record,
 // greppable). The 'E' chunk carries the total record count, catching
 // whole-chunk truncation at a chunk boundary that per-chunk checksums
 // cannot see.
@@ -46,7 +45,7 @@ type Encoding byte
 
 // Record encodings.
 const (
-	EncBinary Encoding = 0 // v1-style flags + delta varints, gzipped
+	EncBinary Encoding = 0 // flags + delta varints, gzipped
 	EncJSONL  Encoding = 1 // one JSON object per record, gzipped
 )
 
@@ -266,7 +265,9 @@ func (w *Writer2) Write(r Record) error {
 	return nil
 }
 
-// writeBinary serializes one record with the v1 delta+varint scheme.
+// writeBinary serializes one record as a flags byte plus varints:
+// consecutive PCs are usually sequential, so the common record costs a
+// few bytes.
 func (w *Writer2) writeBinary(r Record) {
 	var flags byte
 	if r.Taken {
@@ -609,43 +610,4 @@ func RecordN2(w io.Writer, p workload.Profile, salt uint64, n uint64, enc Encodi
 		}
 	}
 	return tw.Flush()
-}
-
-// ConvertV1 rewrites a profile-bound v1 trace as a self-contained v2
-// trace: the image is regenerated from the named profile (which must be
-// known to this build — the reason v2 exists) and embedded.
-func ConvertV1(dst io.Writer, src io.Reader, enc Encoding) error {
-	r, err := NewReader(src)
-	if err != nil {
-		return err
-	}
-	p, ok := workload.ByName(r.Workload())
-	if !ok {
-		return fmt.Errorf("trace: v1 trace names unknown profile %q; cannot reconstruct its image", r.Workload())
-	}
-	if p.Seed != r.Seed() {
-		return fmt.Errorf("trace: v1 trace %s seed %#x does not match this build's profile seed %#x",
-			r.Workload(), r.Seed(), p.Seed)
-	}
-	prog, err := workload.Generate(p)
-	if err != nil {
-		return err
-	}
-	w, err := NewWriter2(dst, prog, r.Salt(), enc)
-	if err != nil {
-		return err
-	}
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("trace: v1 read at record %d: %w", r.Count(), err)
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
 }

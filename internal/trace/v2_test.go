@@ -109,55 +109,6 @@ func TestV2ImageRoundtrip(t *testing.T) {
 	}
 }
 
-func TestConvertV1(t *testing.T) {
-	p := tinyProfile()
-	var v1 bytes.Buffer
-	const n = 8_000
-	if err := RecordN(&v1, p, 3, n); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := ConvertV1(&v2, bytes.NewReader(v1.Bytes()), EncBinary); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := NewReader(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewReader2(bytes.NewReader(v2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Workload() != p.Name || r2.Seed() != p.Seed || r2.Salt() != 3 {
-		t.Errorf("converted header: %s/%#x/%d", r2.Workload(), r2.Seed(), r2.Salt())
-	}
-	for i := 0; i < n; i++ {
-		a, err1 := r1.Read()
-		b, err2 := r2.Read()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("read %d: %v / %v", i, err1, err2)
-		}
-		if a != b {
-			t.Fatalf("record %d: v1 %+v vs v2 %+v", i, a, b)
-		}
-	}
-	if _, err := r2.Read(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
-	}
-}
-
-func TestConvertV1UnknownProfile(t *testing.T) {
-	p := tinyProfile()
-	p.Name = "no-such-profile"
-	var v1 bytes.Buffer
-	if err := RecordN(&v1, p, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := ConvertV1(io.Discard, bytes.NewReader(v1.Bytes()), EncBinary); err == nil {
-		t.Error("conversion of a trace naming an unknown profile succeeded")
-	}
-}
-
 // readAll drains a reader, returning the terminal error (nil for EOF).
 func readAll(r *Reader2) error {
 	for {
@@ -327,7 +278,7 @@ func TestV2CompressionDensity(t *testing.T) {
 	const n = 50_000
 	data := recordTiny(t, 0, n, EncBinary)
 	// The embedded image has a fixed cost; amortized over a real
-	// recording the per-record cost must stay comparable to v1.
+	// recording the per-record cost stays a few bytes.
 	perInstr := float64(len(data)) / n
 	if perInstr > 8 {
 		t.Errorf("%.2f bytes/instr — chunked delta compression broken", perInstr)
