@@ -82,23 +82,35 @@ const (
 )
 
 type robEntry struct {
-	fi        *frontend.FrontInstr
-	readyAt   uint64 // execute completion cycle
-	depOffset int    // dependence distance in ROB slots (0 = none)
-	// gen disambiguates slot reuse for the compact scheduling lists.
+	fi      *frontend.FrontInstr
+	readyAt uint64 // execute completion cycle
+	// wheelAt is the cycle whose completion-wheel bucket holds an issued
+	// entry, and seq its issue order (see wheel.go).
+	wheelAt uint64
+	seq     uint64
+	// rejectEpoch and rejectAddr are the hierarchy's DataEpoch and the
+	// access address when the full L1D MSHR file last rejected this load
+	// or store (meaningful while l1dRejected is set).
+	rejectEpoch uint64
+	rejectAddr  isa.Addr
+	depOffset   int // dependence distance in ROB slots (0 = none)
+	// prev and next link an issued entry into its wheel bucket.
+	prev, next int32
+	// gen disambiguates slot reuse for the pendingIssue list.
 	gen   uint32
 	state entryState
 	// class and branch copy fi.Static's class and IsBranch at decode,
 	// so the per-cycle scheduler loops need not dereference fi.
-	class  isa.Class
-	branch bool
-	valid  bool
+	class       isa.Class
+	branch      bool
+	valid       bool
+	l1dRejected bool
 }
 
 // entryRef is a generation-checked reference into the ROB ring, letting
-// the scheduler keep compact lists (dispatched-awaiting-issue,
-// issued-awaiting-completion) instead of scanning the whole ROB every
-// cycle; references to flushed entries go stale and are dropped lazily.
+// the issue stage keep a compact list of dispatched entries instead of
+// scanning the whole ROB every cycle; references to flushed entries go
+// stale and are dropped lazily.
 type entryRef struct {
 	idx int
 	gen uint32
@@ -115,9 +127,11 @@ type Backend struct {
 	tail  int // next free
 	count int
 
-	// Compact scheduler worklists (see entryRef).
+	// pendingIssue lists dispatched entries awaiting issue (see
+	// entryRef); issued entries wait in the completion wheel.
 	pendingIssue []entryRef
-	inFlight     []entryRef
+	wheel        []bucket
+	issueSeq     uint64
 
 	inFlightLoads  int
 	inFlightStores int
@@ -174,11 +188,11 @@ func New(cfg Config, fe *frontend.Frontend, hier *memory.Hierarchy) *Backend {
 		fe:   fe,
 		hier: hier,
 		rob:  make([]robEntry, cfg.ROBSize),
-		// The scheduler worklists are bounded by the live ROB window
-		// (plus one decode group of stale refs awaiting compaction);
-		// preallocating keeps the per-cycle loop allocation-free.
+		// pendingIssue is bounded by the live ROB window (plus one
+		// decode group of stale refs awaiting compaction); preallocating
+		// keeps the per-cycle loop allocation-free.
 		pendingIssue: make([]entryRef, 0, cfg.ROBSize+cfg.Width),
-		inFlight:     make([]entryRef, 0, cfg.ROBSize+cfg.Width),
+		wheel:        newWheel(),
 		rng:          0x9e3779b97f4a7c15,
 	}
 }
@@ -239,40 +253,6 @@ func (b *Backend) retire(cycle uint64) {
 	}
 }
 
-// complete marks executed instructions done and resolves diverging
-// branches (execute-time recovery).
-func (b *Backend) complete(cycle uint64) {
-	keep := b.inFlight[:0]
-	for n, ref := range b.inFlight {
-		e := &b.rob[ref.idx]
-		if !e.valid || e.gen != ref.gen || e.state != stateIssued {
-			continue // flushed by a recovery
-		}
-		if e.readyAt > cycle {
-			keep = append(keep, ref)
-			continue
-		}
-		e.state = stateDone
-		b.rsBusy--
-		switch e.class {
-		case isa.ClassLoad:
-			b.inFlightLoads--
-		case isa.ClassStore:
-			b.inFlightStores--
-		}
-		if e.fi.Divergence != nil {
-			// Misprediction resolved at execute: recover. Everything
-			// younger is flushed; keep the rest of the worklist (stale
-			// refs drop lazily) and resume next cycle.
-			keep = append(keep, b.inFlight[n+1:]...)
-			b.inFlight = keep
-			b.recoverAt(ref.idx, cycle)
-			return
-		}
-	}
-	b.inFlight = keep
-}
-
 // recoverAt flushes all ROB entries younger than idx and resteers the
 // frontend.
 func (b *Backend) recoverAt(idx int, cycle uint64) {
@@ -291,6 +271,7 @@ func (b *Backend) recoverAt(idx int, cycle uint64) {
 				case isa.ClassStore:
 					b.inFlightStores--
 				}
+				b.unlink(int32(k))
 			}
 			if e.state != stateDone {
 				b.rsBusy--
@@ -300,8 +281,9 @@ func (b *Backend) recoverAt(idx int, cycle uint64) {
 				b.Stats.FlushedOnPath++
 			}
 			e.valid = false
-			// A squashed instruction has no further readers (worklist
-			// refs are dropped by the valid/gen checks): recycle it.
+			// A squashed instruction has no further readers (it left the
+			// wheel above; pendingIssue refs are dropped by the valid/gen
+			// checks): recycle it.
 			b.fe.ReleaseInstr(e.fi)
 			e.fi = nil
 			b.count--
@@ -317,12 +299,40 @@ func (b *Backend) issue(cycle uint64) {
 	alu := b.cfg.ALUs
 	ld := b.cfg.LoadPorts
 	st := b.cfg.StorePorts
+	// epoch follows the hierarchy's DataEpoch through the cycle: only a
+	// DataRequest can move it.
+	epoch := b.hier.DataEpoch()
 	keep := b.pendingIssue[:0]
 	for _, ref := range b.pendingIssue {
 		idx := ref.idx
 		e := &b.rob[idx]
 		if !e.valid || e.gen != ref.gen || e.state != stateDispatched {
 			continue // flushed
+		}
+		// A free port and buffer slot. No check before the request has
+		// side effects, so their order does not matter.
+		var free bool
+		switch e.class {
+		case isa.ClassLoad:
+			free = ld > 0 && b.inFlightLoads < b.cfg.LoadBuffer
+		case isa.ClassStore:
+			free = st > 0 && b.inFlightStores < b.cfg.StoreBuffer
+		default:
+			free = alu > 0
+		}
+		if !free {
+			keep = append(keep, ref)
+			continue
+		}
+		if e.l1dRejected && e.rejectEpoch == epoch {
+			// Nothing entered or left the L1D or its MSHR file since the
+			// full file rejected this access, so it is rejected again.
+			// Its producer had issued by the first attempt: the
+			// dependence check below cannot hold it.
+			b.hier.RejectAgain(e.rejectAddr)
+			b.Stats.MemRetries++
+			keep = append(keep, ref)
+			continue
 		}
 		// Dependence: wait for the older instruction's completion. The
 		// producer must still be in the ROB window behind this entry.
@@ -342,51 +352,37 @@ func (b *Backend) issue(cycle uint64) {
 		}
 		var lat uint64
 		switch e.class {
-		case isa.ClassLoad:
-			if ld == 0 || b.inFlightLoads >= b.cfg.LoadBuffer {
-				keep = append(keep, ref)
-				continue
-			}
-			l, _, ok := b.hier.DataRequest(b.dataAddr(e.fi), start)
+		case isa.ClassLoad, isa.ClassStore:
+			addr := b.dataAddr(e.fi)
+			l, level, ok := b.hier.DataRequest(addr, start)
+			epoch = b.hier.DataEpoch()
 			if !ok {
 				// MSHR pressure in the hierarchy: nothing was consumed,
-				// the load re-issues next cycle.
+				// the access re-issues next cycle.
 				b.Stats.MemRetries++
+				e.l1dRejected = level == memory.LevelL1
+				e.rejectEpoch = epoch
+				e.rejectAddr = addr
 				keep = append(keep, ref)
 				continue
 			}
-			ld--
-			b.inFlightLoads++
-			lat = l
-		case isa.ClassStore:
-			if st == 0 || b.inFlightStores >= b.cfg.StoreBuffer {
-				keep = append(keep, ref)
-				continue
+			if e.class == isa.ClassLoad {
+				ld--
+				b.inFlightLoads++
+				lat = l
+			} else {
+				// Stores retire through the store buffer; model a short
+				// pipeline latency (the dcache write happens
+				// post-commit), but the write-allocate fill still
+				// occupies MSHRs and bandwidth like any other request.
+				st--
+				b.inFlightStores++
+				lat = 1
 			}
-			// Stores retire through the store buffer; model a short
-			// pipeline latency (the dcache write happens post-commit),
-			// but the write-allocate fill still occupies MSHRs and
-			// bandwidth like any other request.
-			if _, _, ok := b.hier.DataRequest(b.dataAddr(e.fi), start); !ok {
-				b.Stats.MemRetries++
-				keep = append(keep, ref)
-				continue
-			}
-			st--
-			b.inFlightStores++
-			lat = 1
 		case isa.ClassMul:
-			if alu == 0 {
-				keep = append(keep, ref)
-				continue
-			}
 			alu--
 			lat = uint64(b.cfg.MulLatency)
 		default: // ALU, branches, nops
-			if alu == 0 {
-				keep = append(keep, ref)
-				continue
-			}
 			alu--
 			lat = 1
 			if e.branch {
@@ -397,7 +393,7 @@ func (b *Backend) issue(cycle uint64) {
 		}
 		e.state = stateIssued
 		e.readyAt = start + lat
-		b.inFlight = append(b.inFlight, ref)
+		b.schedule(int32(idx), cycle)
 	}
 	b.pendingIssue = keep
 }
@@ -470,8 +466,8 @@ func (b *Backend) decode(cycle uint64) {
 }
 
 func (b *Backend) popHead() {
-	// Preserve the slot's generation so stale worklist references can
-	// never alias a future occupant.
+	// The slot keeps its generation so stale pendingIssue references
+	// can never alias a future occupant.
 	gen := b.rob[b.head].gen
 	b.rob[b.head] = robEntry{gen: gen}
 	b.head = (b.head + 1) % len(b.rob)

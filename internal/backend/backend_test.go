@@ -137,6 +137,11 @@ func TestLoadsAccessDataHierarchy(t *testing.T) {
 // instruction may reuse the storage of one still live in the ROB (a
 // double pool release would do exactly that after a recovery flush).
 // Run under a mechanism and MSHR pressure that maximize flush traffic.
+//
+// The xgboost run also checks the scheduler's bookkeeping every cycle
+// (Backend.CheckInvariants): its loads back up behind a full L1D MSHR
+// file and complete far ahead in the completion wheel while recoveries
+// flush issued work out of it.
 func TestNoROBAliasingUnderFlushes(t *testing.T) {
 	backend.SetDebugAliasCheck(true)
 	defer backend.SetDebugAliasCheck(false)
@@ -148,5 +153,25 @@ func TestNoROBAliasingUnderFlushes(t *testing.T) {
 	r := m.Run() // panics inside decode on aliasing
 	if r.Recoveries == 0 {
 		t.Error("no recoveries — the aliasing check never saw a flush")
+	}
+
+	cfg := sim.NewConfig(workload.MustByName("xgboost"), sim.MechUDP)
+	cfg.WarmupInstructions = 0
+	x, err := sim.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x.BE.Stats.Retired < 60_000 {
+		x.Step()
+		if err := x.BE.CheckInvariants(x.Cycle()); err != nil {
+			t.Fatalf("cycle %d: %v", x.Cycle(), err)
+		}
+	}
+	be := x.BE.Stats
+	if be.Recoveries == 0 || be.Flushed == 0 {
+		t.Errorf("xgboost: %d recoveries flushed %d instructions, want both > 0", be.Recoveries, be.Flushed)
+	}
+	if be.MemRetries == 0 || be.MemRetries != x.Hier.Stats.L1D.Retries {
+		t.Errorf("xgboost: BE.MemRetries %d, Mem.L1D.Retries %d: want equal and > 0", be.MemRetries, x.Hier.Stats.L1D.Retries)
 	}
 }

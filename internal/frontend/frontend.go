@@ -183,9 +183,6 @@ type Frontend struct {
 	// ResolutionLatency distributes cycles from divergence to recovery
 	// (execute-time resolutions only; decode-time heals are cheaper).
 	ResolutionLatency *stats.Histogram
-	// OccupancyHist distributes per-cycle FTQ occupancy (Fig. 8's
-	// underlying data).
-	OccupancyHist *stats.Histogram
 
 	// Obs receives cycle-level observability events when non-nil; every
 	// hook is nil-guarded so the disabled path costs one branch.
@@ -264,13 +261,12 @@ func New(cfg Config, d Deps) *Frontend {
 	f.blocks = newBlockPool(nBlocks)
 	f.instrs = newInstrPool(nBlocks*isa.InstrPerBlock + cfg.DecodeQueueCap + inFlight + cfg.FetchWidth)
 	f.ResolutionLatency = stats.NewLog2Histogram(14)
-	f.OccupancyHist = stats.NewLinearHistogram(16, uint64((cfg.FTQPhysMax+15)/16))
 	return f
 }
 
 // ResetStats clears every statistic the frontend accumulates — its own
-// counters, the icache and fill-buffer stats, the latency/occupancy
-// histograms, and the FTQ occupancy accumulators — while preserving
+// counters, the icache and fill-buffer stats, the resolution-latency
+// histogram, and the FTQ occupancy accumulators — while preserving
 // microarchitectural state. It implements the sim package's
 // StatsResetter.
 func (f *Frontend) ResetStats() {
@@ -278,7 +274,6 @@ func (f *Frontend) ResetStats() {
 	f.icache.Stats = cache.Stats{}
 	f.mshrs.Stats = cache.MSHRStats{}
 	f.ResolutionLatency.Reset()
-	f.OccupancyHist.Reset()
 	f.ftq.OccupancySum, f.ftq.OccupancySamples = 0, 0
 }
 
@@ -309,7 +304,6 @@ func (f *Frontend) Cycle(cycle uint64) {
 	f.fdipScan(cycle)
 	f.fetchStage(cycle)
 	f.ftq.SampleOccupancy()
-	f.OccupancyHist.Observe(uint64(f.ftq.Len()))
 	if target := f.tuner.TargetFTQDepth(f.ftq.Cap()); target != f.ftq.Cap() {
 		if f.Obs != nil {
 			f.Obs.FTQResize(f.ftq.Cap(), target)

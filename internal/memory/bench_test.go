@@ -42,8 +42,9 @@ func BenchmarkHierarchyRequest(b *testing.B) {
 	})
 	b.Run("data-retry", func(b *testing.B) {
 		// A full L1D MSHR file whose fills do not land within the run,
-		// and four blocked loads re-issued every cycle: the retry storm
-		// of a memory-bound phase.
+		// and four blocked loads re-issued every cycle the way the
+		// backend re-issues them (blockedDemand): the retry storm of a
+		// memory-bound phase.
 		cfg := testConfig()
 		cfg.DRAMLatency = 1 << 40
 		h := New(cfg)
@@ -51,12 +52,16 @@ func BenchmarkHierarchyRequest(b *testing.B) {
 			h.DataRequest(ln(i), 1)
 		}
 		const blocked = 4
+		var ds [blocked]blockedDemand
+		for k := range ds {
+			ds[k].addr = ln(1000 + k)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cycle := uint64(2 + i/blocked)
 			h.Tick(cycle)
-			h.DataRequest(ln(1000+i%blocked), cycle)
+			ds[i%blocked].issue(h, cycle)
 		}
 		b.StopTimer()
 		if h.Stats.L1D.Retries != uint64(b.N) {

@@ -299,11 +299,6 @@ type Hierarchy struct {
 	// cycles (-1 disables).
 	prefetchBacklog int64
 
-	// rejected memoizes data demands the full L1D MSHR file turned
-	// away, direct-mapped by line address, so DataRequest answers their
-	// retries without re-probing the L1D and the MSHR file.
-	rejected [rejectedSlots]rejectedDemand
-
 	Stats Stats
 
 	// Obs receives backpressure and fill-completion events when non-nil
@@ -356,9 +351,6 @@ func New(cfg Config) *Hierarchy {
 
 		prefetchBacklog: prefetchBacklog,
 	}
-	for i := range h.rejected {
-		h.rejected[i].line = noLine
-	}
 	if cfg.StreamPrefetcher {
 		d := cfg.StreamDistance
 		if d <= 0 {
@@ -403,27 +395,6 @@ func (h *Hierarchy) ResetStats() {
 	h.l2m.Stats = cache.MSHRStats{}
 	h.llcm.Stats = cache.MSHRStats{}
 }
-
-// rejectedDemand records one data demand rejected because the L1D MSHR
-// file was full, with the L1D and L1D-MSHR versions at the time. While
-// both versions are unchanged no line has entered or left the L1D and
-// no MSHR has been allocated, completed or flushed, so the line is still
-// absent from both and the file is still full: a retry is rejected
-// again, for the same reason.
-type rejectedDemand struct {
-	line        isa.Addr
-	l1dVersion  uint64
-	mshrVersion uint64
-}
-
-// rejectedSlots is the size of the rejected-demand memo: enough for the
-// distinct lines of the loads and stores blocked behind a full L1D MSHR
-// file to rarely collide.
-const rejectedSlots = 32
-
-// noLine marks an empty memo slot; line addresses are aligned, so no
-// request matches it.
-const noLine = ^isa.Addr(0)
 
 // dramChannel models a single DDR channel: fixed device latency plus a
 // busy window per burst, so back-to-back misses queue. Instruction

@@ -47,22 +47,11 @@ func (h *Hierarchy) InstrRequest(lineAddr isa.Addr, cycle uint64, prefetch bool)
 // DataRequest serves a demand load or store from the backend, returning
 // the load-to-use latency in cycles. ok=false means the access was
 // rejected under MSHR pressure and must be retried next cycle (already
-// counted). Stores share the lookup path (write-allocate) but the
-// backend retires them without waiting.
+// counted); level LevelL1 on a rejection means the L1D MSHR file was
+// full (see DataEpoch). Stores share the lookup path (write-allocate)
+// but the backend retires them without waiting.
 func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, level Level, ok bool) {
 	lineAddr := addr.Line()
-	memo := &h.rejected[uint64(lineAddr)/isa.LineBytes%rejectedSlots]
-	if memo.line == lineAddr && memo.l1dVersion == h.L1D.Version() && memo.mshrVersion == h.l1dm.Version() {
-		// A retry of a demand the full L1D MSHR file rejected, with no
-		// L1D install or removal and no L1D MSHR allocation or
-		// completion since: the L1D probe would miss, the MSHR lookup
-		// would find nothing and the file is still full. Count exactly
-		// what that slow path counts.
-		h.L1D.Stats.Misses++
-		h.Stats.L1D.FillRequests++
-		h.rejectL1DDemand(lineAddr)
-		return 0, LevelL1, false
-	}
 	hitLat := uint64(h.cfg.L1D.HitLatency)
 	if h.L1D.Access(lineAddr, cycle).Hit {
 		h.Stats.DataAccesses++
@@ -86,7 +75,6 @@ func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, le
 	}
 	h.Stats.L1D.FillRequests++
 	if h.l1dm.Full() {
-		*memo = rejectedDemand{line: lineAddr, l1dVersion: h.L1D.Version(), mshrVersion: h.l1dm.Version()}
 		h.rejectL1DDemand(lineAddr)
 		return 0, LevelL1, false
 	}
@@ -112,6 +100,26 @@ func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, le
 	// Data is forwarded to the core as it arrives (ready); the line
 	// becomes visible in the L1D at its fill completion (install).
 	return ready - cycle, level, true
+}
+
+// DataEpoch returns a value that changes whenever the L1D installs,
+// invalidates or flushes a line, or the L1D MSHR file allocates,
+// completes or flushes an entry. While it is unchanged, a line that
+// DataRequest rejected at LevelL1 is still absent from the L1D and from
+// the MSHR file, and the file is still full: a retry would be rejected
+// again, for the same reason, and RejectAgain can answer it. Both
+// versions only ever grow, so their sum changes whenever either does.
+func (h *Hierarchy) DataEpoch() uint64 { return h.L1D.Version() + h.l1dm.Version() }
+
+// RejectAgain answers the retry of a data demand that DataRequest
+// rejected at LevelL1 while DataEpoch has not changed since. It counts
+// exactly what DataRequest's probe would have counted on that retry: an
+// L1D miss, an L1D FillRequest and Retry, an L1D MSHR AllocFailure and
+// a backpressure event.
+func (h *Hierarchy) RejectAgain(addr isa.Addr) {
+	h.L1D.Stats.Misses++
+	h.Stats.L1D.FillRequests++
+	h.rejectL1DDemand(addr.Line())
 }
 
 // rejectL1DDemand records a data demand rejected because the L1D MSHR

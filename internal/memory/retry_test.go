@@ -54,82 +54,67 @@ func wantRetries(t *testing.T, before, after retryCounters, n int) {
 	}
 }
 
-// collidingLine returns a line that maps to the same rejected-demand
-// memo slot as lineAddr.
-func collidingLine(lineAddr isa.Addr) isa.Addr {
-	return lineAddr + rejectedSlots*isa.LineBytes
+// blockedDemand plays the backend's side of the per-entry retry
+// contract for one load: it keeps the DataEpoch of its last rejection
+// by the full L1D MSHR file and answers retries at that epoch with
+// RejectAgain instead of probing again.
+type blockedDemand struct {
+	addr     isa.Addr
+	rejected bool
+	epoch    uint64
+	// repeats counts the retries RejectAgain answered.
+	repeats int
+}
+
+func (d *blockedDemand) issue(h *Hierarchy, cycle uint64) (level Level, ok bool) {
+	if d.rejected && d.epoch == h.DataEpoch() {
+		h.RejectAgain(d.addr)
+		d.repeats++
+		return LevelL1, false
+	}
+	_, level, ok = h.DataRequest(d.addr, cycle)
+	d.rejected = !ok && level == LevelL1
+	d.epoch = h.DataEpoch()
+	return level, ok
 }
 
 func TestRejectedRetryCountsEveryAttempt(t *testing.T) {
 	h := fullL1DMSHRs(t)
-	blocked := ln(100)
+	// An address inside the line: RejectAgain counts the line.
+	d := &blockedDemand{addr: ln(100) + 8}
 	before := snapshotRetry(h)
 	const n = 50
 	for i := 0; i < n; i++ {
 		cycle := uint64(101 + i)
 		h.Tick(cycle)
-		// An address inside the line: the memo is keyed by line.
-		if _, level, ok := h.DataRequest(blocked+8, cycle); ok || level != LevelL1 {
+		if level, ok := d.issue(h, cycle); ok || level != LevelL1 {
 			t.Fatalf("retry %d: ok=%v level=%v, want a rejection at L1", i, ok, level)
 		}
+	}
+	// No fill lands this early: only the first attempt probes.
+	if d.repeats != n-1 {
+		t.Fatalf("RejectAgain answered %d of %d retries, want %d", d.repeats, n, n-1)
 	}
 	wantRetries(t, before, snapshotRetry(h), n)
 	checkInvariant(t, h)
 }
 
-func TestRejectedRetryCollidingLines(t *testing.T) {
-	h := fullL1DMSHRs(t)
-	x := ln(100)
-	y := collidingLine(x)
-	before := snapshotRetry(h)
-	const n = 20
-	for i := 0; i < n; i++ {
-		for _, a := range []isa.Addr{x, y} {
-			if _, _, ok := h.DataRequest(a, uint64(101+i)); ok {
-				t.Fatalf("round %d: line %#x accepted with a full L1D MSHR file", i, a)
-			}
-		}
-	}
-	wantRetries(t, before, snapshotRetry(h), 2*n)
-
-	// Lines sharing x's slot that are in flight or present must not be
-	// answered by x's rejection.
-	if _, _, ok := h.DataRequest(x, 130); ok {
-		t.Fatal("x accepted")
-	}
-	slot := func(a isa.Addr) uint64 { return uint64(a) / isa.LineBytes % rejectedSlots }
-	shared := 0
-	for i := 0; i < h.L1DMSHRFile().Capacity(); i++ {
-		a := ln(i)
-		if slot(a) != slot(x) {
-			continue
-		}
-		shared++
-		merges := h.Stats.L1D.Merges
-		if _, level, ok := h.DataRequest(a, 131); !ok || level != LevelL1 || h.Stats.L1D.Merges != merges+1 {
-			t.Fatalf("in-flight line %#x sharing the memo slot: ok=%v level=%v merges %d->%d",
-				a, ok, level, merges, h.Stats.L1D.Merges)
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no in-flight line shares x's memo slot")
-	}
-	checkInvariant(t, h)
-}
-
 func TestRejectedRetryServedAfterCompletion(t *testing.T) {
 	h := fullL1DMSHRs(t)
-	blocked := ln(100)
+	d := &blockedDemand{addr: ln(100)}
 	f := h.L1DMSHRFile()
 	cycle := uint64(101)
 	for ; f.Full(); cycle++ {
-		if _, _, ok := h.DataRequest(blocked, cycle); ok {
+		if _, ok := d.issue(h, cycle); ok {
 			t.Fatalf("cycle %d: accepted while the file is full", cycle)
 		}
 		h.Tick(cycle + 1)
 	}
+	if d.repeats == 0 {
+		t.Fatal("no retry was answered by RejectAgain")
+	}
 	allocs := f.Stats.Allocations
-	if _, _, ok := h.DataRequest(blocked, cycle); !ok {
+	if _, ok := d.issue(h, cycle); !ok {
 		t.Fatalf("cycle %d: rejected after an L1D MSHR completed", cycle)
 	}
 	if f.Stats.Allocations != allocs+1 {
@@ -140,29 +125,29 @@ func TestRejectedRetryServedAfterCompletion(t *testing.T) {
 
 func TestRejectedRetryServedAfterL1DInstall(t *testing.T) {
 	h := fullL1DMSHRs(t)
-	blocked := ln(100)
-	if _, _, ok := h.DataRequest(blocked, 101); ok {
+	d := &blockedDemand{addr: ln(100)}
+	if _, ok := d.issue(h, 101); ok {
 		t.Fatal("accepted while the file is full")
 	}
 	// The MSHR file is unchanged and still full, but the line is now
 	// present: the retry must hit.
-	h.L1D.Insert(blocked, 102, false)
+	h.L1D.Insert(d.addr, 102, false)
 	hits := h.Stats.DataL1Hits
-	if _, level, ok := h.DataRequest(blocked, 103); !ok || level != LevelL1 || h.Stats.DataL1Hits != hits+1 {
+	if level, ok := d.issue(h, 103); !ok || level != LevelL1 || h.Stats.DataL1Hits != hits+1 {
 		t.Fatalf("retry after install: ok=%v level=%v L1 hits %d->%d", ok, level, hits, h.Stats.DataL1Hits)
 	}
 }
 
 func TestRejectedRetryServedAfterMSHRFlush(t *testing.T) {
 	h := fullL1DMSHRs(t)
-	blocked := ln(100)
-	if _, _, ok := h.DataRequest(blocked, 101); ok {
+	d := &blockedDemand{addr: ln(100)}
+	if _, ok := d.issue(h, 101); ok {
 		t.Fatal("accepted while the file is full")
 	}
 	// The L1D is unchanged, but the MSHR file now has free entries: the
 	// retry must allocate.
 	h.L1DMSHRFile().Flush()
-	if _, _, ok := h.DataRequest(blocked, 102); !ok {
+	if _, ok := d.issue(h, 102); !ok {
 		t.Fatal("retry rejected after the MSHR file was flushed")
 	}
 }

@@ -2,26 +2,44 @@ package sim
 
 import (
 	"testing"
+
+	"udpsim/internal/workload"
 )
 
-// benchStepMachine builds a warmed-up machine for the per-cycle hot-loop
-// benchmarks: the image is shared, the machine has run long enough that
+// stepCell is one machine the per-cycle gates step.
+type stepCell struct {
+	name string
+	cfg  Config
+}
+
+// stepCells are the cells the per-cycle gates step for mech: the small
+// test profile, named by the mechanism alone, and the full xgboost
+// profile, whose loads back up behind a full L1D MSHR file for long
+// stretches and whose completions reach past the first lap of the
+// backend's completion wheel.
+func stepCells(mech Mechanism) []stepCell {
+	x := testConfig(mech)
+	x.Workload = workload.MustByName("xgboost")
+	return []stepCell{{string(mech), testConfig(mech)}, {"xgboost/" + string(mech), x}}
+}
+
+// warmStepMachine builds a warmed-up machine for the per-cycle hot-loop
+// gates: the image is shared, the machine has run long enough that
 // caches, predictors and the frontend's scratch pools are in steady
 // state, and no observer is attached (the production configuration of
 // the parallel experiment grid).
-func benchStepMachine(b *testing.B, mech Mechanism) *Machine {
-	b.Helper()
-	cfg := testConfig(mech)
+func warmStepMachine(tb testing.TB, cfg Config) *Machine {
+	tb.Helper()
 	prog, err := SharedImage(cfg.Workload)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := NewMachineWithProgram(cfg, prog)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Warm to steady state so the benchmark measures the recurring
-	// per-cycle cost, not cold caches or pool growth.
+	// Warm to steady state so the gates measure the recurring per-cycle
+	// cost, not cold caches or pool growth.
 	m.RunInstructions(100_000)
 	return m
 }
@@ -33,18 +51,20 @@ func benchStepMachine(b *testing.B, mech Mechanism) *Machine {
 // collector (TestMachineStepZeroAlloc gates this; CI fails on > 0).
 func BenchmarkMachineStep(b *testing.B) {
 	for _, mech := range []Mechanism{MechBaseline, MechUDP, MechUFTQATRAUR, MechEIP} {
-		b.Run(string(mech), func(b *testing.B) {
-			m := benchStepMachine(b, mech)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step()
-			}
-			b.StopTimer()
-			if r := m.BE.Stats.Retired; r > 0 {
-				b.ReportMetric(float64(r)/float64(b.N), "instrs/cycle")
-			}
-		})
+		for _, c := range stepCells(mech) {
+			b.Run(c.name, func(b *testing.B) {
+				m := warmStepMachine(b, c.cfg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Step()
+				}
+				b.StopTimer()
+				if r := m.BE.Stats.Retired; r > 0 {
+					b.ReportMetric(float64(r)/float64(b.N), "instrs/cycle")
+				}
+			})
+		}
 	}
 }
 
@@ -59,21 +79,14 @@ func TestMachineStepZeroAlloc(t *testing.T) {
 		t.Skip("short mode: skipping alloc gate (needs a warmed machine)")
 	}
 	for _, mech := range Mechanisms() {
-		t.Run(string(mech), func(t *testing.T) {
-			cfg := testConfig(mech)
-			prog, err := SharedImage(cfg.Workload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := NewMachineWithProgram(cfg, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.RunInstructions(100_000)
-			avg := testing.AllocsPerRun(20_000, m.Step)
-			if avg != 0 {
-				t.Errorf("%s: Machine.Step allocates %.4f allocs/op, want 0", mech, avg)
-			}
-		})
+		for _, c := range stepCells(mech) {
+			t.Run(c.name, func(t *testing.T) {
+				m := warmStepMachine(t, c.cfg)
+				avg := testing.AllocsPerRun(20_000, m.Step)
+				if avg != 0 {
+					t.Errorf("%s: Machine.Step allocates %.4f allocs/op, want 0", c.name, avg)
+				}
+			})
+		}
 	}
 }
