@@ -65,14 +65,6 @@ type Stats struct {
 	MemRetries uint64
 }
 
-// debugAliasCheck enables an O(ROB) aliasing assertion per decoded
-// instruction (diagnostic only).
-var debugAliasCheck = false
-
-// SetDebugAliasCheck toggles the per-decode ROB aliasing assertion
-// (diagnostic; costs O(ROBSize) per decoded instruction).
-func SetDebugAliasCheck(on bool) { debugAliasCheck = on }
-
 type entryState uint8
 
 const (
@@ -132,6 +124,16 @@ type Backend struct {
 	pendingIssue []entryRef
 	wheel        []bucket
 	issueSeq     uint64
+
+	// The issue memo (see issue): the last walk kept the first memoLen
+	// refs of pendingIssue without issuing or probing the hierarchy,
+	// memoRej of them answered by RejectAgain, with DataEpoch memoEpoch
+	// and free load/store buffers as memoLdFree/memoStFree at its start.
+	memoLen    int
+	memoRej    uint64
+	memoEpoch  uint64
+	memoLdFree bool
+	memoStFree bool
 
 	inFlightLoads  int
 	inFlightStores int
@@ -257,6 +259,7 @@ func (b *Backend) retire(cycle uint64) {
 // frontend.
 func (b *Backend) recoverAt(idx int, cycle uint64) {
 	b.Stats.Recoveries++
+	b.memoLen, b.memoRej = 0, 0
 	fi := b.rob[idx].fi
 	// Squash younger entries.
 	j := (idx + 1) % len(b.rob)
@@ -295,6 +298,18 @@ func (b *Backend) recoverAt(idx int, cycle uint64) {
 
 // issue moves dispatched instructions to execution, respecting
 // functional-unit ports, load/store buffers, and dependences.
+//
+// The walk replays its stable prefix. The leading run of entries the
+// last walk kept without issuing or calling DataRequest (MSHR-full
+// retries answered by RejectAgain, producer waits and full load/store
+// buffers) consumed no port and did not move DataEpoch, so if DataEpoch
+// and both buffers' fullness are as they were at that walk's start,
+// and no recovery has happened since, every entry of the run is kept
+// again for the same reason: its retries are counted in bulk and the
+// walk starts after it. A waiting entry's producer is older, so it sits
+// in the run too and is still dispatched. Decode only appends younger
+// entries after the run. An attached observer needs each retry's event
+// in age order, so observed walks start at 0.
 func (b *Backend) issue(cycle uint64) {
 	alu := b.cfg.ALUs
 	ld := b.cfg.LoadPorts
@@ -302,8 +317,22 @@ func (b *Backend) issue(cycle uint64) {
 	// epoch follows the hierarchy's DataEpoch through the cycle: only a
 	// DataRequest can move it.
 	epoch := b.hier.DataEpoch()
-	keep := b.pendingIssue[:0]
-	for _, ref := range b.pendingIssue {
+	ldFree := b.inFlightLoads < b.cfg.LoadBuffer
+	stFree := b.inFlightStores < b.cfg.StoreBuffer
+	from := 0
+	if b.memoLen > 0 && b.hier.Obs == nil && epoch == b.memoEpoch &&
+		ldFree == b.memoLdFree && stFree == b.memoStFree {
+		from = b.memoLen
+		b.Stats.MemRetries += b.memoRej
+		b.hier.RejectAgainN(b.memoRej)
+	} else {
+		b.memoLen, b.memoRej = 0, 0
+	}
+	b.memoEpoch, b.memoLdFree, b.memoStFree = epoch, ldFree, stFree
+	// stable holds until the first entry that issues or probes.
+	stable := true
+	keep := b.pendingIssue[:from]
+	for _, ref := range b.pendingIssue[from:] {
 		idx := ref.idx
 		e := &b.rob[idx]
 		if !e.valid || e.gen != ref.gen || e.state != stateDispatched {
@@ -331,24 +360,26 @@ func (b *Backend) issue(cycle uint64) {
 			// dependence check below cannot hold it.
 			b.hier.RejectAgain(e.rejectAddr)
 			b.Stats.MemRetries++
+			if stable {
+				b.memoRej++
+			}
 			keep = append(keep, ref)
 			continue
 		}
-		// Dependence: wait for the older instruction's completion. The
-		// producer must still be in the ROB window behind this entry.
+		// Dependence: wait for the older instruction's completion.
 		start := cycle
-		if e.depOffset > 0 && b.olderInWindow(idx, e.depOffset) {
-			depIdx := (idx - e.depOffset + len(b.rob)) % len(b.rob)
-			dep := &b.rob[depIdx]
-			if dep.valid {
-				if dep.state == stateDispatched {
-					keep = append(keep, ref) // producer not even issued
-					continue
-				}
-				if dep.readyAt > start {
-					start = dep.readyAt
-				}
+		if dep := b.producer(idx); dep != nil {
+			if dep.state == stateDispatched {
+				keep = append(keep, ref) // producer not even issued
+				continue
 			}
+			if dep.readyAt > start {
+				start = dep.readyAt
+			}
+		}
+		// The entry probes the hierarchy or issues: the stable run ends.
+		if stable {
+			b.memoLen, stable = len(keep), false
 		}
 		var lat uint64
 		switch e.class {
@@ -395,7 +426,24 @@ func (b *Backend) issue(cycle uint64) {
 		e.readyAt = start + lat
 		b.schedule(int32(idx), cycle)
 	}
+	if stable {
+		b.memoLen = len(keep)
+	}
 	b.pendingIssue = keep
+}
+
+// producer returns the entry idx depends on while it is still live in
+// the ROB window behind idx, or nil.
+func (b *Backend) producer(idx int) *robEntry {
+	off := b.rob[idx].depOffset
+	if off == 0 || !b.olderInWindow(idx, off) {
+		return nil
+	}
+	dep := &b.rob[(idx-off+len(b.rob))%len(b.rob)]
+	if !dep.valid {
+		return nil
+	}
+	return dep
 }
 
 // olderInWindow reports whether an entry depOffset slots older than idx
@@ -433,24 +481,25 @@ func (b *Backend) decode(cycle uint64) {
 		if fi == nil {
 			return
 		}
-		if debugAliasCheck {
-			for i := range b.rob {
-				if b.rob[i].valid && b.rob[i].fi == fi {
-					panic("backend: decoded instruction aliases a live ROB entry (double pool release)")
-				}
-			}
-		}
 		if !fi.OnPath {
 			b.Stats.WrongPathExecuted++
 		}
 		resteered := b.fe.OnDecode(fi, cycle)
+		// Initialise the slot in place. The fields left alone are
+		// written before they are read again: readyAt, seq and the wheel
+		// links at issue, the reject epoch and address with l1dRejected.
 		e := &b.rob[b.tail]
-		gen := e.gen + 1
-		*e = robEntry{fi: fi, state: stateDispatched, valid: true, gen: gen,
-			class: fi.Static.Class, branch: fi.Static.IsBranch()}
-		b.pendingIssue = append(b.pendingIssue, entryRef{idx: b.tail, gen: gen})
+		e.gen++
+		e.fi = fi
+		e.state = stateDispatched
+		e.valid = true
+		e.class = fi.Static.Class
+		e.branch = fi.Static.IsBranch()
+		e.l1dRejected = false
+		b.pendingIssue = append(b.pendingIssue, entryRef{idx: b.tail, gen: e.gen})
 		// Synthetic dependence assignment.
 		b.rng = b.rng*6364136223846793005 + 1442695040888963407
+		e.depOffset = 0
 		if int(b.rng>>56)&0xff < b.cfg.DepProb256 {
 			e.depOffset = 1 + int((b.rng>>32)%uint64(b.cfg.DepWindow))
 		}
@@ -467,9 +516,10 @@ func (b *Backend) decode(cycle uint64) {
 
 func (b *Backend) popHead() {
 	// The slot keeps its generation so stale pendingIssue references
-	// can never alias a future occupant.
-	gen := b.rob[b.head].gen
-	b.rob[b.head] = robEntry{gen: gen}
+	// can never alias a future occupant; decode initialises the rest.
+	e := &b.rob[b.head]
+	e.valid = false
+	e.fi = nil
 	b.head = (b.head + 1) % len(b.rob)
 	b.count--
 }

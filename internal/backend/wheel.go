@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 
+	"udpsim/internal/frontend"
 	"udpsim/internal/isa"
 )
 
@@ -144,16 +145,26 @@ func (b *Backend) deferDue(cycle uint64) {
 
 // CheckInvariants verifies the scheduler's bookkeeping against the ROB
 // after the backend has run cycle (diagnostic; O(ROB + wheel), and it
-// allocates). rsBusy must count the valid entries not yet done,
-// inFlightLoads and inFlightStores the issued loads and stores, and the
-// wheel must hold every issued entry exactly once, in issue order, in
-// the bucket of a completion cycle after cycle and no earlier than its
-// readyAt — and nothing else: no flushed, done or dispatched entry.
+// allocates). No two valid entries may share an instruction (a double
+// pool release would do that). rsBusy must count the valid entries not
+// yet done, inFlightLoads and inFlightStores the issued loads and
+// stores, and the wheel must hold every issued entry exactly once, in
+// issue order, in the bucket of a completion cycle after cycle and no
+// earlier than its readyAt — and nothing else: no flushed, done or
+// dispatched entry. The issue memo must replay (see checkIssueMemo).
 func (b *Backend) CheckInvariants(cycle uint64) error {
 	busy, loads, stores, issued := 0, 0, 0, 0
+	owner := make(map[*frontend.FrontInstr]int, b.count)
 	for i := range b.rob {
 		e := &b.rob[i]
-		if !e.valid || e.state == stateDone {
+		if !e.valid {
+			continue
+		}
+		if j, ok := owner[e.fi]; ok {
+			return fmt.Errorf("backend: ROB slots %d and %d hold the same instruction (double pool release)", j, i)
+		}
+		owner[e.fi] = i
+		if e.state == stateDone {
 			continue
 		}
 		busy++
@@ -206,6 +217,37 @@ func (b *Backend) CheckInvariants(cycle uint64) error {
 	}
 	if linked != issued {
 		return fmt.Errorf("backend: wheel holds %d entries, %d are issued", linked, issued)
+	}
+	return b.checkIssueMemo()
+}
+
+// checkIssueMemo verifies that the issue memo would replay: every ref
+// in pendingIssue[:memoLen] is a live dispatched entry that, under the
+// memo's epoch and buffer fullness and with every port free, is kept
+// without issuing or probing; memoRej of them by RejectAgain.
+func (b *Backend) checkIssueMemo() error {
+	if b.memoLen > len(b.pendingIssue) {
+		return fmt.Errorf("backend: issue memo covers %d refs, %d pending", b.memoLen, len(b.pendingIssue))
+	}
+	var rej uint64
+	for i, ref := range b.pendingIssue[:b.memoLen] {
+		e := &b.rob[ref.idx]
+		if !e.valid || e.gen != ref.gen || e.state != stateDispatched {
+			return fmt.Errorf("backend: issue memo ref %d (ROB slot %d) is not a live dispatched entry", i, ref.idx)
+		}
+		switch {
+		case e.class == isa.ClassLoad && !b.memoLdFree, e.class == isa.ClassStore && !b.memoStFree:
+			// waits for a load or store buffer slot
+		case e.l1dRejected && e.rejectEpoch == b.memoEpoch:
+			rej++
+		default:
+			if dep := b.producer(ref.idx); dep == nil || dep.state != stateDispatched {
+				return fmt.Errorf("backend: issue memo ref %d (ROB slot %d) would issue or probe the hierarchy", i, ref.idx)
+			}
+		}
+	}
+	if rej != b.memoRej {
+		return fmt.Errorf("backend: issue memo counts %d RejectAgain retries, its refs replay %d", b.memoRej, rej)
 	}
 	return nil
 }

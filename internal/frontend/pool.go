@@ -42,7 +42,12 @@ func newInstrPool(n int) instrPool {
 	return instrPool{free: free}
 }
 
-// get returns a zeroed instruction.
+// get returns an instruction whose header fields (everything but
+// branchStorage and divStorage) are zero. The embedded storage keeps
+// its last contents: it is read only through Branch and Divergence,
+// which get clears, and handleBranch and diverge overwrite it whole
+// before setting them. Clearing it too would zero 264 more bytes per
+// fetched instruction.
 func (p *instrPool) get() *FrontInstr {
 	n := len(p.free)
 	if n == 0 {
@@ -50,7 +55,13 @@ func (p *instrPool) get() *FrontInstr {
 	}
 	fi := p.free[n-1]
 	p.free = p.free[:n-1]
-	*fi = FrontInstr{}
+	fi.Static = nil
+	fi.OnPath = false
+	fi.Oracle = isa.DynInstr{}
+	fi.Branch = nil
+	fi.Divergence = nil
+	fi.FetchSeq = 0
+	fi.OracleCursorAfter = 0
 	return fi
 }
 

@@ -1,0 +1,45 @@
+package frontend
+
+import (
+	"reflect"
+	"testing"
+
+	"udpsim/internal/isa"
+)
+
+// TestInstrPoolGetClearsHeader pins what instrPool.get clears: every
+// FrontInstr field but the embedded branch and divergence storage. A
+// new field fails the count below until get clears it (or the comment
+// on get says why it need not).
+func TestInstrPoolGetClearsHeader(t *testing.T) {
+	const fields = 9
+	typ := reflect.TypeOf(FrontInstr{})
+	if typ.NumField() != fields {
+		t.Fatalf("FrontInstr has %d fields, this test knows %d: update instrPool.get and this test", typ.NumField(), fields)
+	}
+	si := &isa.StaticInstr{PC: 0x40}
+	p := newInstrPool(1)
+	fi := p.get()
+	*fi = FrontInstr{Static: si, OnPath: true, Oracle: isa.DynInstr{Static: si, Taken: true, Seq: 7},
+		FetchSeq: 9, OracleCursorAfter: 8}
+	fi.branchStorage = PredictedBranch{PC: 0x40}
+	fi.Branch = &fi.branchStorage
+	fi.divStorage = Divergence{RecoverPC: 0x80}
+	fi.Divergence = &fi.divStorage
+	p.put(fi)
+
+	got := p.get()
+	if got != fi {
+		t.Fatal("pool did not hand back the released instruction")
+	}
+	v := reflect.ValueOf(got).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if name == "branchStorage" || name == "divStorage" {
+			continue
+		}
+		if !v.Field(i).IsZero() {
+			t.Errorf("get left %s set", name)
+		}
+	}
+}

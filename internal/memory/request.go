@@ -122,6 +122,17 @@ func (h *Hierarchy) RejectAgain(addr isa.Addr) {
 	h.rejectL1DDemand(addr.Line())
 }
 
+// RejectAgainN counts n RejectAgain answers at once: it adds n to the
+// four counters RejectAgain bumps. It emits no backpressure events,
+// which need each retry's address, so it is for callers with no
+// observer attached.
+func (h *Hierarchy) RejectAgainN(n uint64) {
+	h.L1D.Stats.Misses += n
+	h.Stats.L1D.FillRequests += n
+	h.Stats.L1D.Retries += n
+	h.l1dm.Stats.AllocFailures += n
+}
+
 // rejectL1DDemand records a data demand rejected because the L1D MSHR
 // file is full.
 func (h *Hierarchy) rejectL1DDemand(lineAddr isa.Addr) {

@@ -3,6 +3,7 @@ package memory
 import (
 	"testing"
 
+	"udpsim/internal/cache"
 	"udpsim/internal/isa"
 	"udpsim/internal/obs"
 )
@@ -78,12 +79,25 @@ func (d *blockedDemand) issue(h *Hierarchy, cycle uint64) (level Level, ok bool)
 	return level, ok
 }
 
+// allStats is every counter of the hierarchy's own stats, its L1D and
+// its L1D MSHR file.
+type allStats struct {
+	hier Stats
+	l1d  cache.Stats
+	mshr cache.MSHRStats
+}
+
+func snapshotAll(h *Hierarchy) allStats {
+	return allStats{h.Stats, h.L1D.Stats, h.L1DMSHRFile().Stats}
+}
+
 func TestRejectedRetryCountsEveryAttempt(t *testing.T) {
-	h := fullL1DMSHRs(t)
 	// An address inside the line: RejectAgain counts the line.
-	d := &blockedDemand{addr: ln(100) + 8}
-	before := snapshotRetry(h)
+	addr := ln(100) + 8
 	const n = 50
+	h := fullL1DMSHRs(t)
+	d := &blockedDemand{addr: addr}
+	before := snapshotRetry(h)
 	for i := 0; i < n; i++ {
 		cycle := uint64(101 + i)
 		h.Tick(cycle)
@@ -96,7 +110,26 @@ func TestRejectedRetryCountsEveryAttempt(t *testing.T) {
 		t.Fatalf("RejectAgain answered %d of %d retries, want %d", d.repeats, n, n-1)
 	}
 	wantRetries(t, before, snapshotRetry(h), n)
+
+	// The same retries counted in bulk: after the first probe,
+	// RejectAgainN(n-1) must leave every counter where n-1 RejectAgain
+	// calls did. Only the backpressure events differ, so the bulk
+	// hierarchy runs with no observer.
+	bulk := fullL1DMSHRs(t)
+	bulk.Obs = nil
+	bulk.Tick(101)
+	if _, _, ok := bulk.DataRequest(addr, 101); ok {
+		t.Fatal("bulk: first attempt accepted while the file is full")
+	}
+	bulk.RejectAgainN(n - 1)
+	if got, want := snapshotAll(bulk), snapshotAll(h); got != want {
+		t.Fatalf("RejectAgainN(%d) counters %+v, want %+v", n-1, got, want)
+	}
 	checkInvariant(t, h)
+	checkInvariant(t, bulk)
+	if got, want := snapshotAll(bulk), snapshotAll(h); got != want {
+		t.Fatalf("after drain: RejectAgainN counters %+v, want %+v", got, want)
+	}
 }
 
 func TestRejectedRetryServedAfterCompletion(t *testing.T) {

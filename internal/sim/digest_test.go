@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"udpsim/internal/obs"
 	"udpsim/internal/workload"
 )
 
@@ -59,8 +60,32 @@ func resultDigest(r Result) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// observedResult runs cfg with a full observer attached: interval
+// sampler, tracer and prefetch lifecycle.
+func observedResult(cfg Config) (Result, error) {
+	prog, err := SharedImage(cfg.Workload)
+	if err != nil {
+		return Result{}, err
+	}
+	m, err := NewMachineWithProgram(cfg, prog)
+	if err != nil {
+		return Result{}, err
+	}
+	m.AttachObserver(&obs.Observer{
+		Interval: 5_000,
+		Trace:    obs.NewTracer(1 << 12),
+		Life:     obs.NewLifecycle(),
+	})
+	return m.Run(), nil
+}
+
 // TestResultDigestPinned makes bit-identity of every Result a tier-1
 // property instead of something only the benchmark's digest line shows.
+//
+// It also runs every cell with a full observer, whose Result must equal
+// the unobserved one apart from Lifecycle: observing must not perturb
+// the simulation. An observed backend walks its whole issue list every
+// cycle, so this also compares the issue memo on against memo off.
 func TestResultDigestPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping full-profile digest runs")
@@ -77,6 +102,17 @@ func TestResultDigestPinned(t *testing.T) {
 			got, err := resultDigest(r)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
+			}
+			o, err := observedResult(digestConfig(p, mech))
+			if err != nil {
+				t.Fatalf("%s observed: %v", key, err)
+			}
+			if !o.Lifecycle.Tracked {
+				t.Errorf("%s observed: lifecycle not tracked", key)
+			}
+			o.Lifecycle = r.Lifecycle
+			if od, err := resultDigest(o); err != nil || od != got {
+				t.Errorf("%s: observed Result digest %s (err %v), unobserved %s", key, od, err, got)
 			}
 			seen++
 			want, ok := pinnedResultDigests[key]
