@@ -8,14 +8,6 @@
 //	experiment -f configs/isca.json -speedup-base baseline
 //	experiment -f configs/isca.json -metrics-out grid.jsonl -pprof :6060
 //
-// With -cluster the grid fans out across a udpsimd fleet instead of
-// simulating in-process: one sub-descriptor per workload, routed to
-// the worker owning its shard on the placement ring, with client-side
-// failover when a node dies mid-run. The CSV is byte-identical to a
-// local run.
-//
-//	experiment -f configs/isca.json -cluster http://w1:8091,http://w2:8091
-//
 // With -tune the command runs an autotuning search over a parameter
 // space instead of a fixed grid: seeded random sampling, successive
 // halving over region budgets, then local refinement around the
@@ -29,41 +21,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 	"text/tabwriter"
 
 	"udpsim/internal/experiments"
 	"udpsim/internal/obs"
-	"udpsim/internal/serve/client"
 	"udpsim/internal/sim"
 )
-
-// runCluster fans the descriptor out across a udpsimd fleet: one
-// sub-descriptor per workload, routed by the client-side placement
-// ring, with failover to the next ring owner when a node dies.
-func runCluster(urls string, d *experiments.Descriptor, log *slog.Logger) ([]experiments.DescriptorResult, error) {
-	var nodes []string
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			nodes = append(nodes, u)
-		}
-	}
-	fleet, err := client.NewFleet(nodes, nil)
-	if err != nil {
-		return nil, err
-	}
-	fleet.Name = "experiment"
-	fleet.OnProgress = func(node, line string) {
-		log.Debug("cluster progress", "node", node, "line", line)
-	}
-	log.Info("fanning out across cluster", "nodes", fleet.Nodes())
-	return fleet.Run(context.Background(), d, 0)
-}
 
 // printMechanisms lists every registered mechanism with its one-line
 // doc, straight from the plugin registry.
@@ -82,7 +49,6 @@ func main() {
 		base     = flag.String("speedup-base", "", "also print per-workload speedups over this config label")
 		parallel = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); CSV row order is unchanged")
 		batch    = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image (one shared instruction stream per batch; CSV is byte-identical)")
-		cluster  = flag.String("cluster", "", "comma-separated udpsimd base URLs: fan the grid out across the fleet instead of simulating in-process")
 		traceIn  = flag.String("trace", "", "comma-separated recorded trace files (.udpt2) appended to the descriptor's trace set; the workload grid becomes these traces when the descriptor names none")
 		verbose  = flag.Bool("v", false, "print per-run progress (debug-level logs)")
 
@@ -148,13 +114,6 @@ func main() {
 		fatal("trace resolution failed", "err", err)
 	}
 
-	if *cluster != "" && *metricsOut != "" {
-		fatal("-metrics-out and -cluster are mutually exclusive (interval samples stay on the daemons)")
-	}
-	if *cluster != "" && *batch {
-		log.Warn("-batch is ignored with -cluster (workers decide their own batching)")
-		*batch = false
-	}
 	if *metricsOut != "" && *interval == 0 {
 		*interval = 10_000
 	}
@@ -176,12 +135,7 @@ func main() {
 	}
 	log.Info("experiment starting", "name", d.Name,
 		"workloads", len(d.Workloads), "configs", len(d.Configs), "simpoints", d.Simpoints)
-	var results []experiments.DescriptorResult
-	if *cluster != "" {
-		results, err = runCluster(*cluster, d, log)
-	} else {
-		results, err = experiments.RunDescriptorObserved(d, progress, *parallel, obsOpts)
-	}
+	results, err := experiments.RunDescriptorObserved(d, progress, *parallel, obsOpts)
 	if err != nil {
 		fatal("experiment failed", "err", err)
 	}

@@ -9,14 +9,6 @@
 //	udpsimd -addr :8091 -store /var/lib/udpsim/results
 //	udpsimd -addr 127.0.0.1:8091 -workers 2 -j 4 -queue 128
 //
-// Cluster operation (see README "Running a cluster"):
-//
-//	# two workers that replicate results to each other over the ring
-//	udpsimd -addr :8191 -store w1 -self http://127.0.0.1:8191 -peers http://127.0.0.1:8192
-//	udpsimd -addr :8192 -store w2 -self http://127.0.0.1:8192 -peers http://127.0.0.1:8191
-//	# a coordinator that shards jobs across them
-//	udpsimd -addr :8190 -coordinator -workers http://127.0.0.1:8191,http://127.0.0.1:8192
-//
 // Endpoints (see EXPERIMENTS.md for the full API reference):
 //
 //	POST   /v1/jobs              submit an experiment descriptor
@@ -27,8 +19,6 @@
 //	GET    /v1/tune/{id}         tune-run status (stats + incumbent)
 //	GET    /v1/tune/{id}/events  SSE stream (probes, generations, incumbents)
 //	GET    /v1/results/{key}     content-addressed result record
-//	PUT    /v1/results/{key}     peer replication write-back
-//	GET    /v1/ring              placement ring / membership view
 //	GET    /healthz /readyz      health; readiness flips 503 on drain
 //	GET    /debug/vars           expvar (queue depth, dedup, store hits)
 //
@@ -45,25 +35,18 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"udpsim/internal/obs"
 	"udpsim/internal/serve"
-	"udpsim/internal/serve/cluster"
-	"udpsim/internal/serve/placement"
 )
 
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8091", "HTTP listen address")
 		storeDir     = flag.String("store", "", "content-addressed result store directory (empty = in-memory only)")
-		workersFlag  = flag.String("workers", "1", "jobs run concurrently; with -coordinator, the comma-separated worker base URLs instead")
-		coordinator  = flag.Bool("coordinator", false, "forward jobs to the -workers fleet by ring ownership instead of simulating locally")
-		self         = flag.String("self", "", "this node's advertised base URL (cluster mode; e.g. http://10.0.0.5:8091)")
-		peersFlag    = flag.String("peers", "", "comma-separated peer daemon URLs; with -self, joins their placement ring and replicates results (worker cluster mode)")
+		workers      = flag.Int("workers", 1, "jobs run concurrently")
 		parallel     = flag.Int("j", 0, "per-job grid-cell concurrency (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "max queued jobs before 429")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job runtime cap (0 = unlimited)")
@@ -84,31 +67,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// -workers is overloaded: a job-concurrency count normally, the
-	// worker fleet's URLs under -coordinator.
-	workers := 1
-	var workerURLs []string
-	if *coordinator {
-		workerURLs = splitList(*workersFlag)
-		if len(workerURLs) == 0 || workerURLs[0] == "1" {
-			fatal("-coordinator requires -workers to list worker URLs (comma-separated)")
-		}
-		for _, u := range workerURLs {
-			if !strings.Contains(u, "://") {
-				fatal("worker is not a URL (want e.g. http://host:port)", "worker", u)
-			}
-		}
-		// One forwarding slot per worker: the coordinator's "workers"
-		// are outbound streams, not simulations.
-		workers = len(workerURLs)
-		if *batch {
-			log.Warn("-batch is ignored under -coordinator (coalescing happens on the workers)")
-			*batch = false
-		}
-	} else if n, err := strconv.Atoi(*workersFlag); err == nil && n > 0 {
-		workers = n
-	} else {
-		fatal("bad -workers (want a positive count, or URLs with -coordinator)", "workers", *workersFlag)
+	if *workers <= 0 {
+		fatal("bad -workers (want a positive count)", "workers", *workers)
 	}
 
 	var store *serve.Store
@@ -125,7 +85,7 @@ func main() {
 
 	srv := serve.NewServer(serve.ServerConfig{
 		Store:       store,
-		Workers:     workers,
+		Workers:     *workers,
 		MaxQueue:    *queue,
 		JobTimeout:  *jobTimeout,
 		Parallelism: *parallel,
@@ -134,47 +94,6 @@ func main() {
 		MaxCoalesce: *coalesce,
 		Log:         log,
 	})
-
-	switch {
-	case *coordinator:
-		// Coordinator: ring over the worker fleet, jobs forwarded by
-		// shard ownership, results pulled back into the local store.
-		members := placement.NewMembership(workerURLs, placement.Config{
-			Self:  *self,
-			Probe: placement.HTTPProbe(nil),
-			Log:   log,
-		})
-		defer members.Start()()
-		srv.SetCluster(members, nil)
-		fwd := &cluster.Forwarder{
-			Self:    *self,
-			Members: members,
-			Local:   srv.LocalRunner(),
-			OnSpan:  srv.RecordSpan,
-			Log:     log,
-		}
-		if store != nil {
-			fwd.Transport = store
-		}
-		srv.SetRunner(fwd)
-		log.Info("coordinating", "workers", workerURLs)
-	case *peersFlag != "":
-		// Worker in a peer ring: read through (and replicate to) the
-		// shard owners.
-		if *self == "" {
-			fatal("-peers requires -self (this node's advertised URL)")
-		}
-		members := placement.NewMembership(splitList(*peersFlag), placement.Config{
-			Self:  *self,
-			Probe: placement.HTTPProbe(nil),
-			Log:   log,
-		})
-		defer members.Start()()
-		peer := &serve.PeerStore{Local: store, Self: *self, Members: members, Log: log}
-		defer peer.Close()
-		srv.SetCluster(members, peer)
-		log.Info("joined placement ring", "self", *self, "peers", splitList(*peersFlag))
-	}
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -192,7 +111,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Info("udpsimd listening", "addr", *addr, "workers", workers, "queue", *queue)
+		log.Info("udpsimd listening", "addr", *addr, "workers", *workers, "queue", *queue)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -226,18 +145,6 @@ func main() {
 		}
 	}
 	log.Info("udpsimd stopped")
-}
-
-// splitList splits a comma-separated flag value, trimming whitespace
-// and dropping empties.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
-		}
-	}
-	return out
 }
 
 // writeTrace dumps the session's recorded lifecycle spans as Chrome

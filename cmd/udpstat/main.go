@@ -4,24 +4,21 @@
 // (queue wait, run duration by mechanism, store and HTTP latency) and
 // the currently active jobs.
 //
-// -addr repeats: with several daemons udpstat shows one status line
-// per node plus a fleet-wide aggregate (counters summed sample-by-
-// sample, histograms merged before the percentile estimate), which is
-// the operator's view of a cluster — coordinator and workers together.
-//
 // Examples:
 //
 //	udpstat -addr http://127.0.0.1:8091            one-shot snapshot
 //	udpstat -addr http://127.0.0.1:8091 -watch 2s  live view, redrawn every 2s
-//	udpstat -addr http://w1:8191 -addr http://w2:8192 -addr http://coord:8190
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -30,65 +27,70 @@ import (
 	"udpsim/internal/serve/client"
 )
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
+// options are udpstat's parsed flags.
+type options struct {
+	addr    string
+	watch   time.Duration
+	timeout time.Duration
+	jobsMax int
+}
 
-func (m *multiFlag) String() string { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(v string) error {
-	if v = strings.TrimSpace(v); v != "" {
-		*m = append(*m, strings.TrimRight(v, "/"))
+// parseFlags parses the command line; a negative -jobs is a parse
+// error, like any malformed value.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
+	o := options{jobsMax: 8}
+	fs := flag.NewFlagSet("udpstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", "http://127.0.0.1:8091", "udpsimd base URL")
+	fs.DurationVar(&o.watch, "watch", 0, "redraw interval (0 = print once and exit)")
+	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-request timeout")
+	fs.Func("jobs", "max active/recent jobs listed (default 8)", func(v string) error {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			return fmt.Errorf("want a non-negative count, got %q", v)
+		}
+		o.jobsMax = n
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
 	}
-	return nil
+	return o, nil
 }
 
 func main() {
-	var addrs multiFlag
-	flag.Var(&addrs, "addr", "udpsimd base URL (repeat for a fleet view)")
-	var (
-		watch   = flag.Duration("watch", 0, "redraw interval (0 = print once and exit)")
-		timeout = flag.Duration("timeout", 5*time.Second, "per-request timeout")
-		jobsMax = flag.Int("jobs", 8, "max active/recent jobs listed")
-	)
-	flag.Parse()
-	if len(addrs) == 0 {
-		addrs = multiFlag{"http://127.0.0.1:8091"}
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-
-	clients := make([]*client.Client, len(addrs))
-	for i, a := range addrs {
-		c := client.New(a, nil)
-		c.Name = "udpstat"
-		c.Timeout = *timeout
-		clients[i] = c
+	if err != nil {
+		os.Exit(2)
 	}
+	c := client.New(o.addr, nil)
+	c.Name = "udpstat"
+	c.Timeout = o.timeout
 
 	for {
-		var out string
-		var err error
-		if len(clients) == 1 {
-			out, err = snapshot(context.Background(), clients[0], *jobsMax)
-		} else {
-			out = fleetSnapshot(context.Background(), clients, *jobsMax)
-		}
+		out, err := snapshot(context.Background(), c, o.jobsMax)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "udpstat: %v\n", err)
-			if *watch == 0 {
+			if o.watch == 0 {
 				os.Exit(1)
 			}
 		} else {
-			if *watch > 0 {
+			if o.watch > 0 {
 				fmt.Print("\033[H\033[2J") // clear + home, live view
 			}
 			fmt.Print(out)
 		}
-		if *watch == 0 {
+		if o.watch == 0 {
 			return
 		}
-		time.Sleep(*watch)
+		time.Sleep(o.watch)
 	}
 }
 
-// snapshot renders one full status screen for a single daemon.
+// snapshot renders one full status screen.
 func snapshot(ctx context.Context, c *client.Client, jobsMax int) (string, error) {
 	health, err := c.Health(ctx)
 	if err != nil {
@@ -113,55 +115,6 @@ func snapshot(ctx context.Context, c *client.Client, jobsMax int) (string, error
 	return b.String(), nil
 }
 
-// fleetSnapshot renders a multi-node view: one line per node (including
-// unreachable ones), then the fleet-wide aggregate over every node
-// that answered. Unlike snapshot it never fails outright — a dead node
-// is a line in the report, not an error.
-func fleetSnapshot(ctx context.Context, clients []*client.Client, jobsMax int) string {
-	var b strings.Builder
-	var scrapes [][]client.MetricSample
-	var allJobs []serve.JobView
-
-	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "node\tstatus\tup\tqueue\tdone\tfailed\tcache-hit")
-	for _, c := range clients {
-		health, err := c.Health(ctx)
-		if err != nil {
-			fmt.Fprintf(tw, "%s\tDOWN\t-\t-\t-\t-\t-\n", c.Base())
-			continue
-		}
-		samples, err := c.Metrics(ctx)
-		if err != nil {
-			fmt.Fprintf(tw, "%s\t%s\t-\t%d\t-\t-\t(metrics: %v)\n",
-				c.Base(), health.Status, health.QueueDepth, err)
-			continue
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.0f\t%.0f\t%s\n",
-			c.Base(), health.Status,
-			(time.Duration(health.UptimeSecs) * time.Second).String(),
-			health.QueueDepth,
-			sampleVal(samples, "udpsimd_jobs_completed"),
-			sampleVal(samples, "udpsimd_jobs_failed"),
-			hitRate(sampleVal(samples, "udpsim_cache_hits"), sampleVal(samples, "udpsim_cache_misses")))
-		scrapes = append(scrapes, samples)
-		if jobs, err := c.Jobs(ctx); err == nil {
-			allJobs = append(allJobs, jobs...)
-		}
-	}
-	tw.Flush()
-
-	if len(scrapes) == 0 {
-		b.WriteString("no node answered\n")
-		return b.String()
-	}
-	merged := client.MergeScrapes(scrapes...)
-	fmt.Fprintf(&b, "fleet (%d/%d nodes):\n", len(scrapes), len(clients))
-	b.WriteString(counterLines(merged))
-	b.WriteString(latencyTable(merged))
-	b.WriteString(jobTable(allJobs, jobsMax))
-	return b.String()
-}
-
 func sampleVal(samples []client.MetricSample, name string) float64 {
 	v, _ := client.MetricValue(samples, name, nil)
 	return v
@@ -174,8 +127,7 @@ func hitRate(hits, misses float64) string {
 	return fmt.Sprintf("%.1f%%", 100*hits/(hits+misses))
 }
 
-// counterLines renders the jobs / cache / store / cluster counter rows
-// shared by the single-node and fleet views.
+// counterLines renders the jobs / cache / store counter rows.
 func counterLines(samples []client.MetricSample) string {
 	val := func(name string) float64 { return sampleVal(samples, name) }
 	var b strings.Builder
@@ -193,16 +145,6 @@ func counterLines(samples []client.MetricSample) string {
 		val("udpsim_store_writes"), val("udpsim_store_errors"),
 		fmtBytes(val("udpsim_store_cache_bytes")))
 
-	// Cluster counters appear only once a fleet actually forwards,
-	// steals or replicates — a standalone daemon's view stays compact.
-	forwarded := val("udpsimd_forwarded_jobs")
-	steals := val("udpsimd_steals")
-	prHits, prMisses := val("udpsimd_peer_read_hits"), val("udpsimd_peer_read_misses")
-	owned := val("udpsimd_ring_owned_keys")
-	if forwarded+steals+prHits+prMisses+owned > 0 {
-		fmt.Fprintf(&b, "cluster: forwarded=%.0f steals=%.0f peer-read hit %s (hits=%.0f misses=%.0f) owned-keys=%.0f\n",
-			forwarded, steals, hitRate(prHits, prMisses), prHits, prMisses, owned)
-	}
 	return b.String()
 }
 
@@ -280,8 +222,10 @@ func labelValues(samples []client.MetricSample, name, label string) []string {
 	return out
 }
 
-// jobTable lists running and queued jobs first, then the most recent
-// terminal ones, up to max rows.
+// jobTable lists running and queued jobs first, in admission order,
+// then the most recently finished terminal ones, up to max rows.
+// Timestamps are compared as times: RFC 3339 strings with trimmed
+// fractional seconds do not sort lexically.
 func jobTable(jobs []serve.JobView, max int) string {
 	if len(jobs) == 0 {
 		return "no jobs\n"
@@ -295,8 +239,10 @@ func jobTable(jobs []serve.JobView, max int) string {
 			active = append(active, j)
 		}
 	}
-	sort.Slice(active, func(i, k int) bool { return active[i].Created < active[k].Created })
-	sort.Slice(finished, func(i, k int) bool { return finished[i].Finished > finished[k].Finished })
+	sort.Slice(active, func(i, k int) bool { return active[i].Seq < active[k].Seq })
+	sort.SliceStable(finished, func(i, k int) bool {
+		return parseTime(finished[i].Finished).After(parseTime(finished[k].Finished))
+	})
 	rows := active
 	if len(rows) < max {
 		n := max - len(rows)
@@ -325,6 +271,13 @@ func jobTable(jobs []serve.JobView, max int) string {
 	}
 	tw.Flush()
 	return b.String()
+}
+
+// parseTime reads a JobView timestamp; a missing or malformed one is
+// the zero time.
+func parseTime(s string) time.Time {
+	t, _ := time.Parse(time.RFC3339Nano, s)
+	return t
 }
 
 func shorten(s string, n int) string {

@@ -76,10 +76,9 @@ type Options struct {
 
 	// Store, when non-nil, is the persistent result store this run reads
 	// through and writes back to, overriding the process-global one
-	// installed with SetResultStore. The daemon passes its own store (or
-	// its cluster peer-transport) here so several in-process server
-	// instances — a test fleet, a coordinator plus workers — keep
-	// distinct stores despite sharing the process.
+	// installed with SetResultStore. The daemon passes its own store here
+	// so several in-process server instances (tests, a restarted daemon)
+	// keep distinct stores despite sharing the process.
 	Store ResultStore
 
 	// OnSpan, when non-nil, receives wall-clock lifecycle spans for the

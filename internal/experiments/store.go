@@ -77,9 +77,9 @@ func FlushResultCache() {
 
 // store resolves the persistent store this Options reads through: the
 // per-run Options.Store when set, else the process-global one. The
-// per-run override exists for multi-node setups (several in-process
-// daemon instances, each with its own disk store or peer transport)
-// where a process-global would make every node share one store.
+// per-run override exists for several in-process daemon instances,
+// each with its own disk store, where a process-global would make
+// every instance share one store.
 func (o Options) store() ResultStore {
 	if o.Store != nil {
 		return o.Store

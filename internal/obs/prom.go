@@ -488,29 +488,6 @@ var (
 	StoreCacheCapacityBytes = Metrics.Gauge("udpsim_store_cache_capacity_bytes",
 		"configured byte capacity of the result store's LRU read layer")
 
-	// Cluster-mode series: placement-ring ownership, coordinator
-	// forwarding, and the peer read-through transport.
-	//
-	// RingOwnedKeys counts result records this node persisted while the
-	// placement ring said it was the owner (local saves of owned keys
-	// plus accepted peer write-backs). It is a monotone census of
-	// placement working as intended, not a live key inventory.
-	RingOwnedKeys = Metrics.Counter("udpsimd_ring_owned_keys",
-		"result records persisted by this node while owning their ring shard")
-	// ForwardedJobs counts jobs the coordinator handed to a worker
-	// (re-forwards after a worker death count again).
-	ForwardedJobs = Metrics.Counter("udpsimd_forwarded_jobs",
-		"jobs forwarded to workers by the coordinator")
-	// Steals counts forwards diverted from a hot ring owner to the
-	// least-loaded worker.
-	Steals = Metrics.Counter("udpsimd_steals",
-		"jobs forwarded to a non-owner worker because the ring owner was hot")
-	// PeerReadHits / PeerReadMisses count remote read-through lookups
-	// against ring neighbors.
-	PeerReadHits = Metrics.Counter("udpsimd_peer_read_hits",
-		"result-store reads satisfied by a ring peer")
-	PeerReadMisses = Metrics.Counter("udpsimd_peer_read_misses",
-		"result-store reads that missed on every reachable ring peer")
 	// Tune-driver counters: /v1/tune search runs, their candidate
 	// probes, how many probes the content-addressed result store
 	// answered without a new simulation, and incumbent improvements.

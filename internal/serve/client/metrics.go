@@ -141,77 +141,6 @@ func parseLabels(in string) (map[string]string, string, error) {
 	}
 }
 
-// canonicalLabels renders a label set in a canonical form — keys
-// sorted, values escaped — so two samples with the same identity
-// compare equal regardless of map iteration or exposition order.
-func canonicalLabels(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(labels[k]))
-	}
-	return b.String()
-}
-
-// MergeScrapes folds per-node scrapes into one fleet-wide sample set:
-// samples sharing a metric name and canonical label set sum, which is
-// exactly right for counters and for cumulative histogram series
-// (_bucket/_sum/_count all add). NaN samples — Prometheus staleness
-// markers — are dropped rather than poisoning the sums. Duplicate
-// family declarations and conflicting HELP text across nodes cannot
-// corrupt the merge because ParseMetrics already discards comment
-// lines; duplicate sample lines within one scrape sum like any others.
-// The result is deterministic: sorted by name, then canonical labels.
-//
-// Gauges merge by summing too. For additive gauges (queue depth, bytes
-// cached) the sum is the fleet total; for the rare non-additive gauge
-// the caller should read per-node scrapes instead.
-func MergeScrapes(scrapes ...[]MetricSample) []MetricSample {
-	merged := map[string]*MetricSample{}
-	for _, scrape := range scrapes {
-		for _, s := range scrape {
-			if math.IsNaN(s.Value) {
-				continue
-			}
-			key := s.Name + "{" + canonicalLabels(s.Labels) + "}"
-			if sl, ok := merged[key]; ok {
-				sl.Value += s.Value
-				continue
-			}
-			cp := MetricSample{Name: s.Name, Value: s.Value}
-			if len(s.Labels) > 0 {
-				cp.Labels = make(map[string]string, len(s.Labels))
-				for k, v := range s.Labels {
-					cp.Labels[k] = v
-				}
-			}
-			merged[key] = &cp
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]MetricSample, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *merged[k])
-	}
-	return out
-}
-
 // MetricValue returns the value of the first sample matching name and
 // every given label (extra labels on the sample are allowed). ok is
 // false when no sample matches.

@@ -2,7 +2,6 @@ package client
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -94,7 +93,7 @@ other_bucket{le="+Inf",mech="udp"} 1
 }
 
 // TestParseMetricsTable drives the parser across the format corners a
-// real multi-node scrape produces, one case per corner.
+// real scrape produces, one case per corner.
 func TestParseMetricsTable(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -171,110 +170,8 @@ func sameLabels(a, b map[string]string) bool {
 	return true
 }
 
-// TestMergeScrapesFleet merges two realistic node scrapes: duplicate
-// families sum, conflicting HELP text is harmless, label order does
-// not split identities, and NaN staleness markers drop out.
-func TestMergeScrapesFleet(t *testing.T) {
-	node1 := `
-# HELP udpsim_cache_hits Simulation result cache hits.
-# TYPE udpsim_cache_hits counter
-udpsim_cache_hits 10
-udpsimd_jobs_completed 3
-udpsimd_run_duration_us_bucket{mechanism="udp",le="1000"} 2
-udpsimd_run_duration_us_bucket{mechanism="udp",le="+Inf"} 5
-udpsimd_run_duration_us_count{mechanism="udp"} 5
-stale_gauge NaN
-`
-	node2 := `
-# HELP udpsim_cache_hits A DIFFERENT help string (conflict).
-# TYPE udpsim_cache_hits counter
-udpsim_cache_hits 32
-udpsimd_jobs_completed 4
-udpsimd_run_duration_us_bucket{le="1000",mechanism="udp"} 1
-udpsimd_run_duration_us_bucket{le="+Inf",mechanism="udp"} 1
-udpsimd_run_duration_us_count{mechanism="udp"} 1
-only_on_node2 7
-`
-	s1, err := ParseMetrics(strings.NewReader(node1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := ParseMetrics(strings.NewReader(node2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := MergeScrapes(s1, s2)
-
-	if v, ok := MetricValue(merged, "udpsim_cache_hits", nil); !ok || v != 42 {
-		t.Fatalf("cache_hits = %v,%v, want 42 (10+32 across conflicting HELP)", v, ok)
-	}
-	if v, ok := MetricValue(merged, "udpsimd_jobs_completed", nil); !ok || v != 7 {
-		t.Fatalf("jobs_completed = %v, want 7", v)
-	}
-	// The two nodes wrote the same label set in different orders — one
-	// merged identity, not two.
-	if v, ok := MetricValue(merged, "udpsimd_run_duration_us_bucket",
-		map[string]string{"mechanism": "udp", "le": "1000"}); !ok || v != 3 {
-		t.Fatalf("bucket le=1000 = %v, want 3 (2+1 across label orders)", v)
-	}
-	n := 0
-	for _, s := range merged {
-		if s.Name == "udpsimd_run_duration_us_bucket" && s.Label("le") == "1000" {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("label order split one identity into %d samples", n)
-	}
-	// Staleness markers must not survive the merge.
-	if _, ok := MetricValue(merged, "stale_gauge", nil); ok {
-		t.Fatal("NaN staleness marker survived the merge")
-	}
-	if v, ok := MetricValue(merged, "only_on_node2", nil); !ok || v != 7 {
-		t.Fatalf("single-node sample = %v,%v, want 7", v, ok)
-	}
-	// Percentile estimation must keep working on the merged histogram.
-	if p, ok := HistogramPercentile(merged, "udpsimd_run_duration_us",
-		map[string]string{"mechanism": "udp"}, 0.5); !ok || p != 1000 {
-		t.Fatalf("merged p50 = %v,%v, want 1000", p, ok)
-	}
-}
-
-// TestMergeScrapesDeterministic — same inputs in any order produce the
-// identical merged slice (the fleet view must not flap between
-// redraws).
-func TestMergeScrapesDeterministic(t *testing.T) {
-	a := []MetricSample{
-		{Name: "z_last", Value: 1},
-		{Name: "a_first", Labels: map[string]string{"x": "2"}, Value: 2},
-		{Name: "a_first", Labels: map[string]string{"x": "1"}, Value: 3},
-	}
-	b := []MetricSample{{Name: "m_mid", Value: 4}}
-	m1 := MergeScrapes(a, b)
-	m2 := MergeScrapes(b, a)
-	if !reflect.DeepEqual(m1, m2) {
-		t.Fatalf("merge order changed the output:\n%v\n%v", m1, m2)
-	}
-	for i := 1; i < len(m1); i++ {
-		if m1[i-1].Name > m1[i].Name {
-			t.Fatalf("merged output not sorted: %v", m1)
-		}
-	}
-}
-
-// TestMergeScrapesDoesNotAliasInput — mutating the merged samples must
-// not write through to the caller's parsed scrapes.
-func TestMergeScrapesDoesNotAliasInput(t *testing.T) {
-	in := []MetricSample{{Name: "m", Labels: map[string]string{"k": "v"}, Value: 1}}
-	merged := MergeScrapes(in)
-	merged[0].Labels["k"] = "mutated"
-	if in[0].Labels["k"] != "v" {
-		t.Fatal("MergeScrapes aliased the input label map")
-	}
-}
-
 // FuzzParseMetrics: arbitrary scrape text must never panic the parser,
-// and whatever parses must survive a merge round.
+// and every sample it returns is named.
 func FuzzParseMetrics(f *testing.F) {
 	f.Add("udpsim_cache_hits 42\n")
 	f.Add(`udpsimd_run_duration_us_bucket{mechanism="udp",le="+Inf"} 5` + "\n")
@@ -288,22 +185,10 @@ func FuzzParseMetrics(f *testing.F) {
 		if err != nil {
 			return
 		}
-		merged := MergeScrapes(samples, samples)
-		if len(merged) > len(samples) {
-			t.Fatalf("merge grew %d samples to %d", len(samples), len(merged))
-		}
-		for _, s := range merged {
+		for _, s := range samples {
 			if s.Name == "" {
-				t.Fatal("merged sample with empty name")
+				t.Fatal("parsed sample with empty name")
 			}
-			if math.IsNaN(s.Value) {
-				t.Fatal("NaN survived MergeScrapes")
-			}
-		}
-		// Canonicalization must be stable: merging the merge never
-		// changes the identity count.
-		if again := MergeScrapes(merged); len(again) != len(merged) {
-			t.Fatalf("re-merge changed identity count %d -> %d", len(merged), len(again))
 		}
 	})
 }

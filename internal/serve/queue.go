@@ -129,11 +129,6 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // Events exposes the job's event hub for SSE subscriptions.
 func (j *Job) Events() *eventHub { return j.hub }
 
-// Publish emits one event on the job's SSE feed. Runners outside this
-// package (the cluster forwarder re-publishing a worker's stream) use
-// it; in-package code publishes on the hub directly.
-func (j *Job) Publish(typ string, v any) { j.hub.publish(typ, v) }
-
 // Cancel requests cancellation: a queued job terminates immediately, a
 // running job's context is canceled and the worker winds it down.
 // Canceling a terminal job is a no-op.
@@ -200,24 +195,9 @@ func JobID(d *experiments.Descriptor) string {
 	return "j" + hex.EncodeToString(sum[:16])
 }
 
-// JobRunner executes a job's descriptor and returns the grid results.
+// RunFunc executes a job's descriptor and returns the grid results.
 // The scheduler cancels ctx on job cancellation, timeout, or forced
-// drain. Local execution (the experiment engine) and remote forwarding
-// (the cluster coordinator) are both JobRunners — the scheduler cannot
-// tell them apart.
-type JobRunner interface {
-	RunJob(ctx context.Context, job *Job) ([]experiments.DescriptorResult, error)
-}
-
-// RunnerFunc adapts a function to JobRunner.
-type RunnerFunc func(ctx context.Context, job *Job) ([]experiments.DescriptorResult, error)
-
-// RunJob implements JobRunner.
-func (f RunnerFunc) RunJob(ctx context.Context, job *Job) ([]experiments.DescriptorResult, error) {
-	return f(ctx, job)
-}
-
-// RunFunc is the function form of JobRunner (SchedulerConfig.Run).
+// drain.
 type RunFunc func(ctx context.Context, job *Job) ([]experiments.DescriptorResult, error)
 
 // RunGroupFunc executes several coalesced jobs as one merged run (the
@@ -238,12 +218,8 @@ type SchedulerConfig struct {
 	// JobTimeout caps one job's run time (0 = unlimited; for a
 	// coalesced group the cap covers the whole merged run).
 	JobTimeout time.Duration
-	// Run executes a job. Exactly one of Run and Runner is required;
-	// Runner wins when both are set.
+	// Run executes a job (required).
 	Run RunFunc
-	// Runner executes a job (interface form — the coordinator installs
-	// its forwarder here).
-	Runner JobRunner
 	// RunGroup, when set together with MaxCoalesce > 1, executes a
 	// group of queued jobs sharing a workload image as one merged run.
 	RunGroup RunGroupFunc
@@ -290,9 +266,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	if cfg.Runner != nil {
-		cfg.Run = cfg.Runner.RunJob
 	}
 	s := &Scheduler{
 		cfg:     cfg,

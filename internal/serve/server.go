@@ -17,7 +17,6 @@ import (
 
 	"udpsim/internal/experiments"
 	"udpsim/internal/obs"
-	"udpsim/internal/serve/placement"
 	"udpsim/internal/sim"
 )
 
@@ -46,19 +45,6 @@ type ServerConfig struct {
 	// MaxCoalesce caps how many queued jobs one batched run may merge
 	// (only meaningful with Batch; default 4).
 	MaxCoalesce int
-	// Transport, when set, replaces Store as the engine's read-through
-	// layer (cluster nodes install a PeerStore here; the local Store
-	// keeps serving GET /v1/results directly). Nil = Store.
-	Transport ResultTransport
-	// Members, when set, is the node's view of the cluster — GET
-	// /v1/ring renders it and replicated PUTs consult it for ownership
-	// accounting. Both Transport and Members can also be installed
-	// after construction with SetCluster (the wiring order problem:
-	// worker URLs are only known once their listeners are up).
-	Members *placement.Membership
-	// Runner, when set, replaces local execution for every job (the
-	// coordinator installs its forwarder here; see also SetRunner).
-	Runner JobRunner
 	// Log receives request/lifecycle logs (nil = discard).
 	Log *slog.Logger
 }
@@ -74,14 +60,6 @@ type Server struct {
 	startedAt time.Time
 	ready     atomic.Bool
 
-	// Cluster wiring, installable post-construction (SetCluster,
-	// SetRunner) because peer URLs are often unknown until listeners
-	// are bound.
-	clusterMu sync.RWMutex
-	members   *placement.Membership
-	transport ResultTransport
-	runner    JobRunner
-
 	// Tune-run registry: content-addressed searches executing on their
 	// own goroutines (queue clients, not queue workers).
 	tuneMu sync.Mutex
@@ -89,10 +67,9 @@ type Server struct {
 	tuneWG sync.WaitGroup
 }
 
-// NewServer builds a server. Its store (or Transport override) rides
-// into the engine per job via Options.Store, so several servers in one
-// process keep distinct stores. The server starts ready; Drain flips
-// readiness off.
+// NewServer builds a server. Its store rides into the engine per job
+// via Options.Store, so several servers in one process keep distinct
+// stores. The server starts ready; Drain flips readiness off.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -104,8 +81,7 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg.MaxCoalesce = 4
 	}
 	s := &Server{cfg: cfg, log: cfg.Log, startedAt: time.Now(),
-		spans:   obs.NewSpanRecorder(spanRecorderCapacity),
-		members: cfg.Members, transport: cfg.Transport, runner: cfg.Runner,
+		spans: obs.NewSpanRecorder(spanRecorderCapacity),
 		tunes: map[string]*TuneRun{}}
 	scfg := SchedulerConfig{
 		Workers:    cfg.Workers,
@@ -131,62 +107,15 @@ const spanRecorderCapacity = 16384
 // Scheduler exposes the underlying queue (tests, cmd wiring).
 func (s *Server) Scheduler() *Scheduler { return s.sched }
 
-// SetCluster installs the node's membership view and result transport
-// after construction — the wiring order when peer URLs only exist once
-// every listener is bound. Call before the first job runs.
-func (s *Server) SetCluster(m *placement.Membership, t ResultTransport) {
-	s.clusterMu.Lock()
-	s.members, s.transport = m, t
-	s.clusterMu.Unlock()
-}
-
-// SetRunner replaces local execution for every subsequent job (the
-// coordinator installs its forwarder here). Call before the first job
-// runs.
-func (s *Server) SetRunner(r JobRunner) {
-	s.clusterMu.Lock()
-	s.runner = r
-	s.clusterMu.Unlock()
-}
-
-// Members returns the node's cluster view (nil on single-node setups).
-func (s *Server) Members() *placement.Membership {
-	s.clusterMu.RLock()
-	defer s.clusterMu.RUnlock()
-	return s.members
-}
-
-// resultTransport resolves the engine's read-through layer: the
-// installed transport, else the plain disk store, else nil
-// (memory-only).
-func (s *Server) resultTransport() ResultTransport {
-	s.clusterMu.RLock()
-	t := s.transport
-	s.clusterMu.RUnlock()
-	if t != nil {
-		return t
+// resultStore is the engine's persistent read-through layer: the disk
+// store, or a true nil for a memory-only daemon (a nil *Store wrapped
+// in the interface would read as a store and panic on first use).
+func (s *Server) resultStore() experiments.ResultStore {
+	if s.cfg.Store == nil {
+		return nil
 	}
-	if s.cfg.Store != nil {
-		return s.cfg.Store
-	}
-	return nil
+	return s.cfg.Store
 }
-
-// jobRunner resolves the installed runner override (nil = run
-// locally).
-func (s *Server) jobRunner() JobRunner {
-	s.clusterMu.RLock()
-	defer s.clusterMu.RUnlock()
-	return s.runner
-}
-
-// LocalRunner exposes in-process execution as a JobRunner — the
-// fallback a coordinator's forwarder uses when no worker is alive.
-func (s *Server) LocalRunner() JobRunner { return RunnerFunc(s.runLocal) }
-
-// RecordSpan adds one span to the server's lifecycle recorder (the
-// cluster forwarder's sink).
-func (s *Server) RecordSpan(sp obs.Span) { s.spans.Record(sp) }
 
 // Spans returns every recorded lifecycle span oldest-first (tests,
 // cmd/udpsimd's -trace-out shutdown export).
@@ -201,25 +130,16 @@ func (s *Server) jobSpanSink(j *Job) func(obs.Span) {
 	}
 }
 
-// runJob is the scheduler's entry point: jobs dispatch to the
-// installed runner override (the cluster forwarder) when one exists,
-// else run locally.
+// runJob is the scheduler's entry point: it executes one job through
+// the engine's memoized, store-backed descriptor runner, forwarding
+// per-cell progress and per-interval obs samples to the job's event
+// hub (the SSE feed).
 func (s *Server) runJob(ctx context.Context, j *Job) ([]experiments.DescriptorResult, error) {
-	if r := s.jobRunner(); r != nil {
-		return r.RunJob(ctx, j)
-	}
-	return s.runLocal(ctx, j)
-}
-
-// runLocal executes one job through the engine's memoized,
-// store-backed descriptor runner, forwarding per-cell progress and
-// per-interval obs samples to the job's event hub (the SSE feed).
-func (s *Server) runLocal(ctx context.Context, j *Job) ([]experiments.DescriptorResult, error) {
 	opts := experiments.Options{
 		Context:  ctx,
 		Interval: s.cfg.Interval,
 		Batch:    s.cfg.Batch,
-		Store:    s.resultTransport(),
+		Store:    s.resultStore(),
 		OnSample: func(sample obs.IntervalSample) { j.hub.publish("sample", sample) },
 		OnSpan:   s.jobSpanSink(j),
 	}
@@ -233,14 +153,14 @@ func (s *Server) runLocal(ctx context.Context, j *Job) ([]experiments.Descriptor
 	return results, err
 }
 
-// persistResults writes a completed job's cells through the result
-// transport. The engine already saves every cell it *simulates*; this
-// covers cells served from the process-wide in-memory memo, whose
-// records may predate this node's store (another in-process node, a
-// run before the store was attached). GET /v1/results must be able to
-// serve every cell of every job this daemon reported done.
+// persistResults writes a completed job's cells to the store. The
+// engine already saves every cell it *simulates*; this covers cells
+// served from the process-wide in-memory memo, whose records may
+// predate this daemon's store (another in-process server, a run before
+// the store was attached). GET /v1/results must be able to serve every
+// cell of every job this daemon reported done.
 func (s *Server) persistResults(d *experiments.Descriptor, results []experiments.DescriptorResult) {
-	st := s.resultTransport()
+	st := s.resultStore()
 	if st == nil {
 		return
 	}
@@ -279,7 +199,7 @@ func (s *Server) runJobGroup(ctx context.Context, group []*Job) ([][]experiments
 			},
 			Opts: experiments.Options{
 				Interval: s.cfg.Interval,
-				Store:    s.resultTransport(),
+				Store:    s.resultStore(),
 				OnSample: func(sample obs.IntervalSample) { j.hub.publish("sample", sample) },
 				OnSpan:   s.jobSpanSink(j),
 			},
@@ -325,8 +245,7 @@ const maxDescriptorBytes = 1 << 20
 //	GET    /v1/tune/{id}         tune-run status (stats + incumbent)
 //	DELETE /v1/tune/{id}         cancel a tune run
 //	GET    /v1/tune/{id}/events  SSE stream (probes, generations, incumbents)
-//	GET    /v1/results/{key}     content-addressed result record (cluster
-//	                             nodes answer for any key via peer read-through)
+//	GET    /v1/results/{key}     content-addressed result record
 //	GET    /v1/mechanisms        registered mechanism registry
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness (503 while draining)
@@ -352,8 +271,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/tune/{id}", s.instrument("/v1/tune/{id}", s.handleTuneCancel))
 	mux.HandleFunc("GET /v1/tune/{id}/events", s.instrument("/v1/tune/{id}/events", s.handleTuneEvents))
 	mux.HandleFunc("GET /v1/results/{key}", s.instrument("/v1/results/{key}", s.handleResult))
-	mux.HandleFunc("PUT /v1/results/{key}", s.instrument("/v1/results/{key}", s.handleResultPut))
-	mux.HandleFunc("GET /v1/ring", s.instrument("/v1/ring", s.handleRing))
 	mux.HandleFunc("GET /v1/mechanisms", s.instrument("/v1/mechanisms", s.handleMechanisms))
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
@@ -604,25 +521,11 @@ func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *eventHub
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	addr := r.PathValue("key")
-	// Resolve the lookup layer: the installed transport (cluster nodes
-	// answer for any addr via peer read-through), unless this request
-	// IS a peer's read-through probe — those are served local-only so a
-	// missing key stays one bounded probe sequence instead of two
-	// PeerStores bouncing the miss between nodes forever.
-	var src AddrLoader
-	if s.cfg.Store != nil {
-		src = s.cfg.Store
-	}
-	if r.Header.Get(peerFetchHeader) == "" {
-		if al, ok := s.resultTransport().(AddrLoader); ok {
-			src = al
-		}
-	}
-	if src == nil {
+	if s.cfg.Store == nil {
 		writeErr(w, http.StatusNotFound, errors.New("serve: no result store configured"))
 		return
 	}
-	key, res, ok, err := src.LoadAddr(addr)
+	key, res, ok, err := s.cfg.Store.LoadAddr(addr)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -632,62 +535,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, StoredResult{Key: key, Addr: addr, Result: res})
-}
-
-// handleResultPut accepts a replicated result record from a peer (the
-// PeerStore write-back path). The record lands in the LOCAL store only
-// — never back through the transport, which would bounce replication
-// around the ring forever.
-func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Store == nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: no result store configured"))
-		return
-	}
-	addr := r.PathValue("key")
-	var sr StoredResult
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxResultBytes)).Decode(&sr); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad result record: %w", err))
-		return
-	}
-	// Content addressing is the integrity check: the record must hash
-	// to the URL it claims to live at.
-	if sr.Key == "" || ResultAddr(sr.Key) != addr {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("serve: result key does not hash to address %q", addr))
-		return
-	}
-	if err := s.cfg.Store.Save(sr.Key, sr.Result); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if m := s.Members(); m != nil {
-		if owner, ok := m.Owner(addr); ok && owner == m.Self() {
-			obs.RingOwnedKeys.Add(1)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"stored": true, "addr": addr})
-}
-
-// handleRing renders the node's cluster view: membership with
-// liveness, plus who owns an optional ?key= probe. Single-node daemons
-// report enabled=false.
-func (s *Server) handleRing(w http.ResponseWriter, r *http.Request) {
-	m := s.Members()
-	if m == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
-	out := map[string]any{
-		"enabled": true,
-		"self":    m.Self(),
-		"nodes":   m.Status(),
-	}
-	if key := r.URL.Query().Get("key"); key != "" {
-		owner, _ := m.Owner(ResultAddr(key))
-		out["key"] = key
-		out["owner"] = owner
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleMechanisms(w http.ResponseWriter, r *http.Request) {

@@ -147,6 +147,11 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 		t.Fatalf("first run: %+v err=%v", final, err)
 	}
 	wantIPC := final.Cells[0].IPC
+	addr := final.Cells[0].ResultKey
+	code, wantRecord := getResult(t, c1, addr)
+	if code != http.StatusOK {
+		t.Fatalf("first daemon GET /v1/results/%s = %d: %s", addr, code, wantRecord)
+	}
 	stop1()
 
 	// "Restart": fresh process state — empty memo cache, new server,
@@ -173,6 +178,31 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	if final2.Cells[0].IPC != wantIPC {
 		t.Fatalf("restarted IPC %v != original %v", final2.Cells[0].IPC, wantIPC)
 	}
+	// The restarted daemon serves the record byte-for-byte as the first
+	// one did, and an address nothing was stored under is a 404.
+	if code, got := getResult(t, c2, addr); code != http.StatusOK || !bytes.Equal(got, wantRecord) {
+		t.Fatalf("restarted GET /v1/results/%s = %d, body differs from the first daemon's:\n%s\nwant:\n%s",
+			addr, code, got, wantRecord)
+	}
+	if code, _ := getResult(t, c2, serve.ResultAddr("workload=none|mech=none")); code != http.StatusNotFound {
+		t.Fatalf("unknown result address = %d, want 404", code)
+	}
+}
+
+// getResult fetches GET /v1/results/{addr} and returns the status code
+// and raw body.
+func getResult(t *testing.T, c *client.Client, addr string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(c.Base() + "/v1/results/" + addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
 }
 
 // TestServerSSELifecycle checks the event stream shape: queued,
@@ -394,6 +424,10 @@ func TestServerHealthAndMechanisms(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("mechanism list missing %q: %v", want, names)
 		}
+	}
+	// A memory-only daemon has no result store to serve from.
+	if code, body := getResult(t, c, serve.ResultAddr("workload=mysql|mech=baseline")); code != http.StatusNotFound {
+		t.Fatalf("memory-only GET /v1/results = %d, want 404: %s", code, body)
 	}
 }
 

@@ -288,7 +288,7 @@ func (p *schedProber) Probe(ctx context.Context, specs []experiments.ConfigSpec,
 		return nil, err
 	}
 	obs.TuneProbes.Add(float64(len(specs)))
-	st := p.s.resultTransport()
+	st := p.s.resultStore()
 	outs := make([]tune.Outcome, len(specs))
 	var missing []experiments.ConfigSpec
 	for i, cs := range specs {

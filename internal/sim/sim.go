@@ -44,7 +44,7 @@ type Config struct {
 	// of the synthetic generator, Workload carries only the display
 	// name, and the cache key is derived from the content hash —
 	// consistent with the content-addressed result store, so daemon
-	// dedup, replication and cluster sharding work unchanged.
+	// dedup and result storage work unchanged.
 	TraceRef string
 
 	// MaxInstructions ends the run after this many retired
