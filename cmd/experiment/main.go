@@ -1,8 +1,8 @@
 // Command experiment runs a JSON experiment descriptor (the analogue of
 // the paper artifact's `./run.sh -e isca.json` workflow) and writes a
 // CSV of results plus an optional speedup table. Long grids can stream
-// a per-interval metrics time series and serve live pprof/expvar
-// progress counters while they run.
+// a per-interval metrics time series and serve live pprof and
+// /metrics progress counters while they run.
 //
 //	experiment -f configs/isca.json -o results.csv
 //	experiment -f configs/isca.json -speedup-base baseline
@@ -48,7 +48,7 @@ func main() {
 		out      = flag.String("o", "", "CSV output path (default stdout)")
 		base     = flag.String("speedup-base", "", "also print per-workload speedups over this config label")
 		parallel = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); CSV row order is unchanged")
-		batch    = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image (one shared instruction stream per batch; CSV is byte-identical)")
+		batch    = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image (one shared instruction stream per batch; CSV is byte-identical); not with -tune")
 		traceIn  = flag.String("trace", "", "comma-separated recorded trace files (.udpt2) appended to the descriptor's trace set; the workload grid becomes these traces when the descriptor names none")
 		verbose  = flag.Bool("v", false, "print per-run progress (debug-level logs)")
 
@@ -58,7 +58,7 @@ func main() {
 
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every simulated cell (.csv or .jsonl)")
 		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out (0 with -metrics-out defaults to 10000)")
-		pprofAddr  = flag.String("pprof", "", "serve live pprof+expvar on this address (e.g. :6060)")
+		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
 		listMechs  = flag.Bool("list-mechanisms", false, "list registered prefetch mechanisms and exit")
 	)
 	flag.Parse()
@@ -75,7 +75,11 @@ func main() {
 	}
 
 	if *tuneFile != "" {
-		runTuneCmd(*tuneFile, *daemon, *storeDir, *parallel, *batch, *verbose, log, fatal)
+		if *batch {
+			fmt.Fprintln(os.Stderr, "experiment: -batch applies to descriptor grids, not to -tune")
+			os.Exit(2)
+		}
+		runTuneCmd(*tuneFile, *daemon, *storeDir, *parallel, *verbose, log, fatal)
 		return
 	}
 

@@ -18,8 +18,8 @@ import (
 // probes through the engine (optionally against a disk store as the
 // acquisition cache), and frontier events stream to stderr as they
 // happen.
-func runTuneLocal(sp *tune.Space, storeDir string, parallel int, batch, verbose bool, log *slog.Logger) (*tune.Result, error) {
-	prober := &tune.LocalProber{Space: sp, Parallelism: parallel, Batch: batch}
+func runTuneLocal(sp *tune.Space, storeDir string, parallel int, verbose bool, log *slog.Logger) (*tune.Result, error) {
+	prober := &tune.LocalProber{Space: sp, Parallelism: parallel}
 	if storeDir != "" {
 		st, err := serve.OpenStore(storeDir, 0, log)
 		if err != nil {
@@ -96,7 +96,7 @@ func printTuneTable(sp *tune.Space, config string, score float64, stats tune.Sta
 }
 
 // runTuneCmd is the `experiment -tune space.json` entry point.
-func runTuneCmd(path, daemon, storeDir string, parallel int, batch, verbose bool, log *slog.Logger, fatal func(string, ...any)) {
+func runTuneCmd(path, daemon, storeDir string, parallel int, verbose bool, log *slog.Logger, fatal func(string, ...any)) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		fatal("space open failed", "err", err)
@@ -124,7 +124,7 @@ func runTuneCmd(path, daemon, storeDir string, parallel int, batch, verbose bool
 		return
 	}
 
-	res, err := runTuneLocal(sp, storeDir, parallel, batch, verbose, log)
+	res, err := runTuneLocal(sp, storeDir, parallel, verbose, log)
 	if err != nil {
 		fatal("tune failed", "err", err)
 	}

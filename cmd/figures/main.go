@@ -2,7 +2,7 @@
 // figures, printing the same rows/series the paper plots. Beyond the
 // paper set it renders a cycle-resolved timeline figure from the
 // observability layer's interval sampler, and long regenerations can
-// stream a metrics time series and serve live pprof/expvar progress.
+// stream a metrics time series and serve live pprof and /metrics progress.
 //
 // Examples:
 //
@@ -56,7 +56,7 @@ func main() {
 
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every simulated cell (.csv or .jsonl)")
 		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out/-timeline (0 defaults to 10000)")
-		pprofAddr  = flag.String("pprof", "", "serve live pprof+expvar on this address (e.g. :6060)")
+		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
 		listMechs  = flag.Bool("list-mechanisms", false, "list registered prefetch mechanisms and exit")
 	)
 	flag.Parse()

@@ -38,7 +38,7 @@ func main() {
 
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every swept run (.csv or .jsonl)")
 		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out (0 with -metrics-out defaults to 10000)")
-		pprofAddr  = flag.String("pprof", "", "serve live pprof+expvar on this address (e.g. :6060)")
+		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
 	)
 	flag.Parse()
 

@@ -2,7 +2,7 @@
 // one configuration. It prints the metrics the paper's figures are
 // built from, and can stream the run's cycle-level observability: a
 // Chrome trace-event JSON (Perfetto-loadable), a per-interval metrics
-// time series (CSV/JSONL), and a live pprof/expvar endpoint.
+// time series (CSV/JSONL), and a live pprof/metrics endpoint.
 //
 // Examples:
 //
@@ -51,7 +51,7 @@ func main() {
 		traceCap   = flag.Int("trace-cap", 0, "event ring capacity per region (0 = default 1Mi events)")
 		metricsOut = flag.String("metrics-out", "", "write a per-interval metrics time series (.csv, or .jsonl/.json for JSON lines)")
 		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out (0 with -metrics-out defaults to 10000)")
-		pprofAddr  = flag.String("pprof", "", "serve live pprof+expvar on this address (e.g. :6060)")
+		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
 	)
 	flag.Parse()
 

@@ -20,7 +20,7 @@
 //	GET    /v1/tune/{id}/events  SSE stream (probes, generations, incumbents)
 //	GET    /v1/results/{key}     content-addressed result record
 //	GET    /healthz /readyz      health; readiness flips 503 on drain
-//	GET    /debug/vars           expvar (queue depth, dedup, store hits)
+//	GET    /metrics              Prometheus text (queue depth, dedup, store hits)
 //
 // SIGTERM/SIGINT drain gracefully: admission stops, queued jobs are
 // canceled, running jobs finish (bounded by -drain-timeout), results
@@ -52,10 +52,8 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job runtime cap (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown budget for running jobs")
 		interval     = flag.Uint64("interval", 10_000, "SSE metrics sampling interval in cycles (0 disables samples)")
-		batch        = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image and coalesce queued jobs that share one (results are byte-identical)")
-		coalesce     = flag.Int("coalesce", 4, "max queued jobs merged into one batched run (with -batch)")
 		storeCacheMB = flag.Int("store-cache-mb", int(serve.DefaultCacheBytes>>20), "in-memory store read cache budget in MiB")
-		pprofAddr    = flag.String("pprof", "", "serve live pprof+expvar+metrics on this extra address (e.g. :6060)")
+		pprofAddr    = flag.String("pprof", "", "serve live pprof+metrics on this extra address (e.g. :6060)")
 		traceOut     = flag.String("trace-out", "", "write the session's job-lifecycle spans as Chrome trace JSON to this file at shutdown (load in Perfetto)")
 		verbose      = flag.Bool("v", false, "debug-level logs")
 	)
@@ -90,8 +88,6 @@ func main() {
 		JobTimeout:  *jobTimeout,
 		Parallelism: *parallel,
 		Interval:    *interval,
-		Batch:       *batch,
-		MaxCoalesce: *coalesce,
 		Log:         log,
 	})
 

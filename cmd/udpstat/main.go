@@ -109,7 +109,7 @@ func snapshot(ctx context.Context, c *client.Client, jobsMax int) (string, error
 	fmt.Fprintf(&b, "udpsimd %s  up %s  status=%s  queue=%d  in-flight-http=%.0f\n",
 		c.Base(), (time.Duration(health.UptimeSecs) * time.Second).String(),
 		health.Status, health.QueueDepth, sampleVal(samples, "udpsimd_http_in_flight_requests"))
-	b.WriteString(counterLines(samples))
+	b.WriteString(counterLines(func(name string) float64 { return sampleVal(samples, name) }))
 	b.WriteString(latencyTable(samples))
 	b.WriteString(jobTable(jobs, jobsMax))
 	return b.String(), nil
@@ -127,15 +127,14 @@ func hitRate(hits, misses float64) string {
 	return fmt.Sprintf("%.1f%%", 100*hits/(hits+misses))
 }
 
-// counterLines renders the jobs / cache / store counter rows.
-func counterLines(samples []client.MetricSample) string {
-	val := func(name string) float64 { return sampleVal(samples, name) }
+// counterLines renders the jobs / cache / store counter rows, reading
+// each series through val.
+func counterLines(val func(name string) float64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "jobs: submitted=%.0f done=%.0f failed=%.0f canceled=%.0f deduped=%.0f coalesced=%.0f rejected=%.0f\n",
+	fmt.Fprintf(&b, "jobs: submitted=%.0f done=%.0f failed=%.0f canceled=%.0f deduped=%.0f rejected=%.0f\n",
 		val("udpsimd_jobs_submitted"), val("udpsimd_jobs_completed"),
 		val("udpsimd_jobs_failed"), val("udpsimd_jobs_canceled"),
-		val("udpsimd_jobs_deduped"), val("udpsimd_jobs_coalesced"),
-		val("udpsimd_jobs_rejected"))
+		val("udpsimd_jobs_deduped"), val("udpsimd_jobs_rejected"))
 
 	fmt.Fprintf(&b, "cache: hit %s (hits=%.0f misses=%.0f waits=%.0f)   store: hit %s (hits=%.0f misses=%.0f writes=%.0f errors=%.0f cached=%s)\n",
 		hitRate(val("udpsim_cache_hits"), val("udpsim_cache_misses")),

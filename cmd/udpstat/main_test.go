@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
 
+	"udpsim/internal/obs"
 	"udpsim/internal/serve"
+	"udpsim/internal/serve/client"
 )
 
 // jobOrder returns the job IDs of a rendered job table, top to bottom.
@@ -61,5 +64,31 @@ func TestParseFlagsJobs(t *testing.T) {
 	}
 	if got := jobTable([]serve.JobView{{ID: "j", State: serve.JobDone}}, 0); len(jobOrder(got)) != 0 {
 		t.Errorf("-jobs 0 listed rows:\n%s", got)
+	}
+}
+
+// TestCounterLinesSeriesExist scrapes the process-wide registry the
+// daemon serves at /metrics and checks that every series counterLines
+// reads is exposed: a missing one would render as a silent 0.
+func TestCounterLinesSeriesExist(t *testing.T) {
+	var text bytes.Buffer
+	if err := obs.Metrics.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := client.ParseMetrics(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := 0
+	counterLines(func(name string) float64 {
+		read++
+		v, ok := client.MetricValue(samples, name, nil)
+		if !ok {
+			t.Errorf("counterLines reads %q, which /metrics does not expose", name)
+		}
+		return v
+	})
+	if read == 0 {
+		t.Fatal("counterLines read no series")
 	}
 }

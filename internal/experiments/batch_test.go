@@ -105,56 +105,3 @@ func TestBatchedSingleflightInterop(t *testing.T) {
 		}
 	}
 }
-
-// TestRunDescriptorsBatchedCoalesces merges two descriptor jobs sharing
-// a workload image into one pool and asserts per-job results match
-// independent unbatched runs, including the cross-job dedup of an
-// identical cell.
-func TestRunDescriptorsBatchedCoalesces(t *testing.T) {
-	mk := func(name string, instrs uint64, labels ...string) *Descriptor {
-		d := &Descriptor{
-			Name:         name,
-			Workloads:    []string{"mysql"},
-			Instructions: instrs,
-			Warmup:       8_000,
-		}
-		for _, l := range labels {
-			cs := ConfigSpec{Label: l, Mechanism: l}
-			d.Configs = append(d.Configs, cs)
-		}
-		if err := d.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	a := mk("job-a", 21_103, "baseline", "udp")
-	b := mk("job-b", 21_103, "baseline", "eip") // "baseline" cell identical to job-a's
-
-	wantA, err := RunDescriptor(a, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := RunDescriptor(b, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	FlushResultCache()
-	got, errs := RunDescriptorsBatched(nil, []DescriptorJob{{D: a}, {D: b}}, 2)
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	check := func(got, want []DescriptorResult) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("got %d cells, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("cell %d: coalesced result differs\n got: %+v\nwant: %+v", i, got[i], want[i])
-			}
-		}
-	}
-	check(got[0], wantA)
-	check(got[1], wantB)
-}

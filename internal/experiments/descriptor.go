@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -392,106 +391,53 @@ func CellKey(d *Descriptor, workloadName string, cs ConfigSpec) string {
 // store is installed, previously computed cells load from disk. Cached
 // and store-served cells emit no interval samples (nothing simulates).
 func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int, obsOpts Options) ([]DescriptorResult, error) {
-	out, errs := runDescriptorGrids([]DescriptorJob{{D: d, Progress: progress, Opts: obsOpts}}, parallelism)
-	if errs[0] != nil {
-		return nil, errs[0]
+	// Per-cell engine options: the descriptor's effort knobs, the
+	// caller's observability hooks, no engine-level progress (labeled
+	// lines are printed below).
+	opts := Options{
+		Instructions: d.Instructions,
+		Warmup:       d.Warmup,
+		Simpoints:    d.Simpoints,
+		Batch:        obsOpts.Batch,
+		Context:      obsOpts.Context,
+		Interval:     obsOpts.Interval,
+		Metrics:      obsOpts.Metrics,
+		OnSample:     obsOpts.OnSample,
+		Store:        obsOpts.Store,
+		OnSpan:       obsOpts.OnSpan,
 	}
-	return out[0], nil
-}
-
-// DescriptorJob pairs one descriptor with its per-job progress sink and
-// engine options (observability hooks, context, Batch).
-type DescriptorJob struct {
-	D        *Descriptor
-	Progress func(string)
-	Opts     Options
-}
-
-// RunDescriptorsBatched executes several descriptor grids as one merged
-// cell pool with lockstep batching forced on — the daemon's
-// job-coalescing entry point: queued jobs that share a workload image
-// land in the same batches, so their streams are produced once across
-// jobs, not once per job. Results and errors are per job, in input
-// order; per-job observability hooks and progress sinks are preserved
-// per cell. ctx (when non-nil) overrides every job's own context — the
-// caller owns merged-cancellation policy.
-func RunDescriptorsBatched(ctx context.Context, jobs []DescriptorJob, parallelism int) ([][]DescriptorResult, []error) {
-	for i := range jobs {
-		jobs[i].Opts.Batch = true
-		if ctx != nil {
-			jobs[i].Opts.Context = ctx
-		}
-	}
-	return runDescriptorGrids(jobs, parallelism)
-}
-
-// runDescriptorGrids is the shared descriptor engine: it materializes
-// every job's (workload × config) grid, resolves the merged pool —
-// batched (one lockstep group per workload image, spanning jobs) when
-// any job asks for it — and splits results back per job.
-func runDescriptorGrids(jobs []DescriptorJob, parallelism int) ([][]DescriptorResult, []error) {
-	type slot struct{ job, pos int } // a cell's place in its job's grid
 	var cells []cell
-	var slots []slot
-	batch := false
-	out := make([][]DescriptorResult, len(jobs))
-	for j, job := range jobs {
-		d := job.D
-		// Per-cell engine options: the descriptor's effort knobs, the
-		// caller's observability hooks, no engine-level progress (the
-		// descriptor layer prints its own labeled lines below).
-		opts := Options{
-			Instructions: d.Instructions,
-			Warmup:       d.Warmup,
-			Simpoints:    d.Simpoints,
-			Batch:        job.Opts.Batch,
-			Context:      job.Opts.Context,
-			Interval:     job.Opts.Interval,
-			Metrics:      job.Opts.Metrics,
-			OnSample:     job.Opts.OnSample,
-			Store:        job.Opts.Store,
-			OnSpan:       job.Opts.OnSpan,
-		}
-		batch = batch || job.Opts.Batch
-		for _, w := range d.Workloads {
-			for _, cs := range d.Configs {
-				cells = append(cells, cell{name: w, mech: sim.Mechanism(cs.Mechanism),
-					cfg: CellConfig(d, w, cs), opts: opts})
-				slots = append(slots, slot{j, len(out[j])})
-				out[j] = append(out[j], DescriptorResult{Workload: w, Label: cs.Label})
-			}
+	var out []DescriptorResult
+	for _, w := range d.Workloads {
+		for _, cs := range d.Configs {
+			cells = append(cells, cell{name: w, mech: sim.Mechanism(cs.Mechanism),
+				cfg: CellConfig(d, w, cs), opts: opts})
+			out = append(out, DescriptorResult{Workload: w, Label: cs.Label})
 		}
 	}
 	if len(cells) == 0 {
-		return out, make([]error, len(jobs))
+		return out, nil
 	}
 
-	// The merged pool runs under the first job's context
-	// (RunDescriptorsBatched already unified the contexts, and a
-	// single-job call has only its own).
-	res, cerrs := resolveCells(cells[0].opts.ctx(), cells, parallelism, batch, nil)
-	perJob := make([][]error, len(jobs))
-	for i, sl := range slots {
-		r := &out[sl.job][sl.pos]
+	res, cerrs := resolveCells(opts.ctx(), cells, parallelism, opts.Batch, nil)
+	var errs []error
+	for i := range out {
+		r := &out[i]
 		if cerrs[i] != nil {
-			perJob[sl.job] = append(perJob[sl.job], fmt.Errorf("experiments: %s/%s: %w", r.Workload, r.Label, cerrs[i]))
+			errs = append(errs, fmt.Errorf("experiments: %s/%s: %w", r.Workload, r.Label, cerrs[i]))
 			continue
 		}
 		r.Result = res[i]
-		if p := jobs[sl.job].Progress; p != nil {
+		if progress != nil {
 			progressMu.Lock()
-			p(fmt.Sprintf("%s/%s: IPC %.4f", r.Workload, r.Label, res[i].IPC))
+			progress(fmt.Sprintf("%s/%s: IPC %.4f", r.Workload, r.Label, res[i].IPC))
 			progressMu.Unlock()
 		}
 	}
-	errs := make([]error, len(jobs))
-	for j := range jobs {
-		if len(perJob[j]) > 0 {
-			out[j] = nil
-			errs[j] = errors.Join(perJob[j]...)
-		}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
-	return out, errs
+	return out, nil
 }
 
 // WriteCSV emits the descriptor results as a CSV with one row per cell.

@@ -69,8 +69,8 @@ func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
 	for i, j := range jobs {
 		cells[i] = o.cell(j.app, j.mech, j.mutate)
 	}
-	// Live grid-cell progress for the expvar endpoint (/debug/vars).
-	obs.JobsTotal.Add(int64(len(jobs)))
+	// Live grid-cell progress for the /metrics endpoint.
+	obs.JobsTotal.Add(float64(len(jobs)))
 	results, errs := resolveCells(o.ctx(), cells, o.parallelism(), o.Batch, func() { obs.JobsDone.Add(1) })
 	return results, errors.Join(errs...)
 }
@@ -82,7 +82,7 @@ const maxBatchSize = 16
 
 // cell is one grid cell: its identity for progress lines, its full
 // config, and the Options owning its cache behaviour and observability
-// hooks (cells of a coalesced daemon group carry different Options).
+// hooks.
 type cell struct {
 	name string
 	mech sim.Mechanism
@@ -104,7 +104,7 @@ type cell struct {
 // per workload image (sim.RunBatchSimpoints), or one
 // sim.RunSimpointsCtx per key on the worker pool. Results are
 // bit-identical either way. onCellDone (if non-nil) fires once per
-// finalized cell (the expvar progress counter).
+// finalized cell (the grid-cell progress counter).
 func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, onCellDone func()) ([]sim.Result, []error) {
 	results := make([]sim.Result, len(cells))
 	errs := make([]error, len(cells))

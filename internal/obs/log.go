@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"io"
 	"log/slog"
 	"net"
@@ -37,10 +36,9 @@ func RegisterMetricsHandler() {
 // ServeDebug starts the live diagnostics HTTP server on addr (e.g.
 // ":6060") in a background goroutine and returns the bound address and
 // a stop function. The default mux carries /debug/pprof (CPU/heap/
-// goroutine profiles of a long sweep), /debug/vars (expvar: the
-// experiment engine's result-cache hit rates and grid-cell progress)
-// and /metrics (Prometheus text exposition of the typed registry plus
-// bridged expvars). Returns an error only if the listener cannot be
+// goroutine profiles of a long sweep) and /metrics (Prometheus text
+// exposition of the Metrics registry: the experiment engine's
+// result-cache hit rates and grid-cell progress among them). Returns an error only if the listener cannot be
 // opened; serving errors after startup are logged and dropped. The
 // stop function closes the listener and waits for the serve goroutine
 // to exit, so tests and short-lived cmds don't leak either.
@@ -53,7 +51,7 @@ func ServeDebug(addr string, log *slog.Logger) (string, func(), error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		err := http.Serve(ln, nil) // default mux: pprof + expvar + metrics
+		err := http.Serve(ln, nil) // default mux: pprof + metrics
 		if log != nil {
 			log.Debug("debug server exited", "addr", ln.Addr().String(), "err", err)
 		}
@@ -61,7 +59,6 @@ func ServeDebug(addr string, log *slog.Logger) (string, func(), error) {
 	if log != nil {
 		log.Info("debug server listening",
 			"pprof", "http://"+ln.Addr().String()+"/debug/pprof/",
-			"expvar", "http://"+ln.Addr().String()+"/debug/vars",
 			"metrics", "http://"+ln.Addr().String()+"/metrics")
 	}
 	stop := func() {
@@ -70,59 +67,3 @@ func ServeDebug(addr string, log *slog.Logger) (string, func(), error) {
 	}
 	return ln.Addr().String(), stop, nil
 }
-
-// Expvar counter handles published by the experiments engine. They
-// live here (not in internal/experiments) so the obs package owns the
-// full observability surface and the engine only increments.
-var (
-	// CacheHits counts result-cache hits (identical grid cells
-	// deduplicated across figures).
-	CacheHits = expvar.NewInt("udpsim.cache.hits")
-	// CacheMisses counts result-cache misses (actual simulations).
-	CacheMisses = expvar.NewInt("udpsim.cache.misses")
-	// CacheInflightWaits counts joins onto an in-flight identical run.
-	CacheInflightWaits = expvar.NewInt("udpsim.cache.inflight_waits")
-	// JobsTotal / JobsDone track grid-cell progress of the current
-	// experiment run.
-	JobsTotal = expvar.NewInt("udpsim.jobs.total")
-	JobsDone  = expvar.NewInt("udpsim.jobs.done")
-
-	// Persistent result-store traffic (the disk-backed store the engine
-	// cache reads through when one is installed; see
-	// experiments.SetResultStore). StoreHits are in-memory misses served
-	// from disk without simulating; StoreMisses are probes that fell
-	// through to a real simulation; StoreWrites are successful
-	// write-backs; StoreErrors are store I/O failures (treated as
-	// misses); StoreQuarantined counts corrupt records moved aside
-	// instead of being served.
-	StoreHits        = expvar.NewInt("udpsim.store.hits")
-	StoreMisses      = expvar.NewInt("udpsim.store.misses")
-	StoreWrites      = expvar.NewInt("udpsim.store.writes")
-	StoreErrors      = expvar.NewInt("udpsim.store.errors")
-	StoreQuarantined = expvar.NewInt("udpsim.store.quarantined")
-)
-
-// Daemon (udpsimd) job-queue counters, published here so the whole
-// observability surface lives in one package and /debug/vars carries
-// engine-cache, store and queue health side by side.
-var (
-	// DaemonJobsSubmitted counts accepted POST /v1/jobs submissions
-	// (including ones deduplicated onto an existing job).
-	DaemonJobsSubmitted = expvar.NewInt("udpsimd.jobs.submitted")
-	// DaemonJobsDeduped counts submissions that attached to an
-	// already-queued, running or completed identical job instead of
-	// enqueuing a new one (cross-client singleflight).
-	DaemonJobsDeduped = expvar.NewInt("udpsimd.jobs.deduped")
-	// DaemonJobsRejected counts submissions refused by admission
-	// control (bounded queue full → HTTP 429, or draining → 503).
-	DaemonJobsRejected  = expvar.NewInt("udpsimd.jobs.rejected")
-	DaemonJobsCompleted = expvar.NewInt("udpsimd.jobs.completed")
-	DaemonJobsFailed    = expvar.NewInt("udpsimd.jobs.failed")
-	DaemonJobsCanceled  = expvar.NewInt("udpsimd.jobs.canceled")
-	// DaemonJobsCoalesced counts queued jobs absorbed into another
-	// job's lockstep-batched run because they share a workload image.
-	DaemonJobsCoalesced = expvar.NewInt("udpsimd.jobs.coalesced")
-	// DaemonQueueDepth is the instantaneous number of queued (not yet
-	// running) jobs.
-	DaemonQueueDepth = expvar.NewInt("udpsimd.queue.depth")
-)

@@ -4,15 +4,11 @@ package obs
 // metric registry (counters, gauges, histograms backed by
 // stats.Histogram) with Prometheus text-format exposition. The daemon
 // mounts it at GET /metrics; ServeDebug registers it on the default
-// mux next to /debug/pprof and /debug/vars.
-//
-// The registry deliberately bridges the pre-existing expvar counters
-// (udpsim.* engine/store counters, udpsimd.* queue counters) into the
-// exposition, names mapped dot→underscore, so nothing that was
-// observable through /debug/vars is lost behind the new endpoint.
+// mux next to /debug/pprof. It is the process's only counter surface:
+// engine-cache, store and queue counters live here next to the
+// service histograms.
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,30 +23,21 @@ import (
 // PromRegistry is a set of named metric families rendered in
 // Prometheus text exposition format. All methods are safe for
 // concurrent use; registration panics on duplicate or malformed names
-// (programmer error, caught at init like expvar.NewInt).
+// (programmer error, caught at package init).
 type PromRegistry struct {
 	mu     sync.Mutex
 	byName map[string]*promFamily
-	// bridge, when true, appends udpsim.*/udpsimd.* expvars to the
-	// exposition (the default registry's behaviour).
-	bridge bool
 }
 
-// NewPromRegistry builds an empty registry without the expvar bridge
-// (tests build isolated registries; the process-wide Metrics registry
-// bridges).
+// NewPromRegistry builds an empty registry (tests build isolated
+// registries).
 func NewPromRegistry() *PromRegistry {
 	return &PromRegistry{byName: map[string]*promFamily{}}
 }
 
-// Metrics is the process-wide registry: every service metric handle
-// below registers here, and its exposition bridges the udpsim.* /
-// udpsimd.* expvar counters.
-var Metrics = func() *PromRegistry {
-	r := NewPromRegistry()
-	r.bridge = true
-	return r
-}()
+// Metrics is the process-wide registry: every metric handle below
+// registers here.
+var Metrics = NewPromRegistry()
 
 // promFamily is one named metric: a fixed label-key set and one series
 // per label-value combination.
@@ -341,15 +328,14 @@ func formatValue(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// WriteText renders the registry (families sorted by name, series in
-// first-use order) followed by the bridged expvars when enabled.
+// WriteText renders the registry: families sorted by name, series in
+// first-use order.
 func (r *PromRegistry) WriteText(w io.Writer) error {
 	r.mu.Lock()
 	fams := make([]*promFamily, 0, len(r.byName))
 	for _, f := range r.byName {
 		fams = append(fams, f)
 	}
-	bridge := r.bridge
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
@@ -385,56 +371,7 @@ func (r *PromRegistry) WriteText(w io.Writer) error {
 		}
 		f.mu.Unlock()
 	}
-	if bridge {
-		r.writeBridged(pr)
-	}
 	return err
-}
-
-// bridgedGauges names the expvar bridges that are instantaneous values
-// rather than monotone counts.
-var bridgedGauges = map[string]bool{
-	"udpsimd_queue_depth": true,
-}
-
-// writeBridged appends the udpsim.* / udpsimd.* expvar integers, names
-// mapped dot→underscore, so the whole pre-/metrics observability
-// surface survives in the exposition.
-func (r *PromRegistry) writeBridged(pr func(string, ...any)) {
-	type bridged struct {
-		name, src, val string
-	}
-	var vars []bridged
-	expvar.Do(func(kv expvar.KeyValue) {
-		if !strings.HasPrefix(kv.Key, "udpsim.") && !strings.HasPrefix(kv.Key, "udpsimd.") {
-			return
-		}
-		iv, ok := kv.Value.(*expvar.Int)
-		if !ok {
-			return
-		}
-		name := strings.ReplaceAll(kv.Key, ".", "_")
-		if !validMetricName(name) {
-			return
-		}
-		r.mu.Lock()
-		_, shadowed := r.byName[name]
-		r.mu.Unlock()
-		if shadowed {
-			return
-		}
-		vars = append(vars, bridged{name: name, src: kv.Key, val: iv.String()})
-	})
-	sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
-	for _, v := range vars {
-		typ := "counter"
-		if bridgedGauges[v.name] {
-			typ = "gauge"
-		}
-		pr("# HELP %s bridged from expvar %q\n", v.name, v.src)
-		pr("# TYPE %s %s\n", v.name, typ)
-		pr("%s %s\n", v.name, v.val)
-	}
 }
 
 // Handler serves the exposition (GET /metrics).
@@ -445,13 +382,68 @@ func (r *PromRegistry) Handler() http.Handler {
 	})
 }
 
-// Service metric handles. They live on the process-wide registry so
-// the queue, the HTTP layer, the engine and the store can observe
-// without plumbing a registry through every constructor — the same
-// pattern as the expvar counters above, lifted to typed metrics.
-// Durations are microseconds in log2 buckets (2^36 µs ≈ 19 h caps the
-// longest runs).
+// Metric handles. They live on the process-wide registry so the
+// queue, the HTTP layer, the engine and the store can observe without
+// plumbing a registry through every constructor. Durations are
+// microseconds in log2 buckets (2^36 µs ≈ 19 h caps the longest runs).
 var (
+	// Engine result-cache traffic: hits are identical grid cells
+	// deduplicated across figures, misses are actual simulations,
+	// inflight waits are joins onto an in-flight identical run.
+	CacheHits = Metrics.Counter("udpsim_cache_hits",
+		"engine result-cache hits (cells served without simulating)")
+	CacheMisses = Metrics.Counter("udpsim_cache_misses",
+		"engine result-cache misses (cells actually simulated)")
+	CacheInflightWaits = Metrics.Counter("udpsim_cache_inflight_waits",
+		"engine lookups that joined an in-flight identical run")
+	// JobsTotal / JobsDone track grid-cell progress of experiment runs.
+	JobsTotal = Metrics.Counter("udpsim_jobs_total",
+		"grid cells submitted to the experiment engine")
+	JobsDone = Metrics.Counter("udpsim_jobs_done",
+		"grid cells the experiment engine finalized")
+
+	// Persistent result-store traffic (the disk-backed store the engine
+	// cache reads through when one is installed; see
+	// experiments.SetResultStore). StoreHits are in-memory misses served
+	// from disk without simulating; StoreMisses are probes that fell
+	// through to a real simulation; StoreWrites are successful
+	// write-backs; StoreErrors are store I/O failures (treated as
+	// misses); StoreQuarantined counts corrupt records moved aside
+	// instead of being served.
+	StoreHits = Metrics.Counter("udpsim_store_hits",
+		"result-store probes served from disk without simulating")
+	StoreMisses = Metrics.Counter("udpsim_store_misses",
+		"result-store probes that fell through to a simulation")
+	StoreWrites = Metrics.Counter("udpsim_store_writes",
+		"successful result-store write-backs")
+	StoreErrors = Metrics.Counter("udpsim_store_errors",
+		"result-store I/O failures (treated as misses)")
+	StoreQuarantined = Metrics.Counter("udpsim_store_quarantined",
+		"corrupt result-store records moved aside instead of served")
+
+	// Daemon (udpsimd) job-queue counters. Submitted includes
+	// submissions deduplicated onto an existing job; deduped counts
+	// submissions that attached to an already-queued, running or
+	// completed identical job (cross-client singleflight); rejected
+	// counts admission-control refusals (queue full → HTTP 429,
+	// draining → 503).
+	DaemonJobsSubmitted = Metrics.Counter("udpsimd_jobs_submitted",
+		"accepted job submissions, deduplicated ones included")
+	DaemonJobsDeduped = Metrics.Counter("udpsimd_jobs_deduped",
+		"submissions attached to an existing identical job")
+	DaemonJobsRejected = Metrics.Counter("udpsimd_jobs_rejected",
+		"submissions refused by admission control (queue full or draining)")
+	DaemonJobsCompleted = Metrics.Counter("udpsimd_jobs_completed",
+		"jobs finished done")
+	DaemonJobsFailed = Metrics.Counter("udpsimd_jobs_failed",
+		"jobs finished failed")
+	DaemonJobsCanceled = Metrics.Counter("udpsimd_jobs_canceled",
+		"jobs finished canceled (by a client, a timeout or a drain)")
+	// DaemonQueueDepth is the instantaneous number of queued (not yet
+	// running) jobs.
+	DaemonQueueDepth = Metrics.Gauge("udpsimd_queue_depth",
+		"jobs queued and not yet running")
+
 	// HTTPInFlight counts requests currently being served.
 	HTTPInFlight = Metrics.Gauge("udpsimd_http_in_flight_requests",
 		"HTTP requests currently in flight")
@@ -471,10 +463,6 @@ var (
 	RunDurationUS = Metrics.HistogramVec("udpsimd_run_duration_us",
 		"measured-region simulation wall time in microseconds by mechanism",
 		Log2Bounds(36), "mechanism")
-	// CoalesceSizeJobs is the merged-group size distribution of the
-	// batched scheduler (1 = no merge happened).
-	CoalesceSizeJobs = Metrics.Histogram("udpsimd_coalesce_size_jobs",
-		"queued jobs merged into one lockstep-batched run", LinearBounds(16, 1))
 	// StoreReadUS / StoreWriteUS are persistent-store operation
 	// latencies (probe and write-back respectively).
 	StoreReadUS = Metrics.Histogram("udpsim_store_read_us",

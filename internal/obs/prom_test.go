@@ -190,35 +190,49 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestPromBridgedExpvars checks the process-wide registry folds the
-// pre-existing udpsim.*/udpsimd.* expvar counters into the exposition
-// with dot→underscore names, types them, and never emits a family
-// twice (registered names shadow bridged ones).
-func TestPromBridgedExpvars(t *testing.T) {
-	lines := expositionLines(t, Metrics)
-
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{
-		"# TYPE udpsim_cache_hits counter",
-		"# TYPE udpsimd_queue_depth gauge", // the one bridged gauge
-		"bridged from expvar",
-		"# TYPE udpsimd_http_requests_total counter", // typed registry family
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("bridged exposition missing %q", want)
+// TestMetricsCounterSeries pins the engine, store and queue series
+// that CI, perfbench and udpstat scrape: each appears exactly once on
+// the process-wide registry with its type (counters, except the queue
+// depth gauge), and no family is emitted twice.
+func TestMetricsCounterSeries(t *testing.T) {
+	want := map[string]string{
+		"udpsim_cache_hits":           "counter",
+		"udpsim_cache_misses":         "counter",
+		"udpsim_cache_inflight_waits": "counter",
+		"udpsim_jobs_total":           "counter",
+		"udpsim_jobs_done":            "counter",
+		"udpsim_store_hits":           "counter",
+		"udpsim_store_misses":         "counter",
+		"udpsim_store_writes":         "counter",
+		"udpsim_store_errors":         "counter",
+		"udpsim_store_quarantined":    "counter",
+		"udpsimd_jobs_submitted":      "counter",
+		"udpsimd_jobs_deduped":        "counter",
+		"udpsimd_jobs_rejected":       "counter",
+		"udpsimd_jobs_completed":      "counter",
+		"udpsimd_jobs_failed":         "counter",
+		"udpsimd_jobs_canceled":       "counter",
+		"udpsimd_queue_depth":         "gauge",
+	}
+	types := map[string]string{}
+	samples := map[string]int{}
+	for _, l := range expositionLines(t, Metrics) {
+		if f := strings.Fields(l); strings.HasPrefix(l, "# TYPE ") {
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("family %q emitted twice", f[2])
+			}
+			types[f[2]] = f[3]
+		} else if !strings.HasPrefix(l, "#") {
+			samples[f[0]]++
 		}
 	}
-
-	seen := map[string]bool{}
-	for _, l := range lines {
-		if !strings.HasPrefix(l, "# TYPE ") {
-			continue
+	for name, typ := range want {
+		if types[name] != typ {
+			t.Errorf("%s: # TYPE %q, want %q", name, types[name], typ)
 		}
-		name := strings.Fields(l)[2]
-		if seen[name] {
-			t.Errorf("family %q emitted twice (bridge not shadowed)", name)
+		if samples[name] != 1 {
+			t.Errorf("%s: %d sample lines, want exactly 1", name, samples[name])
 		}
-		seen[name] = true
 	}
 }
 

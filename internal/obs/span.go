@@ -3,11 +3,10 @@ package obs
 // span.go is the service-layer half of tracing: where obs.Tracer
 // records cycle-timestamped events inside one simulated machine,
 // SpanRecorder records wall-clock spans across the daemon's job
-// lifecycle (queue-wait, coalesce-merge, store-read, warmup, measure,
-// store-write). Spans carry a trace ID minted at job submission (or
-// propagated from the client via X-Trace-ID), so everything one
-// submission caused — including work it shared with coalesced
-// neighbours — renders as one connected timeline in Perfetto.
+// lifecycle (queue-wait, store-read, warmup, measure, store-write).
+// Spans carry a trace ID minted at job submission (or propagated from
+// the client via X-Trace-ID), so everything one submission caused
+// renders as one connected timeline in Perfetto.
 
 import (
 	"crypto/rand"

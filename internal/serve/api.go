@@ -47,7 +47,7 @@ type JobView struct {
 	Client      string   `json:"client"`
 	Submissions int64    `json:"submissions"`
 	// TraceID is the job's end-to-end trace: every span the job caused
-	// (queue-wait, coalesce-merge, store I/O, warmup, measure) carries
+	// (queue-wait, store I/O, warmup, measure) carries
 	// it, and GET /debug/trace renders the connected timeline.
 	TraceID string `json:"trace_id,omitempty"`
 	// Deduped is set on submission responses when the POST attached to

@@ -64,8 +64,8 @@ type Job struct {
 	Descriptor *experiments.Descriptor
 	Priority   int
 	Client     string // first submitter
-	// TraceID connects everything this job caused — queue-wait,
-	// coalesce-merge, store I/O, warmup/measure — into one timeline.
+	// TraceID connects everything this job caused — queue-wait, store
+	// I/O, warmup/measure — into one timeline.
 	// Minted at submission or propagated from the client's X-Trace-ID;
 	// deduplicated submissions keep the original job's trace. Immutable
 	// after creation.
@@ -74,6 +74,9 @@ type Job struct {
 	// stable order GET /v1/jobs pages by. Deduplicated submissions keep
 	// the original job's seq. Immutable after creation.
 	seq int64
+	// sched is the owning scheduler, so a queued job can leave its
+	// queue when canceled.
+	sched *Scheduler
 
 	hub  *eventHub
 	done chan struct{}
@@ -148,8 +151,10 @@ func (j *Job) Cancel(reason string) {
 	if cancel != nil {
 		cancel() // running: the worker finishes the state transition
 	} else if queued {
-		// Not yet picked up: the scheduler's dequeue path skips
-		// terminal jobs; finish it here.
+		// Not yet picked up: give back its queue slot now, then finish
+		// it here. A worker that popped it first sees cancelAsked and
+		// finishes it instead.
+		j.sched.dequeue(j)
 		j.finish(JobCanceled, nil, reason)
 	}
 }
@@ -200,12 +205,6 @@ func JobID(d *experiments.Descriptor) string {
 // drain.
 type RunFunc func(ctx context.Context, job *Job) ([]experiments.DescriptorResult, error)
 
-// RunGroupFunc executes several coalesced jobs as one merged run (the
-// lockstep-batched pool). Results and errors are per job, in input
-// order. The scheduler cancels ctx on timeout, forced drain, or once
-// every job in the group has been canceled.
-type RunGroupFunc func(ctx context.Context, jobs []*Job) ([][]experiments.DescriptorResult, []error)
-
 // SchedulerConfig sizes the scheduler.
 type SchedulerConfig struct {
 	// Workers is the number of jobs run concurrently (default 1).
@@ -215,21 +214,13 @@ type SchedulerConfig struct {
 	// submissions beyond it are rejected with ErrQueueFull (HTTP 429).
 	// Default 64.
 	MaxQueue int
-	// JobTimeout caps one job's run time (0 = unlimited; for a
-	// coalesced group the cap covers the whole merged run).
+	// JobTimeout caps one job's run time (0 = unlimited).
 	JobTimeout time.Duration
 	// Run executes a job (required).
 	Run RunFunc
-	// RunGroup, when set together with MaxCoalesce > 1, executes a
-	// group of queued jobs sharing a workload image as one merged run.
-	RunGroup RunGroupFunc
-	// MaxCoalesce caps how many queued jobs one merged run may absorb
-	// (<= 1 disables coalescing).
-	MaxCoalesce int
-	// OnSpan, when set, receives the scheduler's lifecycle spans
-	// (queue-wait per job, coalesce-merge per merged group), already
-	// stamped with the owning job's trace ID. Must be safe for
-	// concurrent use.
+	// OnSpan, when set, receives the scheduler's queue-wait span per
+	// job, already stamped with the owning job's trace ID. Must be safe
+	// for concurrent use.
 	OnSpan func(obs.Span)
 	// Log receives scheduler lifecycle logs (nil = discard).
 	Log *slog.Logger
@@ -329,6 +320,7 @@ func (s *Scheduler) SubmitTraced(d *experiments.Descriptor, client string, prior
 		Client:     client,
 		TraceID:    traceID,
 		seq:        s.seq,
+		sched:      s,
 		hub:        newEventHub(),
 		done:       make(chan struct{}),
 		state:      JobQueued,
@@ -350,7 +342,7 @@ func (s *Scheduler) SubmitTraced(d *experiments.Descriptor, client string, prior
 	q[pos] = j
 	s.queues[client] = q
 	s.queued++
-	obs.DaemonQueueDepth.Set(int64(s.queued))
+	obs.DaemonQueueDepth.Set(float64(s.queued))
 	obs.DaemonJobsSubmitted.Add(1)
 	j.hub.publish("queued", j.view(false))
 	s.cfg.Log.Info("job queued", "id", j.ID, "name", j.Name, "client", client,
@@ -393,22 +385,34 @@ func (s *Scheduler) next() *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for s.queued > 0 {
-			j := s.popLocked()
-			if j == nil {
-				break // queues held only canceled jobs
-			}
-			j.mu.Lock()
-			skip := j.state.Terminal() // canceled while queued
-			j.mu.Unlock()
-			if !skip {
-				return j
-			}
+		if j := s.popLocked(); j != nil {
+			return j
 		}
 		if s.draining {
 			return nil
 		}
 		s.cond.Wait()
+	}
+}
+
+// dequeue removes a queued job from its client's queue (and the client
+// from the rotation when that empties it), freeing its admission slot.
+// A job no longer queued — already popped, or swept by Drain — is left
+// alone.
+func (s *Scheduler) dequeue(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for idx, client := range s.order {
+		if client != j.Client {
+			continue
+		}
+		for pos, qj := range s.queues[client] {
+			if qj == j {
+				s.removeLocked(idx, pos)
+				return
+			}
+		}
+		return
 	}
 }
 
@@ -436,29 +440,39 @@ func (s *Scheduler) popLocked() *Job {
 	if bestIdx == -1 {
 		return nil
 	}
-	client := s.order[bestIdx]
-	q := s.queues[client]
-	j := q[0]
-	q = q[1:]
-	s.queued--
-	obs.DaemonQueueDepth.Set(int64(s.queued))
-	if len(q) == 0 {
-		delete(s.queues, client)
-		s.order = append(s.order[:bestIdx], s.order[bestIdx+1:]...)
-		if bestIdx < s.rr {
-			s.rr--
-		}
-		if len(s.order) > 0 {
-			s.rr %= len(s.order)
-		} else {
-			s.rr = 0
-		}
-	} else {
-		s.queues[client] = q
+	j := s.queues[s.order[bestIdx]][0]
+	if !s.removeLocked(bestIdx, 0) {
 		// Advance the cursor past the served client for fairness.
 		s.rr = (bestIdx + 1) % len(s.order)
 	}
 	return j
+}
+
+// removeLocked takes the job at pos out of the queue of the client at
+// rotation index idx, dropping the client from the rotation (and
+// shifting the cursor to match) when its queue empties. Reports whether
+// the client was dropped. Caller holds s.mu.
+func (s *Scheduler) removeLocked(idx, pos int) (dropped bool) {
+	client := s.order[idx]
+	q := s.queues[client]
+	q = append(q[:pos], q[pos+1:]...)
+	s.queued--
+	obs.DaemonQueueDepth.Set(float64(s.queued))
+	if len(q) > 0 {
+		s.queues[client] = q
+		return false
+	}
+	delete(s.queues, client)
+	s.order = append(s.order[:idx], s.order[idx+1:]...)
+	if idx < s.rr {
+		s.rr--
+	}
+	if len(s.order) > 0 {
+		s.rr %= len(s.order)
+	} else {
+		s.rr = 0
+	}
+	return true
 }
 
 // worker runs jobs until drain empties the queue.
@@ -469,213 +483,12 @@ func (s *Scheduler) worker() {
 		if j == nil {
 			return
 		}
-		if group := s.coalesce(j); len(group) > 1 {
-			s.runGroup(group)
-		} else {
-			s.runJob(j)
-		}
+		s.runJob(j)
 	}
 }
 
-// span forwards one lifecycle span to the configured sink (if any).
-func (s *Scheduler) span(sp obs.Span) {
-	if s.cfg.OnSpan != nil {
-		s.cfg.OnSpan(sp)
-	}
-}
-
-// noteStarted emits the queue-wait telemetry for a job transitioning
-// queued → running: the wait histogram and a per-trace span covering
-// submission to start.
-func (s *Scheduler) noteStarted(j *Job, created, started time.Time) {
-	wait := started.Sub(created)
-	if wait < 0 {
-		wait = 0
-	}
-	obs.QueueWaitUS.Observe(uint64(wait.Microseconds()))
-	s.span(obs.Span{
-		Trace: j.TraceID,
-		Name:  "queue-wait",
-		Start: created,
-		End:   started,
-		Args:  map[string]any{"job": j.ID, "client": j.Client, "priority": j.Priority},
-	})
-}
-
-// sharesImage reports whether two descriptors have a workload in
-// common — the condition under which batching their grids shares an
-// instruction stream.
-func sharesImage(a, b *experiments.Descriptor) bool {
-	for _, wa := range a.Workloads {
-		for _, wb := range b.Workloads {
-			if wa == wb {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// coalesce steals queued jobs that share a workload image with the
-// head job, up to MaxCoalesce jobs total, so the group can run as one
-// lockstep-batched pool over shared streams. The head job itself was
-// chosen by the normal priority/fair policy; stolen jobs jump their
-// queues — riding along early is the point of coalescing. Jobs
-// canceled while queued are left for the dequeue path to skip.
-func (s *Scheduler) coalesce(head *Job) []*Job {
-	group := []*Job{head}
-	if s.cfg.RunGroup == nil || s.cfg.MaxCoalesce <= 1 {
-		return group
-	}
-	mergeStart := time.Now()
-	s.mu.Lock()
-	for _, client := range s.order {
-		q := s.queues[client]
-		kept := q[:0]
-		for _, j := range q {
-			if len(group) < s.cfg.MaxCoalesce && !j.State().Terminal() &&
-				sharesImage(head.Descriptor, j.Descriptor) {
-				group = append(group, j)
-				s.queued--
-				continue
-			}
-			kept = append(kept, j)
-		}
-		s.queues[client] = kept
-	}
-	if len(group) > 1 {
-		obs.DaemonQueueDepth.Set(int64(s.queued))
-		obs.DaemonJobsCoalesced.Add(int64(len(group) - 1))
-		s.dropEmptyQueuesLocked()
-	}
-	s.mu.Unlock()
-	// Coalesce-size distribution: a 1 means a dequeue found nothing to
-	// merge, so the histogram's mean is the effective batching factor.
-	obs.CoalesceSizeJobs.Observe(uint64(len(group)))
-	if len(group) > 1 {
-		merged := make([]string, 0, len(group)-1)
-		for _, j := range group[1:] {
-			merged = append(merged, j.ID)
-		}
-		s.span(obs.Span{
-			Trace: head.TraceID,
-			Name:  "coalesce-merge",
-			Start: mergeStart,
-			End:   time.Now(),
-			Args:  map[string]any{"head": head.ID, "merged": merged, "size": len(group)},
-		})
-	}
-	return group
-}
-
-// dropEmptyQueuesLocked removes clients whose queues coalescing
-// emptied, keeping the rotation cursor on the client it pointed at.
-// Caller holds s.mu.
-func (s *Scheduler) dropEmptyQueuesLocked() {
-	if len(s.order) == 0 {
-		return
-	}
-	cur := s.order[s.rr%len(s.order)]
-	kept := s.order[:0]
-	for _, c := range s.order {
-		if len(s.queues[c]) == 0 {
-			delete(s.queues, c)
-			continue
-		}
-		kept = append(kept, c)
-	}
-	s.order = kept
-	s.rr = 0
-	for i, c := range s.order {
-		if c == cur {
-			s.rr = i
-			break
-		}
-	}
-}
-
-// runGroup executes coalesced jobs as one merged batched run. The
-// group shares one context: canceling a single ride-along job must not
-// kill the other clients' jobs, so the shared context is canceled only
-// once every job in the group has asked (timeout and forced drain
-// still cancel it directly). A job canceled mid-run whose results
-// complete anyway finishes Done, same as the single-job race.
-func (s *Scheduler) runGroup(group []*Job) {
-	base := context.Background()
-	ctx, cancel := context.WithCancel(base)
-	if s.cfg.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(base, s.cfg.JobTimeout)
-	}
-	defer cancel()
-
-	// Every job's cancelRun: stop the merged run only when no live job
-	// in the group still wants it.
-	cancelIfAllAsked := func() {
-		for _, j := range group {
-			j.mu.Lock()
-			asked := j.cancelAsked
-			j.mu.Unlock()
-			if !asked {
-				return
-			}
-		}
-		cancel()
-	}
-
-	live := group[:0:0]
-	for _, j := range group {
-		j.mu.Lock()
-		if j.cancelAsked { // canceled between dequeue and start
-			j.mu.Unlock()
-			j.finish(JobCanceled, nil, "canceled")
-			continue
-		}
-		j.state = JobRunning
-		j.started = time.Now()
-		j.cancelRun = cancelIfAllAsked
-		created, started := j.created, j.started
-		j.mu.Unlock()
-		s.noteStarted(j, created, started)
-		live = append(live, j)
-	}
-	if len(live) == 0 {
-		return
-	}
-
-	s.mu.Lock()
-	for _, j := range live {
-		s.running[j.ID] = j
-	}
-	s.mu.Unlock()
-
-	ids := make([]string, len(live))
-	for i, j := range live {
-		ids[i] = j.ID
-		j.hub.publish("started", j.view(false))
-	}
-	s.cfg.Log.Info("job group started", "ids", ids, "coalesced", len(live))
-
-	results, errs := s.cfg.RunGroup(ctx, live)
-
-	s.mu.Lock()
-	for _, j := range live {
-		delete(s.running, j.ID)
-	}
-	s.mu.Unlock()
-
-	for i, j := range live {
-		var res []experiments.DescriptorResult
-		if i < len(results) {
-			res = results[i]
-		}
-		var err error
-		if i < len(errs) {
-			err = errs[i]
-		}
-		s.finishRun(j, res, err)
-	}
-}
-
+// runJob executes one dequeued job and maps the run's outcome to its
+// terminal state.
 func (s *Scheduler) runJob(j *Job) {
 	base := context.Background()
 	ctx, cancel := context.WithCancel(base)
@@ -695,7 +508,18 @@ func (s *Scheduler) runJob(j *Job) {
 	j.cancelRun = cancel
 	created, started := j.created, j.started
 	j.mu.Unlock()
-	s.noteStarted(j, created, started)
+	// Queue-wait telemetry: the wait histogram and a per-trace span
+	// covering submission to start.
+	obs.QueueWaitUS.Observe(uint64(max(started.Sub(created), 0).Microseconds()))
+	if s.cfg.OnSpan != nil {
+		s.cfg.OnSpan(obs.Span{
+			Trace: j.TraceID,
+			Name:  "queue-wait",
+			Start: created,
+			End:   started,
+			Args:  map[string]any{"job": j.ID, "client": j.Client, "priority": j.Priority},
+		})
+	}
 
 	s.mu.Lock()
 	s.running[j.ID] = j
@@ -710,12 +534,6 @@ func (s *Scheduler) runJob(j *Job) {
 	delete(s.running, j.ID)
 	s.mu.Unlock()
 
-	s.finishRun(j, results, err)
-}
-
-// finishRun maps a run's outcome to the job's terminal state — shared
-// by the single-job and coalesced-group paths.
-func (s *Scheduler) finishRun(j *Job, results []experiments.DescriptorResult, err error) {
 	j.mu.Lock()
 	j.cancelRun = nil
 	asked := j.cancelAsked

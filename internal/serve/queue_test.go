@@ -236,6 +236,37 @@ func TestSchedulerCancelQueued(t *testing.T) {
 	}
 }
 
+// TestSchedulerCancelQueuedFreesSlot pins that a job canceled while
+// queued gives its slot back at cancel time: the queue depth drops, the
+// admission bound admits new work, and the freed job never runs.
+func TestSchedulerCancelQueuedFreesSlot(t *testing.T) {
+	s, order, mu, release := gatedScheduler(t, 2)
+	defer func() { s.Drain(context.Background()) }()
+	head, _, _ := s.Submit(testDescriptor("head"), "alice", 0)
+	waitRunning(t, head)
+	q1, _, _ := s.Submit(testDescriptor("q1"), "alice", 0)
+	q2, _, _ := s.Submit(testDescriptor("q2"), "bob", 0)
+	q1.Cancel("gone")
+	q2.Cancel("gone")
+	waitState(t, q1, JobCanceled)
+	waitState(t, q2, JobCanceled)
+	if d := s.QueueDepth(); d != 0 {
+		t.Errorf("queue depth after canceling both queued jobs = %d, want 0", d)
+	}
+	late, _, err := s.Submit(testDescriptor("late"), "carol", 0)
+	close(release)
+	if err != nil {
+		t.Fatalf("Submit after cancels: %v, want admitted", err)
+	}
+	waitState(t, head, JobDone)
+	waitState(t, late, JobDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"head", "late"}; len(*order) != 2 || (*order)[1] != "late" {
+		t.Fatalf("run order = %v, want %v", *order, want)
+	}
+}
+
 func TestSchedulerCancelRunning(t *testing.T) {
 	s, _, _, _ := gatedScheduler(t, 16)
 	defer func() { s.Drain(context.Background()) }()
@@ -312,149 +343,4 @@ func TestJobIDContentAddressed(t *testing.T) {
 	if JobID(a) == JobID(c) {
 		t.Fatal("different descriptors hash to the same job ID")
 	}
-}
-
-// testDescriptorW is testDescriptor with a chosen workload, for
-// coalescing tests where the shared-image predicate matters.
-func testDescriptorW(name, workload string) *experiments.Descriptor {
-	d := testDescriptor(name)
-	d.Workloads = []string{workload}
-	return d
-}
-
-// TestSchedulerCoalescesSharedImage checks the group dequeue: with the
-// single worker busy, queued jobs sharing a workload image are merged
-// into one RunGroup call (capped by MaxCoalesce), jobs with a disjoint
-// image run alone, and each coalesced job receives its own slice of
-// the group's results.
-func TestSchedulerCoalescesSharedImage(t *testing.T) {
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var singles []string
-	var groups [][]string
-	s := NewScheduler(SchedulerConfig{
-		Workers:     1,
-		MaxCoalesce: 3,
-		Run: func(ctx context.Context, j *Job) ([]experiments.DescriptorResult, error) {
-			mu.Lock()
-			singles = append(singles, j.Name)
-			mu.Unlock()
-			<-release
-			return fakeResults(j), nil
-		},
-		RunGroup: func(ctx context.Context, jobs []*Job) ([][]experiments.DescriptorResult, []error) {
-			names := make([]string, len(jobs))
-			out := make([][]experiments.DescriptorResult, len(jobs))
-			for i, j := range jobs {
-				names[i] = j.Name
-				out[i] = []experiments.DescriptorResult{{Workload: "mysql", Label: j.Name}}
-			}
-			mu.Lock()
-			groups = append(groups, names)
-			mu.Unlock()
-			return out, make([]error, len(jobs))
-		},
-	})
-	defer s.Drain(context.Background())
-
-	// Occupy the worker with a job whose image nothing else shares.
-	blocker, _, err := s.Submit(testDescriptorW("blocker", "xgboost"), "alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor := func(cond func() bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(func() bool { mu.Lock(); defer mu.Unlock(); return len(singles) == 1 }, "blocker start")
-
-	var mysqlJobs []*Job
-	for _, name := range []string{"m1", "m2", "m3"} {
-		j, _, err := s.Submit(testDescriptorW(name, "mysql"), "bob", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mysqlJobs = append(mysqlJobs, j)
-	}
-	lone, _, err := s.Submit(testDescriptorW("x2", "xgboost"), "bob", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	waitState(t, blocker, JobDone)
-	for i, j := range mysqlJobs {
-		waitState(t, j, JobDone)
-		res := j.Results()
-		if len(res) != 1 || res[0].Label != j.Name {
-			t.Fatalf("m%d got results %+v, want its own labeled cell", i+1, res)
-		}
-	}
-	waitState(t, lone, JobDone)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(groups) != 1 || len(groups[0]) != 3 {
-		t.Fatalf("groups = %v, want one group of 3 (MaxCoalesce)", groups)
-	}
-	if len(singles) != 2 || singles[0] != "blocker" || singles[1] != "x2" {
-		t.Fatalf("singles = %v, want [blocker x2] (disjoint image never coalesces)", singles)
-	}
-}
-
-// TestSchedulerGroupCancel pins the merged-cancel policy: canceling one
-// ride-along job must not cancel the group's shared context (the other
-// clients' jobs are still riding), but canceling every job in the
-// group stops the run and all of them finish canceled.
-func TestSchedulerGroupCancel(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	s := NewScheduler(SchedulerConfig{
-		Workers:     1,
-		MaxCoalesce: 2,
-		Run: func(ctx context.Context, j *Job) ([]experiments.DescriptorResult, error) {
-			<-gate
-			return fakeResults(j), nil
-		},
-		RunGroup: func(ctx context.Context, jobs []*Job) ([][]experiments.DescriptorResult, []error) {
-			close(started)
-			<-ctx.Done()
-			errs := make([]error, len(jobs))
-			for i := range errs {
-				errs[i] = ctx.Err()
-			}
-			return nil, errs
-		},
-	})
-	defer s.Drain(context.Background())
-
-	blocker, _, err := s.Submit(testDescriptorW("blocker", "xgboost"), "alice", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, _, err := s.Submit(testDescriptorW("g1", "mysql"), "bob", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, _, err := s.Submit(testDescriptorW("g2", "mysql"), "carol", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	waitState(t, blocker, JobDone)
-	<-started
-
-	g1.Cancel("first client bails")
-	time.Sleep(20 * time.Millisecond)
-	if st := g2.State(); st != JobRunning {
-		t.Fatalf("g2 state after partner cancel = %s, want still running", st)
-	}
-	g2.Cancel("second client bails")
-	waitState(t, g1, JobCanceled)
-	waitState(t, g2, JobCanceled)
 }

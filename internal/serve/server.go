@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -36,15 +35,6 @@ type ServerConfig struct {
 	// Interval is the obs sampling interval in cycles for the SSE
 	// event stream (0 disables "sample" events; default 10000).
 	Interval uint64
-	// Batch enables lockstep batching: each job's grid cells sharing a
-	// workload image step over one shared instruction stream, and
-	// queued jobs sharing an image are coalesced into one merged
-	// batched run. Results are bit-identical to unbatched runs — this
-	// is a pure throughput knob.
-	Batch bool
-	// MaxCoalesce caps how many queued jobs one batched run may merge
-	// (only meaningful with Batch; default 4).
-	MaxCoalesce int
 	// Log receives request/lifecycle logs (nil = discard).
 	Log *slog.Logger
 }
@@ -77,25 +67,17 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Interval == 0 {
 		cfg.Interval = 10_000
 	}
-	if cfg.Batch && cfg.MaxCoalesce == 0 {
-		cfg.MaxCoalesce = 4
-	}
 	s := &Server{cfg: cfg, log: cfg.Log, startedAt: time.Now(),
 		spans: obs.NewSpanRecorder(spanRecorderCapacity),
 		tunes: map[string]*TuneRun{}}
-	scfg := SchedulerConfig{
+	s.sched = NewScheduler(SchedulerConfig{
 		Workers:    cfg.Workers,
 		MaxQueue:   cfg.MaxQueue,
 		JobTimeout: cfg.JobTimeout,
 		Run:        s.runJob,
 		OnSpan:     s.spans.Record,
 		Log:        cfg.Log,
-	}
-	if cfg.Batch {
-		scfg.RunGroup = s.runJobGroup
-		scfg.MaxCoalesce = cfg.MaxCoalesce
-	}
-	s.sched = NewScheduler(scfg)
+	})
 	s.ready.Store(true)
 	return s
 }
@@ -121,15 +103,6 @@ func (s *Server) resultStore() experiments.ResultStore {
 // cmd/udpsimd's -trace-out shutdown export).
 func (s *Server) Spans() []obs.Span { return s.spans.Spans() }
 
-// jobSpanSink returns the engine's OnSpan callback for one job: stamp
-// the job's trace ID onto each span, then record it.
-func (s *Server) jobSpanSink(j *Job) func(obs.Span) {
-	return func(sp obs.Span) {
-		sp.Trace = j.TraceID
-		s.spans.Record(sp)
-	}
-}
-
 // runJob is the scheduler's entry point: it executes one job through
 // the engine's memoized, store-backed descriptor runner, forwarding
 // per-cell progress and per-interval obs samples to the job's event
@@ -138,10 +111,13 @@ func (s *Server) runJob(ctx context.Context, j *Job) ([]experiments.DescriptorRe
 	opts := experiments.Options{
 		Context:  ctx,
 		Interval: s.cfg.Interval,
-		Batch:    s.cfg.Batch,
 		Store:    s.resultStore(),
 		OnSample: func(sample obs.IntervalSample) { j.hub.publish("sample", sample) },
-		OnSpan:   s.jobSpanSink(j),
+		// Stamp the job's trace ID onto each engine span.
+		OnSpan: func(sp obs.Span) {
+			sp.Trace = j.TraceID
+			s.spans.Record(sp)
+		},
 	}
 	progress := func(line string) {
 		j.hub.publish("progress", map[string]string{"line": line})
@@ -183,37 +159,6 @@ func (s *Server) persistResults(d *experiments.Descriptor, results []experiments
 	}
 }
 
-// runJobGroup executes coalesced jobs sharing a workload image as one
-// merged descriptor pool: the engine groups all cells across jobs by
-// image and steps each group's machines in lockstep over one shared
-// stream. Each job keeps its own SSE feed — progress lines and obs
-// samples route to the job whose cell produced them.
-func (s *Server) runJobGroup(ctx context.Context, group []*Job) ([][]experiments.DescriptorResult, []error) {
-	jobs := make([]experiments.DescriptorJob, len(group))
-	for i, j := range group {
-		j := j
-		jobs[i] = experiments.DescriptorJob{
-			D: j.Descriptor,
-			Progress: func(line string) {
-				j.hub.publish("progress", map[string]string{"line": line})
-			},
-			Opts: experiments.Options{
-				Interval: s.cfg.Interval,
-				Store:    s.resultStore(),
-				OnSample: func(sample obs.IntervalSample) { j.hub.publish("sample", sample) },
-				OnSpan:   s.jobSpanSink(j),
-			},
-		}
-	}
-	results, errs := experiments.RunDescriptorsBatched(ctx, jobs, s.cfg.Parallelism)
-	for i, j := range group {
-		if i < len(results) && (i >= len(errs) || errs[i] == nil) {
-			s.persistResults(j.Descriptor, results[i])
-		}
-	}
-	return results, errs
-}
-
 // Drain stops admission, cancels queued jobs, lets running jobs finish
 // until ctx expires, and flips /readyz to 503 — the SIGTERM path. Tune
 // runs are canceled first so their driver goroutines stop submitting
@@ -250,7 +195,6 @@ const maxDescriptorBytes = 1 << 20
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness (503 while draining)
 //	GET    /metrics              Prometheus text exposition
-//	GET    /debug/vars           expvar (queue depth, dedup, store hit-rate)
 //	GET    /debug/trace          Chrome trace-event JSON of recorded spans
 //
 // Every route runs under the observability middleware: structured
@@ -275,15 +219,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.instrument("/readyz", s.handleReadyz))
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", obs.Metrics.Handler().ServeHTTP))
-	mux.HandleFunc("GET /debug/vars", s.instrument("/debug/vars", expvar.Handler().ServeHTTP))
 	mux.HandleFunc("GET /debug/trace", s.instrument("/debug/trace", s.handleTrace))
 	return mux
 }
 
 // handleTrace renders every recorded lifecycle span as Chrome
 // trace-event JSON — open the response in Perfetto and a daemon
-// session (including coalesced batches) appears as one timeline, one
-// track group per trace ID.
+// session appears as one timeline, one track group per trace ID.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = obs.WriteChromeSpans(w, s.spans.Spans())

@@ -55,7 +55,7 @@ func descriptorJSON(name string, instructions uint64) []byte {
 
 // TestServerConcurrentDedup is the ISSUE's headline -race test: N
 // concurrent clients submit an identical descriptor and exactly one
-// simulation runs, proven by the expvar cache-miss counter; everyone
+// simulation runs, proven by the udpsim_cache_misses counter; everyone
 // reads byte-identical result records.
 func TestServerConcurrentDedup(t *testing.T) {
 	experiments.FlushResultCache()
@@ -104,7 +104,7 @@ func TestServerConcurrentDedup(t *testing.T) {
 			t.Fatalf("terminal view missing cell metrics: %+v", v.Cells)
 		}
 	}
-	if d := obs.CacheMisses.Value() - missesBefore; d != 1 {
+	if d := int64(obs.CacheMisses.Value() - missesBefore); d != 1 {
 		t.Fatalf("simulations run = %d, want exactly 1 (N=%d concurrent submissions)", d, clients)
 	}
 
@@ -169,10 +169,10 @@ func TestServerRestartServesFromDisk(t *testing.T) {
 	if err != nil || final2.State != serve.JobDone {
 		t.Fatalf("second run: %+v err=%v", final2, err)
 	}
-	if d := obs.CacheMisses.Value() - missesBefore; d != 0 {
+	if d := int64(obs.CacheMisses.Value() - missesBefore); d != 0 {
 		t.Fatalf("restart resimulated %d cells, want 0", d)
 	}
-	if d := obs.StoreHits.Value() - hitsBefore; d != 1 {
+	if d := int64(obs.StoreHits.Value() - hitsBefore); d != 1 {
 		t.Fatalf("store hits delta = %d, want 1", d)
 	}
 	if final2.Cells[0].IPC != wantIPC {
@@ -446,74 +446,6 @@ func waitJobState(t *testing.T, c *client.Client, id string, want serve.JobState
 			t.Fatalf("job %s state %s, want %s", id, v.State, want)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestServerCoalescedBatchRun drives the real path end to end: a
-// -batch daemon with one worker coalesces two queued jobs sharing the
-// mysql image into one lockstep-batched run, splits the results back
-// per job, and the cell both jobs share comes out identical.
-func TestServerCoalescedBatchRun(t *testing.T) {
-	experiments.FlushResultCache()
-	_, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1, Batch: true})
-	defer stop()
-
-	coalescedBefore := obs.DaemonJobsCoalesced.Value()
-
-	// The blocker occupies the lone worker long enough for the two
-	// mysql jobs to queue up behind it; its image is disjoint so it
-	// cannot absorb them itself.
-	blockerDesc := []byte(`{
-		"name": "coalesce-blocker",
-		"workloads": ["xgboost"],
-		"instructions": 400000,
-		"warmup": 20000,
-		"simpoints": 1,
-		"configs": [{"label": "base", "mechanism": "baseline"}]
-	}`)
-	mk := func(name, configs string) []byte {
-		return []byte(fmt.Sprintf(`{
-			"name": %q,
-			"workloads": ["mysql"],
-			"instructions": 63101,
-			"warmup": 8000,
-			"simpoints": 1,
-			"configs": [%s]
-		}`, name, configs))
-	}
-	blocker, err := c.Submit(context.Background(), blockerDesc, client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := c.Submit(context.Background(), mk("coalesce-a", `{"label": "base", "mechanism": "baseline"}`), client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Submit(context.Background(), mk("coalesce-b",
-		`{"label": "base", "mechanism": "baseline"}, {"label": "udp", "mechanism": "udp"}`), client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{blocker.ID, a.ID, b.ID} {
-		v, err := c.Wait(context.Background(), id)
-		if err != nil {
-			t.Fatalf("wait %s: %v", id, err)
-		}
-		if v.State != serve.JobDone {
-			t.Fatalf("job %s state %s (err %q), want done", id, v.State, v.Error)
-		}
-	}
-	av, _ := c.Job(context.Background(), a.ID)
-	bv, _ := c.Job(context.Background(), b.ID)
-	if len(av.Cells) != 1 || len(bv.Cells) != 2 {
-		t.Fatalf("cells split wrong: job a %d, job b %d (want 1 and 2)", len(av.Cells), len(bv.Cells))
-	}
-	if av.Cells[0].IPC <= 0 || av.Cells[0].IPC != bv.Cells[0].IPC {
-		t.Fatalf("shared baseline cell differs across coalesced jobs: %v vs %v",
-			av.Cells[0].IPC, bv.Cells[0].IPC)
-	}
-	if d := obs.DaemonJobsCoalesced.Value() - coalescedBefore; d != 1 {
-		t.Fatalf("jobs coalesced = %d, want 1 (job b absorbed into job a's run)", d)
 	}
 }
 

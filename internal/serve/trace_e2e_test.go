@@ -4,8 +4,8 @@ package serve_test
 // connected trace — a single trace ID stringing together the
 // queue-wait, store-read, warmup, measure and store-write spans — and
 // the /debug/trace endpoint must render it as loadable Chrome
-// trace-event JSON. The coalesced variant additionally pins the
-// coalesce-merge span onto the head job's trace.
+// trace-event JSON. Two jobs queued behind each other keep distinct
+// traces.
 
 import (
 	"context"
@@ -165,87 +165,33 @@ func TestServerJobTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerCoalescedTrace drives a -batch daemon the same way
-// TestServerCoalescedBatchRun does and checks the tracing overlay: the
-// head job's trace gains a coalesce-merge span naming the absorbed
-// job, and both jobs keep distinct trace IDs end to end.
-func TestServerCoalescedTrace(t *testing.T) {
+// TestServerConcurrentJobTraces queues two distinct jobs on a
+// one-worker daemon and checks that each keeps its own trace ID end to
+// end, with its own queue-wait and measure spans.
+func TestServerConcurrentJobTraces(t *testing.T) {
 	experiments.FlushResultCache()
-	srv, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1, Batch: true})
+	srv, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1})
 	defer stop()
 
-	blockerDesc := []byte(`{
-		"name": "trace-blocker",
-		"workloads": ["xgboost"],
-		"instructions": 400100,
-		"warmup": 20000,
-		"simpoints": 1,
-		"configs": [{"label": "base", "mechanism": "baseline"}]
-	}`)
-	mk := func(name string, instructions uint64) []byte {
-		return []byte(fmt.Sprintf(`{
-			"name": %q,
-			"workloads": ["mysql"],
-			"instructions": %d,
-			"warmup": 8000,
-			"simpoints": 1,
-			"configs": [{"label": "base", "mechanism": "baseline"}]
-		}`, name, instructions))
-	}
-	blocker, err := c.Submit(context.Background(), blockerDesc, client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := c.Submit(context.Background(), mk("trace-a", 64_201), client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.Submit(context.Background(), mk("trace-b", 64_301), client.SubmitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{blocker.ID, a.ID, b.ID} {
-		v, err := c.Wait(context.Background(), id)
+	var jobs []serve.JobView
+	for i, instrs := range []uint64{64_201, 64_301} {
+		v, err := c.Submit(context.Background(), descriptorJSON(fmt.Sprintf("trace-%d", i), instrs), client.SubmitOptions{})
 		if err != nil {
-			t.Fatalf("wait %s: %v", id, err)
+			t.Fatal(err)
 		}
-		if v.State != serve.JobDone {
-			t.Fatalf("job %s state %s (err %q), want done", id, v.State, v.Error)
+		jobs = append(jobs, v)
+	}
+	if a, b := jobs[0].TraceID, jobs[1].TraceID; a == "" || a == b {
+		t.Fatalf("jobs should mint distinct traces, got %q and %q", a, b)
+	}
+	for _, j := range jobs {
+		v, err := c.Wait(context.Background(), j.ID)
+		if err != nil || v.State != serve.JobDone {
+			t.Fatalf("job %s: wait err %v, want done", j.ID, err)
 		}
-	}
-	if a.TraceID == "" || b.TraceID == "" || a.TraceID == b.TraceID {
-		t.Fatalf("jobs should mint distinct traces, got %q and %q", a.TraceID, b.TraceID)
-	}
-
-	// The head of the merged group (job a, queued first) owns the
-	// coalesce-merge span, and its args name the absorbed job b.
-	var merge *obs.Span
-	for _, sp := range spansForTrace(srv, a.TraceID) {
-		if sp.Name == "coalesce-merge" {
-			sp := sp
-			merge = &sp
-			break
-		}
-	}
-	if merge == nil {
-		t.Fatalf("head trace %s has no coalesce-merge span: %v",
-			a.TraceID, spanNames(spansForTrace(srv, a.TraceID)))
-	}
-	merged, _ := merge.Args["merged"].([]string)
-	found := false
-	for _, id := range merged {
-		if id == b.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("coalesce-merge args %v do not name the absorbed job %s", merge.Args, b.ID)
-	}
-
-	// Both jobs still traced their queue wait under their own IDs.
-	for _, tr := range []string{a.TraceID, b.TraceID} {
-		if spanNames(spansForTrace(srv, tr))["queue-wait"] == 0 {
-			t.Errorf("trace %s lost its queue-wait span", tr)
+		names := spanNames(spansForTrace(srv, j.TraceID))
+		if names["queue-wait"] != 1 || names["measure"] == 0 {
+			t.Errorf("trace %s spans %v, want one queue-wait and a measure", j.TraceID, names)
 		}
 	}
 }

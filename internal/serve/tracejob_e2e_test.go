@@ -83,7 +83,7 @@ func TestServerTraceDescriptorDedup(t *testing.T) {
 	if err != nil || f2.State != serve.JobDone {
 		t.Fatalf("job 2: %+v err=%v", f2, err)
 	}
-	if d := obs.CacheMisses.Value() - missesBefore; d != 1 {
+	if d := int64(obs.CacheMisses.Value() - missesBefore); d != 1 {
 		t.Fatalf("two submissions simulated %d cells, want exactly 1", d)
 	}
 	if len(f1.Cells) != 1 || f1.Cells[0].IPC <= 0 {
@@ -103,7 +103,7 @@ func TestServerTraceDescriptorDedup(t *testing.T) {
 	if err != nil || f3.State != serve.JobDone {
 		t.Fatalf("hash job: %+v err=%v", f3, err)
 	}
-	if d := obs.CacheMisses.Value() - missesBefore; d != 1 {
+	if d := int64(obs.CacheMisses.Value() - missesBefore); d != 1 {
 		t.Fatalf("hash-only descriptor resimulated (misses = %d, want 1)", d)
 	}
 	if f3.Cells[0].ResultKey != resultKey {
@@ -128,10 +128,10 @@ func TestServerTraceDescriptorDedup(t *testing.T) {
 	if err != nil || f4.State != serve.JobDone {
 		t.Fatalf("restart job: %+v err=%v", f4, err)
 	}
-	if d := obs.CacheMisses.Value() - missesBefore; d != 0 {
+	if d := int64(obs.CacheMisses.Value() - missesBefore); d != 0 {
 		t.Fatalf("restart resimulated %d cells, want 0", d)
 	}
-	if d := obs.StoreHits.Value() - hitsBefore; d != 1 {
+	if d := int64(obs.StoreHits.Value() - hitsBefore); d != 1 {
 		t.Fatalf("store hits delta = %d, want 1", d)
 	}
 	if f4.Cells[0].IPC != wantIPC {

@@ -205,7 +205,7 @@ func TestTuneWarmStoreDaemonRestart(t *testing.T) {
 	if err != nil || final2.State != serve.JobDone {
 		t.Fatalf("warm run: %v / %+v", err, final2)
 	}
-	if d := obs.CacheMisses.Value() - missesBefore; d != 0 {
+	if d := int64(obs.CacheMisses.Value() - missesBefore); d != 0 {
 		t.Fatalf("warm tune re-run simulated %d cells, want 0", d)
 	}
 	if final2.Stats.CacheHits != final2.Stats.Probes {
@@ -260,7 +260,7 @@ func TestTuneAcceptanceBandwidth(t *testing.T) {
 	if err != nil || final.State != serve.JobDone {
 		t.Fatalf("tune run: %v / %+v", err, final)
 	}
-	tuneMisses := obs.CacheMisses.Value() - missesBefore
+	tuneMisses := int64(obs.CacheMisses.Value() - missesBefore)
 	if budget := int64(grid / 4); tuneMisses > budget {
 		t.Fatalf("tune simulated %d unique cells, budget is %d (25%% of the %d-cell grid)",
 			tuneMisses, budget, grid)

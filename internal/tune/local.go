@@ -20,8 +20,6 @@ type LocalProber struct {
 	Store experiments.ResultStore
 	// Parallelism bounds concurrent cell simulation (0 = GOMAXPROCS).
 	Parallelism int
-	// Batch selects the lockstep-batched engine path.
-	Batch bool
 }
 
 // Probe implements Prober.
@@ -49,7 +47,7 @@ func (p *LocalProber) Probe(ctx context.Context, specs []experiments.ConfigSpec,
 			return nil, err
 		}
 		results, err := experiments.RunDescriptorObserved(sub, nil, p.Parallelism,
-			experiments.Options{Context: ctx, Batch: p.Batch, Store: p.Store})
+			experiments.Options{Context: ctx, Store: p.Store})
 		if err != nil {
 			return nil, err
 		}

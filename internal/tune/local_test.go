@@ -66,7 +66,7 @@ func TestWarmStoreRunSimulatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return res, obs.CacheMisses.Value() - before
+		return res, int64(obs.CacheMisses.Value() - before)
 	}
 
 	res1, misses1 := run()
