@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -40,6 +41,8 @@ func FuzzReader2(f *testing.F) {
 		lying[i] = 0xff
 	}
 	f.Add(lying)
+	// Image header claiming imageInstrsMax instructions in a few bytes.
+	f.Add(imageTrace(f, lyingImage(imageInstrsMax)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader2(bytes.NewReader(data))
@@ -87,6 +90,37 @@ func FuzzRoundtrip(f *testing.F) {
 			if got := roundtrip(t, prog, enc, []Record{rec})[0]; got != encoded(rec, enc) {
 				t.Errorf("%v roundtrip %+v → %+v", enc, encoded(rec, enc), got)
 			}
+		}
+	})
+}
+
+// FuzzImage feeds arbitrary bytes to the image payload decoder: it must
+// reject them with a *FormatError or return an image that re-encodes to
+// exactly the same bytes.
+func FuzzImage(f *testing.F) {
+	prog := fixtureProgram(f)
+	valid := appendImage(nil, &image{name: "fixture", seed: 1 << 40, salt: 3, entry: prog.Entry(), code: prog.StaticCode()})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(lyingImage(imageInstrsMax))
+	f.Add([]byte(`{"name":"fixture","code":[]}`))
+	f.Add([]byte{imageVersion, 0x80, 0x00, 0, 0, 0, 0}) // padded name length
+	// Flagged target and data address that decode to 0, which encodes
+	// as "absent".
+	branch := []byte{imageVersion, 0, 0, 0, 0, 1, byte(isa.ClassBranch), byte(isa.BranchUncond), imageHasTarget}
+	f.Add(binary.AppendVarint(branch, -int64(workload.ImageBase)))
+	f.Add([]byte{imageVersion, 0, 0, 0, 0, 1, byte(isa.ClassLoad), byte(isa.BranchNone), imageHasData, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := decodeImage(data)
+		if err != nil {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Errorf("rejection is not a *FormatError: %v", err)
+			}
+			return
+		}
+		if got := appendImage(nil, img); !bytes.Equal(got, data) {
+			t.Errorf("image re-encodes to %x, decoded from %x", got, data)
 		}
 	})
 }

@@ -27,7 +27,7 @@ func (r *sliceReader) Read() (Record, error) {
 
 // fixtureProgram hand-builds a 16-instruction image (two fetch blocks,
 // one cache line): an ALU/load/store/branch block and an all-ALU tail.
-func fixtureProgram(t *testing.T) *workload.Program {
+func fixtureProgram(t testing.TB) *workload.Program {
 	t.Helper()
 	classes := []struct {
 		c isa.Class

@@ -38,6 +38,23 @@ import (
 // greppable). The 'E' chunk carries the total record count, catching
 // whole-chunk truncation at a chunk boundary that per-chunk checksums
 // cannot see.
+//
+// The image payload is binary whatever the record encoding:
+//
+//	version byte (imageVersion)
+//	uvarint name length, name bytes
+//	uvarint seed, salt, entry, instruction count
+//	per instruction, in layout order:
+//	  class byte, branch-kind byte, presence-flags byte
+//	  varint Target−PC   (only when Target is nonzero)
+//	  uvarint DataAddr   (only when DataAddr is nonzero)
+//
+// PC and FallThrough are implicit: code is dense from
+// workload.ImageBase. Every instruction costs at least three bytes,
+// which bounds the count a payload can honestly claim. Traces recorded
+// before the binary image carried a JSON image (its payload starts
+// with '{'); the reader rejects them with a *FormatError asking for a
+// re-recording.
 const Magic2 = "UDPT2\n"
 
 // Encoding selects the record serialization inside chunk payloads.
@@ -78,6 +95,7 @@ const (
 	imageInstrsMax    = 1 << 24 // static instructions in the embedded image
 	recordsPerChunk   = 1 << 16 // writer's chunk granularity
 	decompressedLimit = 1 << 28 // 256 MiB decompressed image/chunk bound
+	imageInstrMinLen  = 3       // class, branch-kind and flags bytes
 )
 
 // Chunk type bytes.
@@ -106,23 +124,144 @@ func (e *FormatError) Error() string {
 
 func (e *FormatError) Unwrap() error { return e.Err }
 
-// imageJSON is the embedded static code layout. PC and FallThrough are
-// implicit (code is dense from workload.ImageBase in layout order), so
-// each instruction costs only its class, branch kind, and the optional
-// target/data address.
-type imageJSON struct {
-	Name  string       `json:"name"`
-	Seed  uint64       `json:"seed"`
-	Salt  uint64       `json:"salt"`
-	Entry uint64       `json:"entry"`
-	Code  []imageInstr `json:"code"`
+// imageVersion is the first byte of the image payload.
+const imageVersion = 1
+
+// Image presence flags: which optional fields follow an instruction's
+// three fixed bytes.
+const (
+	imageHasTarget = 1 << 0
+	imageHasData   = 1 << 1
+)
+
+// image is the embedded static code layout.
+type image struct {
+	name  string
+	seed  uint64
+	salt  uint64
+	entry isa.Addr
+	code  []isa.StaticInstr
 }
 
-type imageInstr struct {
-	C uint8  `json:"c"`
-	B uint8  `json:"b,omitempty"`
-	T uint64 `json:"t,omitempty"`
-	D uint64 `json:"d,omitempty"`
+// appendImage appends img's binary payload to b. PC and FallThrough are
+// not stored: instruction i sits at workload.ImageBase + i*InstrBytes.
+func appendImage(b []byte, img *image) []byte {
+	b = append(b, imageVersion)
+	b = binary.AppendUvarint(b, uint64(len(img.name)))
+	b = append(b, img.name...)
+	b = binary.AppendUvarint(b, img.seed)
+	b = binary.AppendUvarint(b, img.salt)
+	b = binary.AppendUvarint(b, uint64(img.entry))
+	b = binary.AppendUvarint(b, uint64(len(img.code)))
+	for i := range img.code {
+		in := &img.code[i]
+		var flags byte
+		if in.Target != 0 {
+			flags |= imageHasTarget
+		}
+		if in.DataAddr != 0 {
+			flags |= imageHasData
+		}
+		b = append(b, byte(in.Class), byte(in.Branch), flags)
+		if in.Target != 0 {
+			pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
+			b = binary.AppendVarint(b, int64(in.Target-pc))
+		}
+		if in.DataAddr != 0 {
+			b = binary.AppendUvarint(b, uint64(in.DataAddr))
+		}
+	}
+	return b
+}
+
+// minimal reports whether the n-byte (u)varint at the front of b, as
+// returned by binary.Uvarint or binary.Varint, is well formed and not
+// padded. Rejecting padded encodings makes image decoding exact: a
+// payload that decodes re-encodes to the same bytes.
+func minimal(b []byte, n int) bool {
+	return n == 1 || (n > 1 && b[n-1] != 0)
+}
+
+// decodeImage parses a binary image payload. It bounds the claimed
+// instruction count by the bytes that follow before allocating, so a
+// short payload cannot claim a huge image.
+func decodeImage(b []byte) (*image, error) {
+	fail := func(format string, args ...any) (*image, error) {
+		return nil, &FormatError{Chunk: 0, Reason: "image: " + fmt.Sprintf(format, args...)}
+	}
+	if len(b) == 0 {
+		return fail("empty payload")
+	}
+	if b[0] == '{' {
+		return fail("JSON image from a trace recorded before the binary image format; re-record the trace")
+	}
+	if b[0] != imageVersion {
+		return fail("unsupported image version %d (want %d)", b[0], imageVersion)
+	}
+	b = b[1:]
+	bad := false
+	next := func() uint64 {
+		v, n := binary.Uvarint(b)
+		if !minimal(b, n) {
+			bad = true
+			return 0
+		}
+		b = b[n:]
+		return v
+	}
+	nameLen := next()
+	if bad || nameLen > uint64(len(b)) {
+		return fail("truncated header")
+	}
+	img := &image{name: string(b[:nameLen])}
+	b = b[nameLen:]
+	img.seed, img.salt, img.entry = next(), next(), isa.Addr(next())
+	count := next()
+	if bad {
+		return fail("truncated header")
+	}
+	if count > imageInstrsMax {
+		return fail("implausible size %d instrs", count)
+	}
+	if count > uint64(len(b)/imageInstrMinLen) {
+		return fail("claims %d instrs but only %d bytes follow", count, len(b))
+	}
+	img.code = make([]isa.StaticInstr, count)
+	for i := range img.code {
+		if len(b) < imageInstrMinLen {
+			return fail("truncated at instr %d", i)
+		}
+		class, kind, flags := b[0], b[1], b[2]
+		b = b[imageInstrMinLen:]
+		if int(class) >= isa.NumClasses || int(kind) >= isa.NumBranchKinds || flags&^(imageHasTarget|imageHasData) != 0 {
+			return fail("instr %d: bad class %d, branch kind %d or flags %#x", i, class, kind, flags)
+		}
+		pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
+		in := &img.code[i]
+		*in = isa.StaticInstr{PC: pc, Class: isa.Class(class), Branch: isa.BranchKind(kind), FallThrough: pc + isa.InstrBytes}
+		if flags&imageHasTarget != 0 {
+			d, n := binary.Varint(b)
+			if !minimal(b, n) {
+				return fail("instr %d: malformed target", i)
+			}
+			b = b[n:]
+			if in.Target = pc + isa.Addr(d); in.Target == 0 {
+				return fail("instr %d: target flag with a zero target", i)
+			}
+		}
+		if flags&imageHasData != 0 {
+			v, n := binary.Uvarint(b)
+			if !minimal(b, n) || v == 0 {
+				return fail("instr %d: malformed data address", i)
+			}
+			b = b[n:]
+			in.DataAddr = isa.Addr(v)
+		}
+	}
+	if len(b) != 0 {
+		return fail("%d trailing bytes", len(b))
+	}
+	return img, nil
 }
 
 // recordJSON is one EncJSONL record line.
@@ -147,10 +286,13 @@ func writeChunk(w *bufio.Writer, typ byte, records uint32, payload []byte) error
 	return err
 }
 
-// gzipBytes compresses b.
-func gzipBytes(b []byte) ([]byte, error) {
+// gzipBytes compresses b at level.
+func gzipBytes(b []byte, level int) ([]byte, error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
+	zw, err := gzip.NewWriterLevel(&buf, level)
+	if err != nil {
+		return nil, err
+	}
 	if _, err := zw.Write(b); err != nil {
 		return nil, err
 	}
@@ -158,22 +300,6 @@ func gzipBytes(b []byte) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// gunzipBytes decompresses b with an allocation bound.
-func gunzipBytes(b []byte, limit int64) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	out, err := io.ReadAll(io.LimitReader(zr, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(out)) > limit {
-		return nil, fmt.Errorf("decompressed payload exceeds %d bytes", limit)
-	}
-	return out, zr.Close()
 }
 
 // Writer2 streams a UDPT2 trace: the image chunk up front, records in
@@ -202,27 +328,17 @@ func NewWriter2(w io.Writer, prog *workload.Program, salt uint64, enc Encoding) 
 	if err := bw.WriteByte(byte(enc)); err != nil {
 		return nil, err
 	}
-	code := prog.StaticCode()
-	img := imageJSON{
-		Name:  prog.Profile().Name,
-		Seed:  prog.Profile().Seed,
-		Salt:  salt,
-		Entry: uint64(prog.Entry()),
-		Code:  make([]imageInstr, len(code)),
-	}
-	for i := range code {
-		img.Code[i] = imageInstr{
-			C: uint8(code[i].Class),
-			B: uint8(code[i].Branch),
-			T: uint64(code[i].Target),
-			D: uint64(code[i].DataAddr),
-		}
-	}
-	raw, err := json.Marshal(&img)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := gzipBytes(raw)
+	raw := appendImage(nil, &image{
+		name:  prog.Profile().Name,
+		seed:  prog.Profile().Seed,
+		salt:  salt,
+		entry: prog.Entry(),
+		code:  prog.StaticCode(),
+	})
+	// The image is compressed once per recording and is most of its
+	// bytes: on the xgboost image BestSpeed encodes ~8x faster than the
+	// default level for ~19% more bytes, and decodes as fast.
+	payload, err := gzipBytes(raw, gzip.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +422,7 @@ func (w *Writer2) flushChunk() error {
 	if w.inBuf == 0 {
 		return nil
 	}
-	payload, err := gzipBytes(w.buf.Bytes())
+	payload, err := gzipBytes(w.buf.Bytes(), gzip.DefaultCompression)
 	if err != nil {
 		w.err = err
 		return err
@@ -347,12 +463,7 @@ func (w *Writer2) Flush() error {
 type Reader2 struct {
 	r   *bufio.Reader
 	enc Encoding
-
-	name  string
-	seed  uint64
-	salt  uint64
-	entry isa.Addr
-	code  []isa.StaticInstr
+	img *image
 
 	chunk    int // index of the next chunk to read (image chunk was 0)
 	lastPC   isa.Addr
@@ -360,6 +471,9 @@ type Reader2 struct {
 	pending  []byte // decompressed records of the current chunk
 	pendLeft uint32 // records remaining in pending
 	done     bool   // end chunk seen and verified
+
+	zr   *gzip.Reader // reused across chunks
+	zbuf []byte       // decompression buffer, reused across chunks
 }
 
 // NewReader2 opens a v2 trace and decodes its embedded image.
@@ -391,33 +505,39 @@ func NewReader2(r io.Reader) (*Reader2, error) {
 	if records != 0 {
 		return nil, &FormatError{Chunk: 0, Reason: "image chunk claims records"}
 	}
-	raw, err := gunzipBytes(payload, decompressedLimit)
+	raw, err := rd.gunzip(payload)
 	if err != nil {
 		return nil, &FormatError{Chunk: 0, Reason: "image decompress", Err: err}
 	}
-	var img imageJSON
-	if err := json.Unmarshal(raw, &img); err != nil {
-		return nil, &FormatError{Chunk: 0, Reason: "image decode", Err: err}
-	}
-	if len(img.Code) > imageInstrsMax {
-		return nil, &FormatError{Chunk: 0, Reason: fmt.Sprintf("implausible image size %d instrs", len(img.Code))}
-	}
-	rd.name, rd.seed, rd.salt = img.Name, img.Seed, img.Salt
-	rd.entry = isa.Addr(img.Entry)
-	rd.code = make([]isa.StaticInstr, len(img.Code))
-	for i, ci := range img.Code {
-		pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
-		rd.code[i] = isa.StaticInstr{
-			PC:          pc,
-			Class:       isa.Class(ci.C),
-			Branch:      isa.BranchKind(ci.B),
-			Target:      isa.Addr(ci.T),
-			FallThrough: pc + isa.InstrBytes,
-			DataAddr:    isa.Addr(ci.D),
-		}
+	if rd.img, err = decodeImage(raw); err != nil {
+		return nil, err
 	}
 	rd.chunk = 1
 	return rd, nil
+}
+
+// gunzip decompresses b into the reader's reused buffer, with an
+// allocation bound. The result is valid until the next call.
+func (r *Reader2) gunzip(b []byte) ([]byte, error) {
+	src := bytes.NewReader(b)
+	if r.zr == nil {
+		zr, err := gzip.NewReader(src)
+		if err != nil {
+			return nil, err
+		}
+		r.zr = zr
+	} else if err := r.zr.Reset(src); err != nil {
+		return nil, err
+	}
+	out := bytes.NewBuffer(r.zbuf[:0])
+	if _, err := out.ReadFrom(io.LimitReader(r.zr, decompressedLimit+1)); err != nil {
+		return nil, err
+	}
+	if out.Len() > decompressedLimit {
+		return nil, fmt.Errorf("decompressed payload exceeds %d bytes", decompressedLimit)
+	}
+	r.zbuf = out.Bytes()
+	return r.zbuf, nil
 }
 
 // readChunk reads and CRC-verifies one framed chunk.
@@ -453,13 +573,13 @@ func (r *Reader2) readChunk() (typ byte, records uint32, payload []byte, err err
 }
 
 // Workload returns the traced workload's name.
-func (r *Reader2) Workload() string { return r.name }
+func (r *Reader2) Workload() string { return r.img.name }
 
 // Seed returns the recorded generation seed (0 for external captures).
-func (r *Reader2) Seed() uint64 { return r.seed }
+func (r *Reader2) Seed() uint64 { return r.img.seed }
 
 // Salt returns the executor salt the trace was recorded at.
-func (r *Reader2) Salt() uint64 { return r.salt }
+func (r *Reader2) Salt() uint64 { return r.img.salt }
 
 // Encoding returns the record encoding.
 func (r *Reader2) Encoding() Encoding { return r.enc }
@@ -470,47 +590,23 @@ func (r *Reader2) Count() uint64 { return r.count }
 // Image reconstructs the embedded static image as a Program.
 func (r *Reader2) Image() (*workload.Program, error) {
 	return workload.NewProgramFromImage(
-		workload.Profile{Name: r.name, Seed: r.seed}, r.entry, r.code)
+		workload.Profile{Name: r.img.name, Seed: r.img.seed}, r.img.entry, r.img.code)
 }
 
 // Read decodes the next record; io.EOF at a verified end of trace.
 func (r *Reader2) Read() (Record, error) {
-	for r.pendLeft == 0 {
-		if r.done {
-			return Record{}, io.EOF
-		}
-		typ, records, payload, err := r.readChunk()
-		if err != nil {
+	if r.pendLeft == 0 {
+		if err := r.nextChunk(); err != nil {
 			return Record{}, err
 		}
-		c := r.chunk
-		r.chunk++
-		switch typ {
-		case chunkEnd:
-			if len(payload) != 8 {
-				return Record{}, &FormatError{Chunk: c, Reason: "malformed end chunk"}
-			}
-			if total := binary.LittleEndian.Uint64(payload); total != r.count {
-				return Record{}, &FormatError{Chunk: c,
-					Reason: fmt.Sprintf("record count mismatch: trailer says %d, decoded %d (chunk lost?)", total, r.count)}
-			}
-			r.done = true
-			return Record{}, io.EOF
-		case chunkRecords:
-			if records == 0 {
-				return Record{}, &FormatError{Chunk: c, Reason: "empty record chunk"}
-			}
-			raw, err := gunzipBytes(payload, decompressedLimit)
-			if err != nil {
-				return Record{}, &FormatError{Chunk: c, Reason: "record decompress", Err: err}
-			}
-			r.pending = raw
-			r.pendLeft = records
-		default:
-			return Record{}, &FormatError{Chunk: c, Reason: fmt.Sprintf("unexpected chunk type %q", typ)}
-		}
 	}
-	rec, err := r.decodeOne()
+	var rec Record
+	var err error
+	if r.enc == EncJSONL {
+		rec, err = r.decodeJSONL()
+	} else {
+		rec, err = r.decodeBinary()
+	}
 	if err != nil {
 		return Record{}, &FormatError{Chunk: r.chunk - 1, Reason: "record decode", Err: err}
 	}
@@ -519,69 +615,106 @@ func (r *Reader2) Read() (Record, error) {
 	return rec, nil
 }
 
-// decodeOne consumes one record from the pending buffer.
-func (r *Reader2) decodeOne() (Record, error) {
-	switch r.enc {
-	case EncJSONL:
-		i := bytes.IndexByte(r.pending, '\n')
-		if i < 0 {
-			return Record{}, io.ErrUnexpectedEOF
+// nextChunk loads the next record chunk into pending, setting pendLeft
+// to its header count; io.EOF at a verified end of trace.
+func (r *Reader2) nextChunk() error {
+	if r.done {
+		return io.EOF
+	}
+	typ, records, payload, err := r.readChunk()
+	if err != nil {
+		return err
+	}
+	c := r.chunk
+	r.chunk++
+	switch typ {
+	case chunkEnd:
+		if len(payload) != 8 {
+			return &FormatError{Chunk: c, Reason: "malformed end chunk"}
 		}
-		var rj recordJSON
-		if err := json.Unmarshal(r.pending[:i], &rj); err != nil {
-			return Record{}, err
+		if total := binary.LittleEndian.Uint64(payload); total != r.count {
+			return &FormatError{Chunk: c,
+				Reason: fmt.Sprintf("record count mismatch: trailer says %d, decoded %d (chunk lost?)", total, r.count)}
 		}
-		r.pending = r.pending[i+1:]
-		return Record{
-			PC:       isa.Addr(rj.PC),
-			Target:   isa.Addr(rj.Target),
-			DataAddr: isa.Addr(rj.DataAddr),
-			Taken:    rj.Taken,
-		}, nil
-	default: // EncBinary
-		buf := bytes.NewReader(r.pending)
-		rec, err := r.decodeBinary(buf)
+		r.done = true
+		return io.EOF
+	case chunkRecords:
+		if records == 0 {
+			return &FormatError{Chunk: c, Reason: "empty record chunk"}
+		}
+		raw, err := r.gunzip(payload)
 		if err != nil {
-			return Record{}, err
+			return &FormatError{Chunk: c, Reason: "record decompress", Err: err}
 		}
-		r.pending = r.pending[len(r.pending)-buf.Len():]
-		return rec, nil
+		if uint64(records) > uint64(len(raw)) { // every record takes at least one byte
+			return &FormatError{Chunk: c, Reason: fmt.Sprintf("claims %d records in %d bytes", records, len(raw))}
+		}
+		r.pending = raw
+		r.pendLeft = records
+		return nil
+	default:
+		return &FormatError{Chunk: c, Reason: fmt.Sprintf("unexpected chunk type %q", typ)}
 	}
 }
 
-// decodeBinary mirrors Writer2.writeBinary.
-func (r *Reader2) decodeBinary(br *bytes.Reader) (Record, error) {
-	flags, err := br.ReadByte()
-	if err != nil {
+// decodeJSONL consumes one EncJSONL record line from pending.
+func (r *Reader2) decodeJSONL() (Record, error) {
+	i := bytes.IndexByte(r.pending, '\n')
+	if i < 0 {
 		return Record{}, io.ErrUnexpectedEOF
 	}
+	var rj recordJSON
+	if err := json.Unmarshal(r.pending[:i], &rj); err != nil {
+		return Record{}, err
+	}
+	r.pending = r.pending[i+1:]
+	return Record{
+		PC:       isa.Addr(rj.PC),
+		Target:   isa.Addr(rj.Target),
+		DataAddr: isa.Addr(rj.DataAddr),
+		Taken:    rj.Taken,
+	}, nil
+}
+
+// decodeBinary consumes one EncBinary record from pending, mirroring
+// Writer2.writeBinary.
+func (r *Reader2) decodeBinary() (Record, error) {
+	b := r.pending
+	if len(b) == 0 {
+		return Record{}, io.ErrUnexpectedEOF
+	}
+	flags := b[0]
+	b = b[1:]
 	var rec Record
 	if flags&flagSeqPC != 0 {
 		rec.PC = r.lastPC + isa.InstrBytes
 	} else {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
+		d, n := binary.Varint(b)
+		if n <= 0 {
 			return Record{}, io.ErrUnexpectedEOF
 		}
+		b = b[n:]
 		rec.PC = isa.Addr(int64(r.lastPC) + d)
 	}
 	rec.Taken = flags&flagTaken != 0
+	rec.Target = rec.PC + isa.InstrBytes
 	if flags&flagHasTgt != 0 {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
+		d, n := binary.Varint(b)
+		if n <= 0 {
 			return Record{}, io.ErrUnexpectedEOF
 		}
+		b = b[n:]
 		rec.Target = isa.Addr(int64(rec.PC) + d)
-	} else {
-		rec.Target = rec.PC + isa.InstrBytes
 	}
 	if flags&flagHasData != 0 {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
 			return Record{}, io.ErrUnexpectedEOF
 		}
+		b = b[n:]
 		rec.DataAddr = isa.Addr(v)
 	}
+	r.pending = b
 	r.lastPC = rec.PC
 	return rec, nil
 }

@@ -1,11 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"udpsim/internal/workload"
@@ -81,32 +85,145 @@ func TestV2MultiChunk(t *testing.T) {
 	}
 }
 
-// TestV2ImageRoundtrip verifies the embedded image reconstructs the
-// exact static code the generator produced.
+// TestV2ImageRoundtrip verifies the embedded image of every app profile
+// reconstructs the exact static code and entry the generator produced.
+// -short covers only the tiny profile instead of every full-size image.
 func TestV2ImageRoundtrip(t *testing.T) {
-	p := tinyProfile()
-	data := recordTiny(t, 0, 10, EncBinary)
-	r, err := NewReader2(bytes.NewReader(data))
+	profiles := workload.All()
+	if testing.Short() {
+		profiles = []workload.Profile{tinyProfile()}
+	}
+	for _, p := range profiles {
+		t.Run(p.Name, func(t *testing.T) {
+			want := workload.MustGenerate(p)
+			var buf bytes.Buffer
+			w, err := NewWriter2(&buf, want, 3, EncBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := workload.NewExecutor(want, 3)
+			for i := 0; i < 10; i++ {
+				d := exec.Next()
+				if err := w.Write(Record{PC: d.PC(), Target: d.Target, DataAddr: d.DataAddr, Taken: d.Taken}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewReader2(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Workload() != p.Name || r.Seed() != p.Seed || r.Salt() != 3 {
+				t.Errorf("header: %s/%#x/%d", r.Workload(), r.Seed(), r.Salt())
+			}
+			got, err := r.Image()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Entry() != want.Entry() {
+				t.Errorf("entry %v vs %v", got.Entry(), want.Entry())
+			}
+			gc, wc := got.StaticCode(), want.StaticCode()
+			if len(gc) != len(wc) {
+				t.Fatalf("code size %d vs %d", len(gc), len(wc))
+			}
+			for i := range gc {
+				if gc[i] != wc[i] {
+					t.Fatalf("static instr %d: %+v vs %+v", i, gc[i], wc[i])
+				}
+			}
+		})
+	}
+}
+
+// imageTrace frames raw as the (gzipped) image payload of an otherwise
+// empty binary-encoded trace.
+func imageTrace(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	payload, err := gzipBytes(raw, gzip.DefaultCompression)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Image()
-	if err != nil {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString(Magic2)
+	bw.WriteByte(byte(EncBinary))
+	var end [8]byte
+	if err := writeChunk(bw, chunkImage, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	want := workload.MustGenerate(p)
-	if got.Entry() != want.Entry() {
-		t.Errorf("entry %v vs %v", got.Entry(), want.Entry())
+	if err := writeChunk(bw, chunkEnd, 0, end[:]); err != nil {
+		t.Fatal(err)
 	}
-	gc, wc := got.StaticCode(), want.StaticCode()
-	if len(gc) != len(wc) {
-		t.Fatalf("code size %d vs %d", len(gc), len(wc))
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range gc {
-		if gc[i] != wc[i] {
-			t.Fatalf("static instr %d: %+v vs %+v", i, gc[i], wc[i])
+	return buf.Bytes()
+}
+
+// lyingImage is an image payload whose header claims count
+// instructions but which holds the bytes of only one.
+func lyingImage(count uint64) []byte {
+	b := []byte{imageVersion, 0, 0, 0, 0} // version, empty name, seed, salt, entry
+	b = binary.AppendUvarint(b, count)
+	return append(b, 0, 0, 0)
+}
+
+// TestV2ImageLyingCount checks that a few-byte image claiming millions
+// of instructions is rejected before the reader allocates for them.
+func TestV2ImageLyingCount(t *testing.T) {
+	for _, count := range []uint64{imageInstrsMax, imageInstrsMax + 1} {
+		data := imageTrace(t, lyingImage(count))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewReader2(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Chunk != 0 {
+			t.Fatalf("count %d: want a chunk-0 *FormatError, got %v", count, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("count %d: rejecting the image allocated %d bytes", count, grew)
 		}
 	}
+}
+
+// TestV2RejectsJSONImage checks that a trace recorded with the earlier
+// JSON image chunk fails with a *FormatError that asks for a
+// re-recording.
+func TestV2RejectsJSONImage(t *testing.T) {
+	raw := []byte(`{"name":"fixture","seed":0,"salt":0,"entry":4194304,"code":[{"c":0},{"c":3,"b":1,"t":4194304}]}`)
+	fe := wantFormatError(t, imageTrace(t, raw))
+	if fe.Chunk != 0 || !strings.Contains(fe.Reason, "re-record") {
+		t.Errorf("JSON image rejected as %v, want chunk 0 asking to re-record", fe)
+	}
+}
+
+// BenchmarkLoadSourceBytes decodes a fixed recording of 160k records of
+// the full xgboost image, the load every trace replay pays. It reports
+// the same time per record and per embedded image instruction.
+func BenchmarkLoadSourceBytes(b *testing.B) {
+	const records = 160_000
+	var buf bytes.Buffer
+	if err := RecordN2(&buf, workload.MustByName("xgboost"), 1, records, EncBinary); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	instrs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := LoadSourceBytes("xgboost", data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs = len(src.prog.StaticCode())
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/records, "ns/record")
+	b.ReportMetric(ns/float64(instrs), "ns/image-instr")
 }
 
 // readAll drains a reader, returning the terminal error (nil for EOF).
