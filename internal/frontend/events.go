@@ -63,7 +63,7 @@ func (f *Frontend) OnDecode(fi *FrontInstr, cycle uint64) bool {
 		f.dir.SpecUpdate(si.PC, true)
 	}
 	if si.Branch.PushesRAS() {
-		f.ras.Push(si.FallThrough)
+		f.ras.Push(si.FallThrough())
 	}
 	if si.Branch.PopsRAS() {
 		f.ras.Pop()
@@ -89,7 +89,7 @@ func (f *Frontend) OnDecode(fi *FrontInstr, cycle uint64) bool {
 		// would exist), but decode predicts taken: post-fetch
 		// correction itself sends us off-path.
 		f.oracle.Rewind(fi.OracleCursorAfter)
-		f.diverge(fi, DivPostFetch, si.FallThrough, fi.Oracle.Taken, fi.Oracle.Target, cycle)
+		f.diverge(fi, DivPostFetch, si.FallThrough(), fi.Oracle.Taken, fi.Oracle.Target, cycle)
 		f.fetchPC = target
 	default:
 		// Already off-path: just follow the redirect.
@@ -151,7 +151,7 @@ func (f *Frontend) Recover(fi *FrontInstr, cycle uint64) {
 		f.dir.SpecUpdate(div.BranchPC, div.ActualTaken)
 	}
 	if div.BranchKind.PushesRAS() {
-		f.ras.Push(fi.Static.FallThrough)
+		f.ras.Push(fi.Static.FallThrough())
 	}
 	if div.BranchKind.PopsRAS() {
 		f.ras.Pop()

@@ -446,7 +446,7 @@ func (f *Frontend) handleBranch(fb *FetchBlock, fi *FrontInstr, cycle uint64) (i
 		}
 	}
 	if entry.Kind.PushesRAS() {
-		f.ras.Push(si.FallThrough)
+		f.ras.Push(si.FallThrough())
 	}
 	pb.PredTaken = taken
 	pb.PredTarget = target

@@ -174,8 +174,6 @@ type StaticInstr struct {
 	// branches it is the most common target (the image generator also
 	// records alternates on the owning block).
 	Target Addr
-	// FallThrough is PC+InstrBytes, precomputed for the hot path.
-	FallThrough Addr
 	// DataAddr is a representative data address for loads/stores; the
 	// executor perturbs it per dynamic instance.
 	DataAddr Addr
@@ -183,6 +181,11 @@ type StaticInstr struct {
 
 // IsBranch reports whether the instruction is any control-flow kind.
 func (si *StaticInstr) IsBranch() bool { return si.Branch != BranchNone }
+
+// FallThrough returns the address of the next sequential instruction,
+// PC+InstrBytes. It is derived rather than stored: the field would cost
+// every image a fifth of its bytes for one add on the read.
+func (si *StaticInstr) FallThrough() Addr { return si.PC + InstrBytes }
 
 // DynInstr is one dynamically executed instruction: a static instruction
 // plus its resolved outcome. The workload executor produces the on-path
@@ -209,5 +212,5 @@ func (d *DynInstr) NextPC() Addr {
 	if d.Static.Branch != BranchNone && d.Taken {
 		return d.Target
 	}
-	return d.Static.FallThrough
+	return d.Static.FallThrough()
 }

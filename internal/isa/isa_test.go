@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGeometryConstants(t *testing.T) {
@@ -122,7 +123,7 @@ func TestKindAndClassStrings(t *testing.T) {
 }
 
 func TestDynInstrNextPC(t *testing.T) {
-	si := &StaticInstr{PC: 0x1000, Branch: BranchCond, Target: 0x2000, FallThrough: 0x1004}
+	si := &StaticInstr{PC: 0x1000, Branch: BranchCond, Target: 0x2000}
 	taken := &DynInstr{Static: si, Taken: true, Target: 0x2000}
 	if taken.NextPC() != 0x2000 {
 		t.Errorf("taken NextPC = %v", taken.NextPC())
@@ -135,12 +136,24 @@ func TestDynInstrNextPC(t *testing.T) {
 		t.Errorf("PC = %v", taken.PC())
 	}
 
-	alu := &StaticInstr{PC: 0x1000, Class: ClassALU, FallThrough: 0x1004}
+	alu := &StaticInstr{PC: 0x1000, Class: ClassALU}
 	d := &DynInstr{Static: alu}
 	if d.NextPC() != 0x1004 {
 		t.Errorf("ALU NextPC = %v", d.NextPC())
 	}
 	if alu.IsBranch() {
 		t.Error("ALU claims to be a branch")
+	}
+	if alu.FallThrough() != 0x1004 {
+		t.Errorf("FallThrough = %v", alu.FallThrough())
+	}
+}
+
+// TestStaticInstrSize pins the image's per-instruction footprint: four
+// 8-byte words (PC, Target, DataAddr, and Class+Branch padded). A new
+// field grows every generated and trace-decoded image by its size.
+func TestStaticInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(StaticInstr{}); got != 32 {
+		t.Errorf("sizeof(StaticInstr) = %d, want 32", got)
 	}
 }

@@ -45,7 +45,7 @@ func fixtureProgram(t testing.TB) *workload.Program {
 	code := make([]isa.StaticInstr, 16)
 	for i := range code {
 		pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
-		code[i] = isa.StaticInstr{PC: pc, Class: isa.ClassALU, FallThrough: pc + isa.InstrBytes}
+		code[i] = isa.StaticInstr{PC: pc, Class: isa.ClassALU}
 		if i < len(classes) {
 			code[i].Class = classes[i].c
 			code[i].Branch = classes[i].b

@@ -238,7 +238,7 @@ func decodeImage(b []byte) (*image, error) {
 		}
 		pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
 		in := &img.code[i]
-		*in = isa.StaticInstr{PC: pc, Class: isa.Class(class), Branch: isa.BranchKind(kind), FallThrough: pc + isa.InstrBytes}
+		*in = isa.StaticInstr{PC: pc, Class: isa.Class(class), Branch: isa.BranchKind(kind)}
 		if flags&imageHasTarget != 0 {
 			d, n := binary.Varint(b)
 			if !minimal(b, n) {

@@ -70,7 +70,7 @@ func (e *Executor) Next() isa.DynInstr {
 
 	switch {
 	case si.Branch == isa.BranchNone:
-		d.Target = si.FallThrough
+		d.Target = si.FallThrough()
 		if si.Class == isa.ClassLoad || si.Class == isa.ClassStore {
 			d.DataAddr = e.resolveData(si)
 		}
@@ -79,7 +79,7 @@ func (e *Executor) Next() isa.DynInstr {
 		if d.Taken {
 			d.Target = si.Target
 		} else {
-			d.Target = si.FallThrough
+			d.Target = si.FallThrough()
 		}
 	case si.Branch == isa.BranchUncond:
 		d.Taken = true
@@ -87,7 +87,7 @@ func (e *Executor) Next() isa.DynInstr {
 	case si.Branch == isa.BranchCall:
 		d.Taken = true
 		d.Target = si.Target
-		e.stack = append(e.stack, si.FallThrough)
+		e.stack = append(e.stack, si.FallThrough())
 	case si.Branch == isa.BranchReturn:
 		d.Taken = true
 		if n := len(e.stack); n > 0 {
@@ -102,13 +102,13 @@ func (e *Executor) Next() isa.DynInstr {
 		d.Taken = true
 		d.Target = e.resolveIndirect(si)
 		if si.Branch == isa.BranchIndirectCall {
-			e.stack = append(e.stack, si.FallThrough)
+			e.stack = append(e.stack, si.FallThrough())
 		}
 	}
 
 	e.pc = d.Target
 	if d.Target == 0 {
-		e.pc = si.FallThrough
+		e.pc = si.FallThrough()
 		d.Target = e.pc
 	}
 	if e.phaseLen > 0 && e.seq%e.phaseLen == 0 {
@@ -169,7 +169,7 @@ func (e *Executor) tripFor(m *CondMeta) uint32 {
 func (e *Executor) resolveIndirect(si *isa.StaticInstr) isa.Addr {
 	m := e.prog.indirects[si.PC]
 	if m == nil || len(m.Targets) == 0 {
-		return si.FallThrough
+		return si.FallThrough()
 	}
 	if si.PC == e.prog.dispatchPC && e.prog.profile.DispatchSequential {
 		idx := int(e.dispatchRR) % len(m.Targets)

@@ -62,55 +62,76 @@ type Program struct {
 	NumCalls    int
 }
 
-// builder accumulates instructions with backpatching for forward
-// branch targets.
+// builder lays out a program image; Generate runs it twice.
 type builder struct {
-	prog  *Program
-	r     *rng
-	p     *Profile
-	depth int
+	prog *Program
+	r    *rng
+	p    *Profile
+	// sizing marks the counting pass: nothing is stored, only n, the
+	// static counts and FuncEntries advance.
+	sizing bool
+	// n is the number of instructions emitted so far.
+	n      int
+	levels []int
+	depth  int
+	// condSlab backs every CondMeta of the image, sized exactly by the
+	// sizing pass so the map can point into it.
+	condSlab []CondMeta
 }
 
 // Generate builds the program image for a profile. Generation is fully
 // deterministic in Profile.Seed.
+//
+// The builder runs twice, each time from a fresh generator with the
+// same seed, so both passes draw the same random stream and lay out the
+// same code. The sizing pass stores nothing; it yields the instruction,
+// conditional and indirect counts and every function's entry address.
+// The build pass then writes into a code array made once at its exact
+// size (no regrowth, no spare capacity) and emits each direct call with
+// its callee's entry already known, so no call needs a fixup.
 func Generate(p Profile) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	sized := &builder{prog: &Program{profile: p, FuncEntries: make([]isa.Addr, p.Funcs)}, sizing: true}
+	sized.run()
+	counts := sized.prog
+
 	prog := &Program{
-		profile:   p,
-		conds:     make(map[isa.Addr]*CondMeta),
-		indirects: make(map[isa.Addr]*IndirectMeta),
+		profile:     p,
+		code:        make([]isa.StaticInstr, sized.n),
+		conds:       make(map[isa.Addr]*CondMeta, counts.NumCond),
+		indirects:   make(map[isa.Addr]*IndirectMeta, counts.NumIndirect),
+		FuncEntries: counts.FuncEntries,
 	}
-	b := &builder{prog: prog, r: newRNG(p.Seed), p: &p}
+	b := &builder{prog: prog, condSlab: make([]CondMeta, 0, counts.NumCond)}
+	b.run()
+	if b.n != sized.n {
+		panic(fmt.Sprintf("workload: %s: build pass emitted %d instructions, sizing pass %d", p.Name, b.n, sized.n))
+	}
+	return prog, nil
+}
+
+// run lays out the whole image: every function in address order, then
+// the top-level dispatcher.
+func (b *builder) run() {
+	p := &b.prog.profile
+	b.p = p
+	b.r = newRNG(p.Seed)
 
 	// Assign call-graph levels: function i may only call functions with
 	// a strictly greater level, which rules out recursion.
-	levels := make([]int, p.Funcs)
-	for i := range levels {
-		levels[i] = b.r.intn(p.MaxCallDepth)
+	b.levels = make([]int, p.Funcs)
+	for i := range b.levels {
+		b.levels[i] = b.r.intn(p.MaxCallDepth)
 	}
 
-	// Generate functions in address order. Callee selection needs every
-	// function's entry address, so run two passes: first a dry pass to
-	// compute sizes? Instead: generate bodies with *symbolic* callee
-	// choices resolved after layout. We emit call instructions with a
-	// placeholder and record fixups.
-	type callFixup struct {
-		idx    int // instruction index of the call
-		callee int // function id
-	}
-	var fixups []callFixup
-
-	prog.FuncEntries = make([]isa.Addr, p.Funcs)
 	for f := 0; f < p.Funcs; f++ {
-		prog.FuncEntries[f] = prog.nextAddr()
+		b.prog.FuncEntries[f] = b.nextAddr()
 		b.depth = 0
 		nStmts := b.r.rangeIn(p.StmtsPerFunc[0], p.StmtsPerFunc[1])
 		for s := 0; s < nStmts; s++ {
-			b.emitStatement(f, levels, func(callee int) {
-				fixups = append(fixups, callFixup{idx: len(prog.code) - 1, callee: callee})
-			})
+			b.emitStatement(f)
 		}
 		b.emitReturn()
 	}
@@ -118,15 +139,8 @@ func Generate(p Profile) (*Program, error) {
 	// Top-level dispatcher: an infinite loop around an indirect call
 	// that selects among the DispatchTargets hottest functions — the
 	// synthetic stand-in for the server's request-dispatch loop.
-	prog.entry = prog.nextAddr()
+	b.prog.entry = b.nextAddr()
 	b.emitDispatcher()
-
-	// Resolve call targets.
-	for _, fx := range fixups {
-		prog.code[fx.idx].Target = prog.FuncEntries[fx.callee]
-	}
-
-	return prog, nil
 }
 
 // NewProgramFromImage rebuilds a Program from an externally captured
@@ -138,7 +152,7 @@ func Generate(p Profile) (*Program, error) {
 // that invariant is what makes InstrAt a single index computation.
 func NewProgramFromImage(p Profile, entry isa.Addr, code []isa.StaticInstr) (*Program, error) {
 	for i := range code {
-		if want := ImageBase + isa.Addr(i*isa.InstrBytes); code[i].PC != want {
+		if want := pcOf(i); code[i].PC != want {
 			return nil, fmt.Errorf("workload: image not dense at instr %d: pc %#x, want %#x", i, code[i].PC, want)
 		}
 	}
@@ -164,25 +178,30 @@ func MustGenerate(p Profile) *Program {
 	return prog
 }
 
-func (pr *Program) nextAddr() isa.Addr {
-	return ImageBase + isa.Addr(len(pr.code)*isa.InstrBytes)
+// pcOf is the address of the i-th instruction of a dense image.
+func pcOf(i int) isa.Addr { return ImageBase + isa.Addr(i*isa.InstrBytes) }
+
+func (b *builder) nextAddr() isa.Addr { return pcOf(b.n) }
+
+// emit places the next instruction, returning its index.
+func (b *builder) emit(class isa.Class, kind isa.BranchKind, target, data isa.Addr) int {
+	i := b.n
+	b.n++
+	if !b.sizing {
+		b.prog.code[i] = isa.StaticInstr{PC: pcOf(i), Class: class, Branch: kind, Target: target, DataAddr: data}
+	}
+	return i
 }
 
-// emit appends an instruction, returning its index.
-func (pr *Program) emit(class isa.Class, kind isa.BranchKind, target isa.Addr) int {
-	pc := pr.nextAddr()
-	pr.code = append(pr.code, isa.StaticInstr{
-		PC:          pc,
-		Class:       class,
-		Branch:      kind,
-		Target:      target,
-		FallThrough: pc + isa.InstrBytes,
-	})
-	return len(pr.code) - 1
+// setTarget backpatches instruction i's branch target.
+func (b *builder) setTarget(i int, target isa.Addr) {
+	if !b.sizing {
+		b.prog.code[i].Target = target
+	}
 }
 
 // emitStatement generates one statement (possibly nested).
-func (b *builder) emitStatement(funcID int, levels []int, onCall func(callee int)) {
+func (b *builder) emitStatement(funcID int) {
 	p := b.p
 	wTotal := p.WStraight + p.WDiamond + p.WLoop + p.WCall + p.WSwitch
 	x := b.r.float() * wTotal
@@ -195,16 +214,13 @@ func (b *builder) emitStatement(funcID int, levels []int, onCall func(callee int
 	case x < p.WStraight:
 		b.emitStraight()
 	case x < p.WStraight+p.WDiamond:
-		b.emitDiamond(funcID, levels, onCall)
+		b.emitDiamond(funcID)
 	case x < p.WStraight+p.WDiamond+p.WLoop:
-		b.emitLoop(funcID, levels, onCall)
+		b.emitLoop(funcID)
 	case x < p.WStraight+p.WDiamond+p.WLoop+p.WCall:
-		b.emitCall(funcID, levels)
-		if b.prog.code[len(b.prog.code)-1].Branch == isa.BranchCall {
-			onCall(int(b.prog.code[len(b.prog.code)-1].Target)) // placeholder; resolved below
-		}
+		b.emitCall(funcID)
 	default:
-		b.emitSwitch(funcID, levels, onCall)
+		b.emitSwitch(funcID)
 	}
 }
 
@@ -216,22 +232,26 @@ func (b *builder) emitStraight() {
 		x := b.r.float()
 		switch {
 		case x < b.p.LoadFrac:
-			idx := b.prog.emit(isa.ClassLoad, isa.BranchNone, 0)
-			b.prog.code[idx].DataAddr = b.dataAddr()
+			b.emit(isa.ClassLoad, isa.BranchNone, 0, b.dataAddr())
 		case x < b.p.LoadFrac+b.p.StoreFrac:
-			idx := b.prog.emit(isa.ClassStore, isa.BranchNone, 0)
-			b.prog.code[idx].DataAddr = b.dataAddr()
+			b.emit(isa.ClassStore, isa.BranchNone, 0, b.dataAddr())
 		case x < b.p.LoadFrac+b.p.StoreFrac+0.05:
-			b.prog.emit(isa.ClassMul, isa.BranchNone, 0)
+			b.emit(isa.ClassMul, isa.BranchNone, 0, 0)
 		default:
-			b.prog.emit(isa.ClassALU, isa.BranchNone, 0)
+			b.emit(isa.ClassALU, isa.BranchNone, 0, 0)
 		}
 	}
 }
 
 // dataAddr assigns a static representative data address: either in the
 // small hot region (reused, cache-friendly) or the large random region.
+// It takes exactly two draws either way, which lets the sizing pass skip
+// them without computing either.
 func (b *builder) dataAddr() isa.Addr {
+	if b.sizing {
+		b.r.skip(2) // the two draws below; the sizing pass stores no address
+		return 0
+	}
 	const hotRegion = 0x10000000
 	const randRegion = 0x20000000
 	if b.r.float() < b.p.DataRandFrac {
@@ -245,7 +265,7 @@ func (b *builder) dataAddr() isa.Addr {
 }
 
 // condMeta draws a conditional behaviour from the profile mixture.
-func (b *builder) condMeta() *CondMeta {
+func (b *builder) condMeta() CondMeta {
 	x := b.r.float()
 	switch {
 	case x < b.p.FracBiased:
@@ -258,10 +278,10 @@ func (b *builder) condMeta() *CondMeta {
 		if b.r.float() < 0.5 {
 			pt = 1 - pt
 		}
-		return &CondMeta{Behavior: CondBiased, PTaken: pt}
+		return CondMeta{Behavior: CondBiased, PTaken: pt}
 	case x < b.p.FracBiased+b.p.FracPeriodic:
 		period := uint32(b.r.rangeIn(2, 8))
-		return &CondMeta{
+		return CondMeta{
 			Behavior:    CondPeriodic,
 			Period:      period,
 			PatternBits: b.r.next() | 1, // ensure at least one taken slot
@@ -271,8 +291,31 @@ func (b *builder) condMeta() *CondMeta {
 		if pt == 0 {
 			pt = 0.5
 		}
-		return &CondMeta{Behavior: CondIID, PTaken: pt}
+		return CondMeta{Behavior: CondIID, PTaken: pt}
 	}
+}
+
+// addCond registers the conditional branch at instruction i, assigning
+// it the next dense site index (used by the executor for slice-backed
+// per-site state instead of map lookups on the hot path).
+func (b *builder) addCond(i int, m CondMeta) {
+	b.prog.NumCond++
+	if b.sizing {
+		return
+	}
+	m.Idx = len(b.condSlab)
+	b.condSlab = append(b.condSlab, m)
+	b.prog.conds[pcOf(i)] = &b.condSlab[m.Idx]
+}
+
+// addIndirect registers the indirect branch at instruction i with a
+// Zipf(s) popularity over targets in order.
+func (b *builder) addIndirect(i int, targets []isa.Addr, s float64) {
+	b.prog.NumIndirect++
+	if b.sizing {
+		return
+	}
+	b.prog.indirects[pcOf(i)] = &IndirectMeta{Targets: targets, Cum: zipfWeights(len(targets), s, b.r)}
 }
 
 // emitDiamond generates
@@ -284,13 +327,12 @@ func (b *builder) condMeta() *CondMeta {
 //
 // giving the program explicit merge points, the code shape whose
 // off-path prefetch usefulness the paper analyzes (Fig. 7).
-func (b *builder) emitDiamond(funcID int, levels []int, onCall func(int)) {
+func (b *builder) emitDiamond(funcID int) {
 	b.depth++
 	defer func() { b.depth-- }()
 
-	condIdx := b.prog.emit(isa.ClassBranch, isa.BranchCond, 0)
-	b.prog.NumCond++
-	b.prog.addCond(b.prog.code[condIdx].PC, b.condMeta())
+	condIdx := b.emit(isa.ClassBranch, isa.BranchCond, 0, 0)
+	b.addCond(condIdx, b.condMeta())
 
 	// THEN arm.
 	b.emitStraight()
@@ -299,19 +341,19 @@ func (b *builder) emitDiamond(funcID int, levels []int, onCall func(int)) {
 		nest = 0.3
 	}
 	if b.depth < b.p.MaxDepth && b.r.float() < nest {
-		b.emitStatement(funcID, levels, onCall)
+		b.emitStatement(funcID)
 	}
-	jmpIdx := b.prog.emit(isa.ClassBranch, isa.BranchUncond, 0)
+	jmpIdx := b.emit(isa.ClassBranch, isa.BranchUncond, 0, 0)
 
 	// ELSE arm starts here; backpatch the conditional.
-	b.prog.code[condIdx].Target = b.prog.nextAddr()
+	b.setTarget(condIdx, b.nextAddr())
 	b.emitStraight()
 	if b.depth < b.p.MaxDepth && b.r.float() < nest {
-		b.emitStatement(funcID, levels, onCall)
+		b.emitStatement(funcID)
 	}
 
 	// MERGE point; backpatch the jump.
-	b.prog.code[jmpIdx].Target = b.prog.nextAddr()
+	b.setTarget(jmpIdx, b.nextAddr())
 	// A short post-merge block guarantees the merge point has real code
 	// that both paths execute.
 	b.emitStraight()
@@ -327,45 +369,44 @@ func (b *builder) emitDiamond(funcID int, levels []int, onCall func(int)) {
 // calling a function that loops), so un-damped trip counts make the
 // expected instructions-per-dispatch unbounded and the executor can
 // disappear into one function for millions of instructions.
-func (b *builder) emitLoop(funcID int, levels []int, onCall func(int)) {
+func (b *builder) emitLoop(funcID int) {
 	b.depth++
 	defer func() { b.depth-- }()
 
-	header := b.prog.nextAddr()
+	header := b.nextAddr()
 	b.emitStraight()
 	nest := b.p.NestProb
 	if nest == 0 {
 		nest = 0.4
 	}
 	if b.depth < b.p.MaxDepth && b.r.float() < nest {
-		b.emitStatement(funcID, levels, onCall)
+		b.emitStatement(funcID)
 	}
-	backIdx := b.prog.emit(isa.ClassBranch, isa.BranchCond, header)
-	b.prog.NumCond++
-	damp := uint(levels[funcID]) + uint(b.depth-1)
+	backIdx := b.emit(isa.ClassBranch, isa.BranchCond, header, 0)
+	damp := uint(b.levels[funcID]) + uint(b.depth-1)
 	hi := b.p.LoopTrip[1] >> damp
 	if hi < b.p.LoopTrip[0] {
 		hi = b.p.LoopTrip[0]
 	}
 	trip := uint32(b.r.rangeIn(b.p.LoopTrip[0], hi))
-	meta := &CondMeta{Behavior: CondLoop, Trip: trip}
+	meta := CondMeta{Behavior: CondLoop, Trip: trip}
 	if b.p.LoopTripVariable && trip > 2 {
 		meta.TripJitter = trip / 2
 	}
-	b.prog.addCond(b.prog.code[backIdx].PC, meta)
+	b.addCond(backIdx, meta)
 }
 
 // emitCall emits a direct call to a function at a strictly deeper
 // call-graph level (no recursion). When no deeper function exists the
-// statement degrades to straight-line code.
-func (b *builder) emitCall(funcID int, levels []int) {
-	myLevel := levels[funcID]
+// statement degrades to straight-line code. The callee may lie later in
+// the image; the build pass knows its entry from the sizing pass.
+func (b *builder) emitCall(funcID int) {
+	myLevel := b.levels[funcID]
 	// Sample a few candidates for a deeper callee.
 	for try := 0; try < 8; try++ {
-		callee := b.r.intn(len(levels))
-		if levels[callee] > myLevel {
-			// Target holds the callee *function id* until fixup.
-			b.prog.emit(isa.ClassBranch, isa.BranchCall, isa.Addr(callee))
+		callee := b.r.intn(len(b.levels))
+		if b.levels[callee] > myLevel {
+			b.emit(isa.ClassBranch, isa.BranchCall, b.prog.FuncEntries[callee], 0)
 			b.prog.NumCalls++
 			return
 		}
@@ -376,37 +417,35 @@ func (b *builder) emitCall(funcID int, levels []int) {
 // emitSwitch generates an indirect jump over K case blocks, each ending
 // with a jump to a common merge point — modelling switch statements and
 // virtual dispatch within a function.
-func (b *builder) emitSwitch(funcID int, levels []int, onCall func(int)) {
+func (b *builder) emitSwitch(funcID int) {
 	b.depth++
 	defer func() { b.depth-- }()
 
 	k := b.r.rangeIn(b.p.SwitchTargets[0], b.p.SwitchTargets[1])
-	ijIdx := b.prog.emit(isa.ClassBranch, isa.BranchIndirect, 0)
-	b.prog.NumIndirect++
+	ijIdx := b.emit(isa.ClassBranch, isa.BranchIndirect, 0, 0)
 
 	caseStarts := make([]isa.Addr, k)
 	mergeJumps := make([]int, k)
 	for c := 0; c < k; c++ {
-		caseStarts[c] = b.prog.nextAddr()
+		caseStarts[c] = b.nextAddr()
 		b.emitStraight()
-		mergeJumps[c] = b.prog.emit(isa.ClassBranch, isa.BranchUncond, 0)
+		mergeJumps[c] = b.emit(isa.ClassBranch, isa.BranchUncond, 0, 0)
 	}
-	merge := b.prog.nextAddr()
+	merge := b.nextAddr()
 	for _, idx := range mergeJumps {
-		b.prog.code[idx].Target = merge
+		b.setTarget(idx, merge)
 	}
 	b.emitStraight()
 
 	// Case popularity: Zipf with mild skew so indirect predictors can
 	// learn the hot cases but still miss.
-	cum := zipfWeights(k, 1.2, b.r)
-	b.prog.indirects[b.prog.code[ijIdx].PC] = &IndirectMeta{Targets: caseStarts, Cum: cum}
-	b.prog.code[ijIdx].Target = caseStarts[0] // most common target
+	b.addIndirect(ijIdx, caseStarts, 1.2)
+	b.setTarget(ijIdx, caseStarts[0]) // most common target
 }
 
 // emitReturn terminates a function.
 func (b *builder) emitReturn() {
-	b.prog.emit(isa.ClassBranch, isa.BranchReturn, 0)
+	b.emit(isa.ClassBranch, isa.BranchReturn, 0, 0)
 }
 
 // emitDispatcher generates the top-level request loop:
@@ -415,27 +454,23 @@ func (b *builder) emitReturn() {
 //	      icall [dispatch over hot functions]
 //	      jmp LOOP
 func (b *builder) emitDispatcher() {
-	loop := b.prog.nextAddr()
+	loop := b.nextAddr()
 	b.emitStraight()
-	icIdx := b.prog.emit(isa.ClassBranch, isa.BranchIndirectCall, 0)
-	b.prog.NumIndirect++
-	b.prog.dispatchPC = b.prog.code[icIdx].PC
+	entries := b.prog.FuncEntries
+	icIdx := b.emit(isa.ClassBranch, isa.BranchIndirectCall, entries[0], 0)
+	b.prog.dispatchPC = pcOf(icIdx)
 
 	n := b.p.DispatchTargets
-	if n <= 0 || n > len(b.prog.FuncEntries) {
-		n = len(b.prog.FuncEntries)
+	if n <= 0 || n > len(entries) {
+		n = len(entries)
 	}
-	targets := make([]isa.Addr, n)
-	copy(targets, b.prog.FuncEntries[:n])
 	s := b.p.DispatchZipf
 	if s == 0 {
 		s = 1.0
 	}
-	cum := zipfWeights(n, s, b.r)
-	b.prog.indirects[b.prog.dispatchPC] = &IndirectMeta{Targets: targets, Cum: cum}
-	b.prog.code[icIdx].Target = targets[0]
+	b.addIndirect(icIdx, append([]isa.Addr(nil), entries[:n]...), s)
 
-	b.prog.emit(isa.ClassBranch, isa.BranchUncond, loop)
+	b.emit(isa.ClassBranch, isa.BranchUncond, loop, 0)
 }
 
 // --- image queries (hot path for the frontend) ---
@@ -460,14 +495,12 @@ func (pr *Program) InstrAt(pc isa.Addr) *isa.StaticInstr {
 	if pc < ImageBase || uint64(pc-ImageBase)%isa.InstrBytes != 0 {
 		n := padNop
 		n.PC = pc
-		n.FallThrough = pc + isa.InstrBytes
 		return &n
 	}
 	idx := uint64(pc-ImageBase) / isa.InstrBytes
 	if idx >= uint64(len(pr.code)) {
 		n := padNop
 		n.PC = pc
-		n.FallThrough = pc + isa.InstrBytes
 		return &n
 	}
 	return &pr.code[idx]
@@ -479,14 +512,6 @@ func (pr *Program) InImage(pc isa.Addr) bool {
 		return false
 	}
 	return uint64(pc-ImageBase)/isa.InstrBytes < uint64(len(pr.code))
-}
-
-// addCond registers a conditional branch site, assigning it the next
-// dense site index (used by the executor for slice-backed per-site
-// state instead of map lookups on the hot path).
-func (pr *Program) addCond(pc isa.Addr, m *CondMeta) {
-	m.Idx = len(pr.conds)
-	pr.conds[pc] = m
 }
 
 // CondSites returns the number of conditional branch sites; CondMeta.Idx

@@ -199,10 +199,13 @@ func (p Profile) Key() string {
 // executor each derive independent streams from Profile.Seed.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed ^ 0x9e3779b97f4a7c15} }
+// rngGamma is SplitMix64's state increment per draw.
+const rngGamma = 0x9e3779b97f4a7c15
+
+func newRNG(seed uint64) *rng { return &rng{state: seed ^ rngGamma} }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += rngGamma
 	z := r.state
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
@@ -211,6 +214,10 @@ func (r *rng) next() uint64 {
 	z ^= z >> 31
 	return z
 }
+
+// skip advances past n draws without computing them: the state is a
+// counter, so this is one multiply-add.
+func (r *rng) skip(n uint64) { r.state += n * rngGamma }
 
 // intn returns a uniform int in [0, n).
 func (r *rng) intn(n int) int {

@@ -17,16 +17,16 @@ type Stream interface {
 
 // A Source is a complete workload identity: a static program image the
 // frontend walks, a factory for the dynamic stream the backend retires,
-// and a stable key the caches shard on. The two implementations are
-// SyntheticSource (profile-generated, stream re-executable at any salt)
-// and trace.Source (self-contained UDPT2 recording, keyed by content
-// hash).
+// and a stable key the caches shard on. Its implementation is
+// trace.Source (a self-contained UDPT2 recording, keyed by content
+// hash); synthetic workloads need no Source, since the sim layer takes
+// their image from its process-wide image cache and streams from a live
+// Executor.
 type Source interface {
 	// Name is the human-facing workload label (Result.Workload etc).
 	Name() string
-	// Key is the canonical cache identity. Synthetic sources use the
-	// full profile serialization ("profile:…"); trace sources use
-	// "trace:" + SHA-256 of the trace file content, consistent with the
+	// Key is the canonical cache identity: trace sources use "trace:" +
+	// SHA-256 of the trace file content, consistent with the
 	// content-addressed result store.
 	Key() string
 	// Image returns the static program image (shared; callers must not
@@ -36,40 +36,6 @@ type Source interface {
 	// seed salt. Trace sources accept only the salt they were recorded
 	// at.
 	Stream(seedSalt uint64) (Stream, error)
-}
-
-// SyntheticSource adapts a Profile to the Source interface: the image
-// is generated (and memoized) from the profile, and every Stream call
-// re-executes it deterministically.
-type SyntheticSource struct {
-	p    Profile
-	once sync.Once
-	prog *Program
-	err  error
-}
-
-// NewSyntheticSource wraps a profile.
-func NewSyntheticSource(p Profile) *SyntheticSource { return &SyntheticSource{p: p} }
-
-// Name returns the profile name.
-func (s *SyntheticSource) Name() string { return s.p.Name }
-
-// Key returns "profile:" + the canonical profile serialization.
-func (s *SyntheticSource) Key() string { return "profile:" + s.p.Key() }
-
-// Image generates (once) and returns the program image.
-func (s *SyntheticSource) Image() (*Program, error) {
-	s.once.Do(func() { s.prog, s.err = Generate(s.p) })
-	return s.prog, s.err
-}
-
-// Stream returns a fresh executor over the image.
-func (s *SyntheticSource) Stream(seedSalt uint64) (Stream, error) {
-	prog, err := s.Image()
-	if err != nil {
-		return nil, err
-	}
-	return NewExecutor(prog, seedSalt), nil
 }
 
 // --- process-wide source registry ---

@@ -12,38 +12,16 @@ func tinySourceProfile() Profile {
 	return p
 }
 
-func TestSyntheticSource(t *testing.T) {
-	p := tinySourceProfile()
-	s := NewSyntheticSource(p)
-	if s.Name() != p.Name {
-		t.Errorf("Name = %q", s.Name())
-	}
-	if s.Key() != "profile:"+p.Key() {
-		t.Errorf("Key = %q", s.Key())
-	}
-	img1, err := s.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	img2, _ := s.Image()
-	if img1 != img2 {
-		t.Error("Image not memoized")
-	}
-	st, err := s.Stream(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewExecutor(MustGenerate(p), 3)
-	for i := 0; i < 5_000; i++ {
-		a, b := st.Next(), live.Next()
-		if a.PC() != b.PC() || a.Taken != b.Taken || a.Target != b.Target {
-			t.Fatalf("stream mismatch at %d", i)
-		}
-	}
-}
+// stubSource is the smallest Source the registry can hold.
+type stubSource struct{ name, key string }
+
+func (s *stubSource) Name() string                  { return s.name }
+func (s *stubSource) Key() string                   { return s.key }
+func (s *stubSource) Image() (*Program, error)      { return nil, nil }
+func (s *stubSource) Stream(uint64) (Stream, error) { return nil, nil }
 
 func TestSourceRegistry(t *testing.T) {
-	s := NewSyntheticSource(tinySourceProfile())
+	s := &stubSource{name: "stub", key: "trace:stub"}
 	RegisterSource(s)
 	if got, ok := SourceByKey(s.Key()); !ok || got != Source(s) {
 		t.Errorf("SourceByKey(%q) = %v, %t", s.Key(), got, ok)

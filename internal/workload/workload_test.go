@@ -140,8 +140,8 @@ func TestInstrAtOffImage(t *testing.T) {
 	if si.Class != isa.ClassNop || si.IsBranch() {
 		t.Errorf("off-image instr = %+v", si)
 	}
-	if si.FallThrough != end+0x104 {
-		t.Errorf("off-image fallthrough = %v", si.FallThrough)
+	if si.FallThrough() != end+0x104 {
+		t.Errorf("off-image fallthrough = %v", si.FallThrough())
 	}
 	if prog.InImage(end) || prog.InImage(0) || prog.InImage(ImageBase+1) {
 		t.Error("InImage accepts out-of-image or misaligned addresses")
@@ -194,14 +194,14 @@ func TestExecutorControlFlowLegal(t *testing.T) {
 		si := d.Static
 		switch {
 		case si.Branch == isa.BranchNone:
-			if d.Target != si.FallThrough {
+			if d.Target != si.FallThrough() {
 				t.Fatalf("non-branch at %v jumped to %v", si.PC, d.Target)
 			}
 		case si.Branch == isa.BranchCond:
 			if d.Taken && d.Target != si.Target {
 				t.Fatalf("taken cond at %v went to %v, want %v", si.PC, d.Target, si.Target)
 			}
-			if !d.Taken && d.Target != si.FallThrough {
+			if !d.Taken && d.Target != si.FallThrough() {
 				t.Fatalf("not-taken cond at %v went to %v", si.PC, d.Target)
 			}
 		case si.Branch.AlwaysTaken():
@@ -223,7 +223,7 @@ func TestCallReturnMatching(t *testing.T) {
 		d := e.Next()
 		switch d.Static.Branch {
 		case isa.BranchCall, isa.BranchIndirectCall:
-			stack = append(stack, d.Static.FallThrough)
+			stack = append(stack, d.Static.FallThrough())
 		case isa.BranchReturn:
 			if len(stack) == 0 {
 				continue // dispatcher-level return (never happens by construction)
