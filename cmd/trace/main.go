@@ -73,21 +73,39 @@ func cmdRecord(args []string) error {
 	if path == "" {
 		path = *name + ".udpt2"
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := trace.RecordN2(f, prof, *salt, *instrs, enc); err != nil {
-		return err
-	}
-	info, err := os.Stat(path)
+	size, err := recordFile(path, prof, *salt, *instrs, enc)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("recorded %d instructions of %s to %s (v2, %d KiB, %.2f B/instr)\n",
-		*instrs, *name, path, info.Size()/1024, float64(info.Size())/float64(*instrs))
+		*instrs, *name, path, size/1024, float64(size)/float64(*instrs))
 	return nil
+}
+
+// recordFile records a trace to path and returns its size. If recording
+// or closing fails it removes the file, so no truncated trace is left
+// for a later load to trip over; a path that is not a regular file,
+// such as /dev/stdout, is left alone.
+func recordFile(path string, prof workload.Profile, salt, instrs uint64, enc trace.Encoding) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	err = trace.RecordN2(f, prof, salt, instrs, enc)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		if info, serr := os.Lstat(path); serr == nil && info.Mode().IsRegular() {
+			os.Remove(path)
+		}
+		return 0, fmt.Errorf("recording %s: %w", path, err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		return 0, err
+	}
+	return info.Size(), nil
 }
 
 // traceHandle is an open trace: its record reader plus the embedded

@@ -170,6 +170,13 @@ type StaticInstr struct {
 	PC     Addr
 	Class  Class
 	Branch BranchKind
+	// Site is 1 + the dense index of the generating program's behaviour
+	// metadata for this branch (its conditional table for BranchCond,
+	// its indirect table for the indirect kinds), or 0 when it has none:
+	// every other instruction, and every image decoded from a trace.
+	// Only the executor reads it. It fills what was alignment padding,
+	// so the struct stays 32 bytes.
+	Site uint32
 	// Target is the taken target for direct branches; for indirect
 	// branches it is the most common target (the image generator also
 	// records alternates on the owning block).

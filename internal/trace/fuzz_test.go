@@ -29,6 +29,7 @@ func FuzzReader2(f *testing.F) {
 	}
 	f.Add(validBin.Bytes())
 	f.Add(validJSONL.Bytes())
+	f.Add(smallMembers(f, validBin.Bytes()))   // image as many gzip members
 	f.Add(validBin.Bytes()[:validBin.Len()/2]) // truncated
 	f.Add([]byte(Magic2))                      // preamble only
 	f.Add([]byte("not a trace at all, definitely"))

@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"udpsim/internal/isa"
 	"udpsim/internal/workload"
@@ -35,7 +38,12 @@ import (
 // garbage. Image and record payloads are gzip-compressed; the encoding
 // byte selects how records serialize inside their payload — binary
 // (flags plus delta varints) or JSONL (one JSON object per record,
-// greppable). The 'E' chunk carries the total record count, catching
+// greppable). The writer compresses at BestSpeed. The image payload is
+// a multi-member gzip stream: one member per segment of
+// imageSegmentInstrs instructions (the header rides in the first), so
+// segments compress in parallel; gzip readers decompress the members as
+// one stream, and a single-member image, as older writers made, reads
+// the same. The 'E' chunk carries the total record count, catching
 // whole-chunk truncation at a chunk boundary that per-chunk checksums
 // cannot see.
 //
@@ -143,18 +151,42 @@ type image struct {
 	code  []isa.StaticInstr
 }
 
-// appendImage appends img's binary payload to b. PC and FallThrough are
-// not stored: instruction i sits at workload.ImageBase + i*InstrBytes.
+// programImage is the image a trace of prog recorded at salt embeds.
+func programImage(prog *workload.Program, salt uint64) *image {
+	return &image{
+		name:  prog.Profile().Name,
+		seed:  prog.Profile().Seed,
+		salt:  salt,
+		entry: prog.Entry(),
+		code:  prog.StaticCode(),
+	}
+}
+
+// appendImage appends img's binary payload to b: its header, then
+// every instruction. PC and FallThrough are not stored: instruction i
+// sits at workload.ImageBase + i*InstrBytes.
 func appendImage(b []byte, img *image) []byte {
+	b = appendImageHeader(b, img)
+	return appendImageInstrs(b, img.code, 0, len(img.code))
+}
+
+// appendImageHeader appends the payload's header: version, name, seed,
+// salt, entry and instruction count.
+func appendImageHeader(b []byte, img *image) []byte {
 	b = append(b, imageVersion)
 	b = binary.AppendUvarint(b, uint64(len(img.name)))
 	b = append(b, img.name...)
 	b = binary.AppendUvarint(b, img.seed)
 	b = binary.AppendUvarint(b, img.salt)
 	b = binary.AppendUvarint(b, uint64(img.entry))
-	b = binary.AppendUvarint(b, uint64(len(img.code)))
-	for i := range img.code {
-		in := &img.code[i]
+	return binary.AppendUvarint(b, uint64(len(img.code)))
+}
+
+// appendImageInstrs appends the encodings of code[lo:hi], the
+// instructions at layout indices lo through hi-1.
+func appendImageInstrs(b []byte, code []isa.StaticInstr, lo, hi int) []byte {
+	for i := lo; i < hi; i++ {
+		in := &code[i]
 		var flags byte
 		if in.Target != 0 {
 			flags |= imageHasTarget
@@ -172,6 +204,44 @@ func appendImage(b []byte, img *image) []byte {
 		}
 	}
 	return b
+}
+
+// gzipImage encodes img as one gzip member per segment of seg
+// instructions, the header riding in the first, and returns the members
+// concatenated in layout order: a multi-member gzip stream that
+// decompresses to exactly appendImage(nil, img). Segments are encoded
+// and compressed on up to GOMAXPROCS workers; since seg is fixed and
+// every member is compressed alone, the bytes do not depend on the
+// worker count.
+func gzipImage(img *image, seg int) []byte {
+	n := max(1, (len(img.code)+seg-1)/seg)
+	members := make([][]byte, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Writes into a bytes.Buffer cannot fail, so neither can
+			// the compressor's.
+			zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
+			var raw []byte
+			for s := int(next.Add(1) - 1); s < n; s = int(next.Add(1) - 1) {
+				raw = raw[:0]
+				if s == 0 {
+					raw = appendImageHeader(raw, img)
+				}
+				raw = appendImageInstrs(raw, img.code, s*seg, min((s+1)*seg, len(img.code)))
+				var out bytes.Buffer
+				zw.Reset(&out)
+				zw.Write(raw)
+				zw.Close()
+				members[s] = out.Bytes()
+			}
+		}()
+	}
+	wg.Wait()
+	return bytes.Join(members, nil)
 }
 
 // minimal reports whether the n-byte (u)varint at the front of b, as
@@ -286,21 +356,10 @@ func writeChunk(w *bufio.Writer, typ byte, records uint32, payload []byte) error
 	return err
 }
 
-// gzipBytes compresses b at level.
-func gzipBytes(b []byte, level int) ([]byte, error) {
-	var buf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&buf, level)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(b); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// imageSegmentInstrs is the instruction count of each gzip member of
+// the image chunk. It is a constant, not a function of the host's CPU
+// count, so a recording's bytes are the same on every machine.
+const imageSegmentInstrs = 1 << 17
 
 // Writer2 streams a UDPT2 trace: the image chunk up front, records in
 // fixed-count framed chunks, and a trailing count chunk on Flush.
@@ -313,6 +372,9 @@ type Writer2 struct {
 	count  uint64
 	closed bool
 	err    error
+
+	zw   *gzip.Writer // record-chunk compressor, Reset per chunk
+	zout bytes.Buffer // compressed chunk payload, reused across chunks
 }
 
 // NewWriter2 begins a v2 trace embedding prog's static image. The salt
@@ -328,24 +390,14 @@ func NewWriter2(w io.Writer, prog *workload.Program, salt uint64, enc Encoding) 
 	if err := bw.WriteByte(byte(enc)); err != nil {
 		return nil, err
 	}
-	raw := appendImage(nil, &image{
-		name:  prog.Profile().Name,
-		seed:  prog.Profile().Seed,
-		salt:  salt,
-		entry: prog.Entry(),
-		code:  prog.StaticCode(),
-	})
-	// The image is compressed once per recording and is most of its
-	// bytes: on the xgboost image BestSpeed encodes ~8x faster than the
-	// default level for ~19% more bytes, and decodes as fast.
-	payload, err := gzipBytes(raw, gzip.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
+	payload := gzipImage(programImage(prog, salt), imageSegmentInstrs)
 	if err := writeChunk(bw, chunkImage, 0, payload); err != nil {
 		return nil, err
 	}
-	return &Writer2{w: bw, enc: enc}, nil
+	// On xgboost record chunks the default level takes ~4.5x as long as
+	// BestSpeed to save ~8% of their bytes.
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // valid level: cannot fail
+	return &Writer2{w: bw, enc: enc, zw: zw}, nil
 }
 
 // Write appends one record.
@@ -422,12 +474,13 @@ func (w *Writer2) flushChunk() error {
 	if w.inBuf == 0 {
 		return nil
 	}
-	payload, err := gzipBytes(w.buf.Bytes(), gzip.DefaultCompression)
-	if err != nil {
-		w.err = err
-		return err
-	}
-	if err := writeChunk(w.w, chunkRecords, w.inBuf, payload); err != nil {
+	// Writes into a bytes.Buffer cannot fail, so neither can the
+	// compressor's.
+	w.zout.Reset()
+	w.zw.Reset(&w.zout)
+	w.zw.Write(w.buf.Bytes())
+	w.zw.Close()
+	if err := writeChunk(w.w, chunkRecords, w.inBuf, w.zout.Bytes()); err != nil {
 		w.err = err
 		return err
 	}

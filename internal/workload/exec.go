@@ -120,7 +120,7 @@ func (e *Executor) Next() isa.DynInstr {
 
 // resolveCond applies the branch's behaviour process.
 func (e *Executor) resolveCond(si *isa.StaticInstr) bool {
-	m := e.prog.conds[si.PC]
+	m := e.prog.condOf(si)
 	if m == nil {
 		// Padding/unknown conditionals (off-image) never occur on-path.
 		return false
@@ -167,7 +167,7 @@ func (e *Executor) tripFor(m *CondMeta) uint32 {
 // dispatcher's distribution rotates with the phase, shifting the hot
 // set to exercise always-on adaptation.
 func (e *Executor) resolveIndirect(si *isa.StaticInstr) isa.Addr {
-	m := e.prog.indirects[si.PC]
+	m := e.prog.indirectOf(si)
 	if m == nil || len(m.Targets) == 0 {
 		return si.FallThrough()
 	}

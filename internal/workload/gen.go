@@ -46,8 +46,14 @@ type Program struct {
 	code    []isa.StaticInstr
 	entry   isa.Addr
 
-	conds     map[isa.Addr]*CondMeta
-	indirects map[isa.Addr]*IndirectMeta
+	// condTab and indirectTab hold every site's metadata in site order;
+	// StaticInstr.Site indexes them, so the executor finds a branch's
+	// behaviour without hashing its PC. conds and indirects key the same
+	// entries by PC for lookups from outside the image walk.
+	condTab     []CondMeta
+	indirectTab []IndirectMeta
+	conds       map[isa.Addr]*CondMeta
+	indirects   map[isa.Addr]*IndirectMeta
 
 	// FuncEntries holds every generated function's entry address;
 	// FuncEntries[0] is the dispatcher targets' table order.
@@ -74,9 +80,6 @@ type builder struct {
 	n      int
 	levels []int
 	depth  int
-	// condSlab backs every CondMeta of the image, sized exactly by the
-	// sizing pass so the map can point into it.
-	condSlab []CondMeta
 }
 
 // Generate builds the program image for a profile. Generation is fully
@@ -100,11 +103,13 @@ func Generate(p Profile) (*Program, error) {
 	prog := &Program{
 		profile:     p,
 		code:        make([]isa.StaticInstr, sized.n),
+		condTab:     make([]CondMeta, 0, counts.NumCond),
+		indirectTab: make([]IndirectMeta, 0, counts.NumIndirect),
 		conds:       make(map[isa.Addr]*CondMeta, counts.NumCond),
 		indirects:   make(map[isa.Addr]*IndirectMeta, counts.NumIndirect),
 		FuncEntries: counts.FuncEntries,
 	}
-	b := &builder{prog: prog, condSlab: make([]CondMeta, 0, counts.NumCond)}
+	b := &builder{prog: prog}
 	b.run()
 	if b.n != sized.n {
 		panic(fmt.Sprintf("workload: %s: build pass emitted %d instructions, sizing pass %d", p.Name, b.n, sized.n))
@@ -297,15 +302,19 @@ func (b *builder) condMeta() CondMeta {
 
 // addCond registers the conditional branch at instruction i, assigning
 // it the next dense site index (used by the executor for slice-backed
-// per-site state instead of map lookups on the hot path).
+// per-site state instead of map lookups on the hot path). The sizing
+// pass presized condTab, so appending never moves the entries the map
+// points at.
 func (b *builder) addCond(i int, m CondMeta) {
 	b.prog.NumCond++
 	if b.sizing {
 		return
 	}
-	m.Idx = len(b.condSlab)
-	b.condSlab = append(b.condSlab, m)
-	b.prog.conds[pcOf(i)] = &b.condSlab[m.Idx]
+	pr := b.prog
+	m.Idx = len(pr.condTab)
+	pr.condTab = append(pr.condTab, m)
+	pr.code[i].Site = uint32(m.Idx + 1)
+	pr.conds[pcOf(i)] = &pr.condTab[m.Idx]
 }
 
 // addIndirect registers the indirect branch at instruction i with a
@@ -315,7 +324,11 @@ func (b *builder) addIndirect(i int, targets []isa.Addr, s float64) {
 	if b.sizing {
 		return
 	}
-	b.prog.indirects[pcOf(i)] = &IndirectMeta{Targets: targets, Cum: zipfWeights(len(targets), s, b.r)}
+	pr := b.prog
+	k := len(pr.indirectTab)
+	pr.indirectTab = append(pr.indirectTab, IndirectMeta{Targets: targets, Cum: zipfWeights(len(targets), s, b.r)})
+	pr.code[i].Site = uint32(k + 1)
+	pr.indirects[pcOf(i)] = &pr.indirectTab[k]
 }
 
 // emitDiamond generates
@@ -516,7 +529,26 @@ func (pr *Program) InImage(pc isa.Addr) bool {
 
 // CondSites returns the number of conditional branch sites; CondMeta.Idx
 // values are dense in [0, CondSites).
-func (pr *Program) CondSites() int { return len(pr.conds) }
+func (pr *Program) CondSites() int { return len(pr.condTab) }
+
+// condOf returns the conditional metadata si.Site indexes, or nil. A
+// Site of 0 wraps to a huge index and fails the bounds test, as does
+// any Site over a program built by NewProgramFromImage, which has no
+// metadata.
+func (pr *Program) condOf(si *isa.StaticInstr) *CondMeta {
+	if k := uint(si.Site) - 1; k < uint(len(pr.condTab)) {
+		return &pr.condTab[k]
+	}
+	return nil
+}
+
+// indirectOf is condOf for the indirect kinds.
+func (pr *Program) indirectOf(si *isa.StaticInstr) *IndirectMeta {
+	if k := uint(si.Site) - 1; k < uint(len(pr.indirectTab)) {
+		return &pr.indirectTab[k]
+	}
+	return nil
+}
 
 // CondMetaAt exposes conditional behaviour (executor + tests).
 func (pr *Program) CondMetaAt(pc isa.Addr) *CondMeta { return pr.conds[pc] }
