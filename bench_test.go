@@ -40,11 +40,11 @@ func benchOptions() experiments.Options {
 	return o
 }
 
-func reportSpeedups(b *testing.B, rows []experiments.SpeedupRow, series string) {
+func reportSpeedups(b *testing.B, rows []experiments.BarRow, series string) {
 	b.Helper()
 	sum := 0.0
 	for _, r := range rows {
-		v := r.Speedups[series] * 100
+		v := r.Values[series] * 100
 		b.ReportMetric(v, r.App+"_"+series+"_%")
 		sum += v
 	}
@@ -80,7 +80,7 @@ func BenchmarkTable3OptimalFTQ(b *testing.B) {
 
 func BenchmarkFig01PerfectIcache(b *testing.B) {
 	o := benchOptions()
-	var rows []experiments.SpeedupRow
+	var rows []experiments.BarRow
 	var err error
 	for i := 0; i < b.N; i++ {
 		rows, err = experiments.Figure1(o)
@@ -142,7 +142,7 @@ func BenchmarkFig08Occupancy(b *testing.B) {
 
 func BenchmarkFig11UFTQ(b *testing.B) {
 	o := benchOptions()
-	var rows []experiments.SpeedupRow
+	var rows []experiments.BarRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, _, err = experiments.Figure11(o)
@@ -155,7 +155,7 @@ func BenchmarkFig11UFTQ(b *testing.B) {
 
 func BenchmarkFig12UFTQMisses(b *testing.B) {
 	o := benchOptions()
-	var rows []experiments.MPKIRow
+	var rows []experiments.BarRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Figure12(o)
@@ -164,13 +164,13 @@ func BenchmarkFig12UFTQMisses(b *testing.B) {
 		}
 	}
 	for _, r := range rows {
-		b.ReportMetric(r.MPKI[string(sim.MechUFTQATRAUR)], r.App+"_MPKI")
+		b.ReportMetric(r.Values[string(sim.MechUFTQATRAUR)], r.App+"_MPKI")
 	}
 }
 
 func BenchmarkFig13UDP(b *testing.B) {
 	o := benchOptions()
-	var rows []experiments.SpeedupRow
+	var rows []experiments.BarRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Figure13(o)
@@ -184,7 +184,7 @@ func BenchmarkFig13UDP(b *testing.B) {
 
 func BenchmarkFig14MPKI(b *testing.B) {
 	o := benchOptions()
-	var rows []experiments.MPKIRow
+	var rows []experiments.BarRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Figure14(o)
@@ -193,13 +193,13 @@ func BenchmarkFig14MPKI(b *testing.B) {
 		}
 	}
 	for _, r := range rows {
-		b.ReportMetric(r.MPKI["udp"], r.App+"_udp_MPKI")
+		b.ReportMetric(r.Values["udp"], r.App+"_udp_MPKI")
 	}
 }
 
 func BenchmarkFig15LostInstr(b *testing.B) {
 	o := benchOptions()
-	var rows []experiments.LostRow
+	var rows []experiments.BarRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Figure15(o)
@@ -208,7 +208,7 @@ func BenchmarkFig15LostInstr(b *testing.B) {
 		}
 	}
 	for _, r := range rows {
-		b.ReportMetric(r.Lost["udp"], r.App+"_udp_lostPKI")
+		b.ReportMetric(r.Values["udp"], r.App+"_udp_lostPKI")
 	}
 }
 

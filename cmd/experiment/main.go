@@ -123,13 +123,16 @@ func main() {
 	}
 	var obsOpts experiments.Options
 	obsOpts.Batch = *batch
+	var metrics *obs.MetricsWriter
 	if *metricsOut != "" {
 		mf, err := os.Create(*metricsOut)
 		if err != nil {
 			fatal("metrics-out create failed", "err", err)
 		}
 		defer mf.Close()
-		obsOpts.Metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsOut))
+		metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsOut))
+		// A failed write sticks in metrics.Err, checked after the run.
+		obsOpts.OnSample = func(s obs.IntervalSample) { _ = metrics.Write(s) }
 		obsOpts.Interval = *interval
 	}
 
@@ -144,11 +147,11 @@ func main() {
 		fatal("experiment failed", "err", err)
 	}
 
-	if obsOpts.Metrics != nil {
-		if err := obsOpts.Metrics.Err(); err != nil {
+	if metrics != nil {
+		if err := metrics.Err(); err != nil {
 			fatal("metrics write failed", "err", err)
 		}
-		log.Info("metrics written", "path", *metricsOut, "rows", obsOpts.Metrics.Rows())
+		log.Info("metrics written", "path", *metricsOut, "rows", metrics.Rows())
 	}
 
 	w := os.Stdout
@@ -175,7 +178,7 @@ func main() {
 		for _, r := range rows {
 			fmt.Fprintf(tw, "%s", r.App)
 			for _, nm := range names {
-				fmt.Fprintf(tw, "\t%+.1f%%", r.Speedups[nm]*100)
+				fmt.Fprintf(tw, "\t%+.1f%%", r.Values[nm]*100)
 			}
 			fmt.Fprintln(tw)
 		}

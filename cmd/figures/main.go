@@ -18,9 +18,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -123,13 +126,16 @@ func main() {
 	if *metricsOut != "" && *interval == 0 {
 		*interval = 10_000
 	}
+	var metrics *obs.MetricsWriter
 	if *metricsOut != "" {
 		mf, err := os.Create(*metricsOut)
 		if err != nil {
 			fatal("metrics-out create failed", "err", err)
 		}
 		defer mf.Close()
-		o.Metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsOut))
+		metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsOut))
+		// A failed write sticks in metrics.Err, checked once at exit.
+		o.OnSample = func(s obs.IntervalSample) { _ = metrics.Write(s) }
 		o.Interval = *interval
 	}
 
@@ -137,7 +143,9 @@ func main() {
 	var tables []int
 	switch {
 	case *all:
-		figs = []int{1, 3, 4, 5, 6, 8, 11, 12, 13, 14, 15, 16, 17}
+		for _, f := range figures {
+			figs = append(figs, f.num)
+		}
 		tables = []int{1, 2, 3}
 	case *fig != 0:
 		figs = []int{*fig}
@@ -156,7 +164,7 @@ func main() {
 		}
 	}
 	for _, f := range figs {
-		if err := renderFigure(f, o, *svgDir); err != nil {
+		if err := renderFigure(os.Stdout, f, o, *svgDir); err != nil {
 			fatal("figure failed", "fig", f, "err", err)
 		}
 	}
@@ -166,11 +174,11 @@ func main() {
 		}
 	}
 
-	if o.Metrics != nil {
-		if err := o.Metrics.Err(); err != nil {
+	if metrics != nil {
+		if err := metrics.Err(); err != nil {
 			fatal("metrics write failed", "err", err)
 		}
-		logger.Info("metrics written", "path", *metricsOut, "rows", o.Metrics.Rows())
+		logger.Info("metrics written", "path", *metricsOut, "rows", metrics.Rows())
 	}
 }
 
@@ -260,7 +268,7 @@ func renderTimeline(app string, mechs []string, o experiments.Options, interval 
 	}
 
 	fmt.Printf("Timeline — %s, %d-cycle intervals (%d samples)\n", app, interval, n)
-	tw := newTW()
+	tw := newTW(os.Stdout)
 	fmt.Fprintf(tw, "cycle")
 	for _, s := range all {
 		fmt.Fprintf(tw, "\t%s IPC\t%s FTQ", s.mech, s.mech)
@@ -290,59 +298,6 @@ func renderTimeline(app string, mechs []string, o experiments.Options, interval 
 	return nil
 }
 
-// speedupChart converts rows into the plot package's bar form.
-func speedupChart(title string, rows []experiments.SpeedupRow) plot.Chart {
-	apps := make([]string, 0, len(rows))
-	data := map[string]map[string]float64{}
-	for _, r := range rows {
-		apps = append(apps, r.App)
-		data[r.App] = r.Speedups
-	}
-	return plot.FromSpeedupRows(title, apps, data)
-}
-
-// sweepChart converts sweep series into the plot package's line form.
-func sweepChart(title, ylabel string, series []experiments.SweepSeries, percent bool) plot.Chart {
-	c := plot.Chart{Title: title, YLabel: ylabel, Percent: percent}
-	if len(series) > 0 {
-		for _, x := range series[0].X {
-			c.XLabels = append(c.XLabels, fmt.Sprintf("%d", x))
-		}
-	}
-	for _, s := range series {
-		c.Series = append(c.Series, plot.Series{Name: s.App, Values: s.Values})
-	}
-	return c
-}
-
-// mpkiChart converts MPKI rows into bars.
-func mpkiChart(title string, rows []experiments.MPKIRow) plot.Chart {
-	apps := make([]string, 0, len(rows))
-	data := map[string]map[string]float64{}
-	for _, r := range rows {
-		apps = append(apps, r.App)
-		data[r.App] = r.MPKI
-	}
-	c := plot.FromSpeedupRows(title, apps, data)
-	c.Percent = false
-	c.YLabel = "icache MPKI"
-	return c
-}
-
-// lostChart converts lost-instruction rows into bars.
-func lostChart(title string, rows []experiments.LostRow) plot.Chart {
-	apps := make([]string, 0, len(rows))
-	data := map[string]map[string]float64{}
-	for _, r := range rows {
-		apps = append(apps, r.App)
-		data[r.App] = r.Lost
-	}
-	c := plot.FromSpeedupRows(title, apps, data)
-	c.Percent = false
-	c.YLabel = "instructions lost per kilo-instruction"
-	return c
-}
-
 func renderTable(n int, o experiments.Options) error {
 	switch n {
 	case 1:
@@ -363,7 +318,7 @@ func renderTable1(o experiments.Options) error {
 		return err
 	}
 	fmt.Println("Table I — Workload characterization (synthetic stand-ins)")
-	tw := newTW()
+	tw := newTW(os.Stdout)
 	fmt.Fprintln(tw, "Application\tStatic code\tDynamic footprint\tBranches\tTaken\tIcache MPKI\tBranch MPKI\tBaseline IPC")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d KiB\t%d KiB\t%.1f%%\t%.1f%%\t%.1f\t%.1f\t%.3f\n",
@@ -376,7 +331,7 @@ func renderTable1(o experiments.Options) error {
 func renderTable2() error {
 	cfg := sim.NewConfig(workload.MustByName("mysql"), sim.MechBaseline)
 	fmt.Println("Table II — Simulated System")
-	tw := newTW()
+	tw := newTW(os.Stdout)
 	rows := [][2]string{
 		{"CPU", "Sunny-Cove-like (simulated)"},
 		{"Frontend width and retirement", fmt.Sprintf("%d-way", cfg.Width)},
@@ -415,7 +370,7 @@ func renderTable3(o experiments.Options) error {
 		return err
 	}
 	fmt.Println("Table III — Optimal FTQ size, utility and timeliness (FTQ=32)")
-	tw := newTW()
+	tw := newTW(os.Stdout)
 	fmt.Fprintln(tw, "Application\tOptimal FTQ\tUtility\tTimeliness")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\n", r.App, r.OptimalFTQ, r.Utility, r.Timeliness)
@@ -424,263 +379,179 @@ func renderTable3(o experiments.Options) error {
 	return tw.Flush()
 }
 
-func renderFigure(n int, o experiments.Options, svgDir string) error {
-	switch n {
-	case 1:
-		rows, err := experiments.Figure1(o)
+// figure is how one paper figure is printed and plotted. Every figure
+// takes one of two shapes: per-application grouped bars (bars set) or
+// per-application lines across a swept parameter (any other figure).
+type figure struct {
+	num          int
+	table, chart string // titles of the printed table and of the SVG chart
+	bars         func(experiments.Options) ([]experiments.BarRow, error)
+	sweep        func(experiments.Options) ([]experiments.SweepSeries, error)
+	cell         func(float64) string // formats one table value
+	percent      bool                 // the chart's y axis is in percent
+	ylabel       string
+	average      bool // a bar table ends with each series' mean
+}
+
+// fixed formats table values with a fmt verb.
+func fixed(verb string) func(float64) string {
+	return func(v float64) string { return fmt.Sprintf(verb, v) }
+}
+
+// signedPercent formats a fractional speedup as a signed percentage.
+func signedPercent(v float64) string { return fmt.Sprintf("%+.1f%%", v*100) }
+
+// figure11 drops the optima experiments.Figure11 also returns.
+func figure11(o experiments.Options) ([]experiments.BarRow, error) {
+	rows, _, err := experiments.Figure11(o)
+	return rows, err
+}
+
+// figures lists every paper figure, in -all order.
+var figures = []figure{
+	{num: 1, table: "Figure 1 — Perfect icache speedup over FDIP-32 baseline", chart: "Figure 1 — Perfect icache speedup over FDIP-32",
+		bars: experiments.Figure1, cell: signedPercent, percent: true, ylabel: "IPC speedup", average: true},
+	// Fig. 3 is a sweep that renderFigure runs itself, to also list the
+	// optima experiments.Figure3 returns with it.
+	{num: 3, table: "Figure 3 — IPC speedup over FTQ=32 across FTQ depths", chart: "Figure 3 — IPC speedup over FTQ=32 across FTQ depths",
+		cell: fixed("%+.3f"), percent: true, ylabel: "speedup"},
+	{num: 4, table: "Figure 4 — Timeliness (icache/(icache+fill-buffer)) across FTQ depths", chart: "Figure 4 — Timeliness across FTQ depths",
+		sweep: experiments.Figure4, cell: fixed("%.3f"), ylabel: "icache/(icache+fill-buffer)"},
+	{num: 5, table: "Figure 5 — On-path prefetch ratio across FTQ depths", chart: "Figure 5 — On-path prefetch ratio across FTQ depths",
+		sweep: experiments.Figure5, cell: fixed("%.3f"), ylabel: "on-path ratio"},
+	{num: 6, table: "Figure 6 — Prefetch usefulness across FTQ depths", chart: "Figure 6 — Prefetch usefulness across FTQ depths",
+		sweep: experiments.Figure6, cell: fixed("%.3f"), ylabel: "useful ratio"},
+	{num: 8, table: "Figure 8 — Mean FTQ occupancy across FTQ depths", chart: "Figure 8 — Mean FTQ occupancy across FTQ depths",
+		sweep: experiments.Figure8, cell: fixed("%.1f"), ylabel: "mean occupancy"},
+	{num: 11, table: "Figure 11 — UFTQ variants vs OPT (IPC speedup over FDIP-32)", chart: "Figure 11 — UFTQ variants vs OPT",
+		bars: figure11, cell: signedPercent, percent: true, ylabel: "IPC speedup", average: true},
+	{num: 12, table: "Figure 12 — Icache MPKI: baseline vs UFTQ variants vs OPT", chart: "Figure 12 — Icache MPKI: baseline vs UFTQ variants vs OPT",
+		bars: experiments.Figure12, cell: fixed("%.1f"), ylabel: "icache MPKI"},
+	{num: 13, table: "Figure 13 — UDP / Infinite Storage / EIP-8KB / 40K icache (IPC speedup)", chart: "Figure 13 — UDP / Infinite / EIP-8KB / 40K icache",
+		bars: experiments.Figure13, cell: signedPercent, percent: true, ylabel: "IPC speedup", average: true},
+	{num: 14, table: "Figure 14 — Icache MPKI across techniques", chart: "Figure 14 — Icache MPKI across techniques",
+		bars: experiments.Figure14, cell: fixed("%.1f"), ylabel: "icache MPKI"},
+	{num: 15, table: "Figure 15 — Instructions lost to icache misses (per kilo-instruction)", chart: "Figure 15 — Instructions lost to icache misses",
+		bars: experiments.Figure15, cell: fixed("%.0f"), ylabel: "instructions lost per kilo-instruction"},
+	{num: 16, table: "Figure 16 — UDP speedup across BTB sizes", chart: "Figure 16 — UDP speedup across BTB sizes",
+		sweep: experiments.Figure16, cell: fixed("%+.3f"), percent: true, ylabel: "speedup"},
+	{num: 17, table: "Figure 17 — UDP speedup across FTQ sizes", chart: "Figure 17 — UDP speedup across FTQ sizes",
+		sweep: experiments.Figure17, cell: fixed("%+.3f"), percent: true, ylabel: "speedup"},
+}
+
+// renderFigure runs figure n, prints its table to w and writes its SVG
+// into svgDir. A figure with no data prints an empty table and no SVG.
+func renderFigure(w io.Writer, n int, o experiments.Options, svgDir string) error {
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.num == n })
+	if i < 0 {
+		return fmt.Errorf("unknown figure %d (have 1, 3, 4, 5, 6, 8, 11-17)", n)
+	}
+	f := figures[i]
+	var svg string
+	var plotErr error
+	var optima map[string]int // Fig. 3's one extra: each app's optimal FTQ depth
+	if f.bars != nil {
+		rows, err := f.bars(o)
 		if err != nil {
 			return err
 		}
-		printSpeedups("Figure 1 — Perfect icache speedup over FDIP-32 baseline", rows)
-		if svg, err := plot.Bars(speedupChart("Figure 1 — Perfect icache speedup over FDIP-32", rows)); err == nil {
-			if err := saveSVG(svgDir, 1, svg); err != nil {
-				return err
-			}
+		svg, plotErr = f.renderBars(w, rows)
+	} else {
+		var series []experiments.SweepSeries
+		var err error
+		if n == 3 {
+			series, optima, err = experiments.Figure3(o)
+		} else {
+			series, err = f.sweep(o)
 		}
-	case 3:
-		series, optima, err := experiments.Figure3(o)
 		if err != nil {
 			return err
 		}
-		printSweep("Figure 3 — IPC speedup over FTQ=32 across FTQ depths", series, "%+.3f")
-		if svg, err := plot.Lines(sweepChart("Figure 3 — IPC speedup over FTQ=32 across FTQ depths", "speedup", series, true)); err == nil {
-			if err := saveSVG(svgDir, 3, svg); err != nil {
-				return err
-			}
+		svg, plotErr = f.renderSweep(w, series)
+	}
+	if plotErr == nil {
+		if err := saveSVG(svgDir, n, svg); err != nil {
+			return err
 		}
-		fmt.Println("Per-application optimal FTQ depth:")
+	}
+	if optima != nil {
+		fmt.Fprintln(w, "Per-application optimal FTQ depth:")
 		apps := make([]string, 0, len(optima))
 		for a := range optima {
 			apps = append(apps, a)
 		}
 		sort.Strings(apps)
 		for _, a := range apps {
-			fmt.Printf("  %-11s %d\n", a, optima[a])
+			fmt.Fprintf(w, "  %-11s %d\n", a, optima[a])
 		}
-	case 4:
-		series, err := experiments.Figure4(o)
-		if err != nil {
-			return err
-		}
-		printSweep("Figure 4 — Timeliness (icache/(icache+fill-buffer)) across FTQ depths", series, "%.3f")
-		if svg, err := plot.Lines(sweepChart("Figure 4 — Timeliness across FTQ depths", "icache/(icache+fill-buffer)", series, false)); err == nil {
-			if err := saveSVG(svgDir, 4, svg); err != nil {
-				return err
-			}
-		}
-	case 5:
-		series, err := experiments.Figure5(o)
-		if err != nil {
-			return err
-		}
-		printSweep("Figure 5 — On-path prefetch ratio across FTQ depths", series, "%.3f")
-		if svg, err := plot.Lines(sweepChart("Figure 5 — On-path prefetch ratio across FTQ depths", "on-path ratio", series, false)); err == nil {
-			if err := saveSVG(svgDir, 5, svg); err != nil {
-				return err
-			}
-		}
-	case 6:
-		series, err := experiments.Figure6(o)
-		if err != nil {
-			return err
-		}
-		printSweep("Figure 6 — Prefetch usefulness across FTQ depths", series, "%.3f")
-		if svg, err := plot.Lines(sweepChart("Figure 6 — Prefetch usefulness across FTQ depths", "useful ratio", series, false)); err == nil {
-			if err := saveSVG(svgDir, 6, svg); err != nil {
-				return err
-			}
-		}
-	case 8:
-		series, err := experiments.Figure8(o)
-		if err != nil {
-			return err
-		}
-		printSweep("Figure 8 — Mean FTQ occupancy across FTQ depths", series, "%.1f")
-		if svg, err := plot.Lines(sweepChart("Figure 8 — Mean FTQ occupancy across FTQ depths", "mean occupancy", series, false)); err == nil {
-			if err := saveSVG(svgDir, 8, svg); err != nil {
-				return err
-			}
-		}
-	case 11:
-		rows, optima, err := experiments.Figure11(o)
-		if err != nil {
-			return err
-		}
-		printSpeedups("Figure 11 — UFTQ variants vs OPT (IPC speedup over FDIP-32)", rows)
-		_ = optima
-		if svg, err := plot.Bars(speedupChart("Figure 11 — UFTQ variants vs OPT", rows)); err == nil {
-			if err := saveSVG(svgDir, 11, svg); err != nil {
-				return err
-			}
-		}
-	case 12:
-		rows, err := experiments.Figure12(o)
-		if err != nil {
-			return err
-		}
-		printMPKI("Figure 12 — Icache MPKI: baseline vs UFTQ variants vs OPT", rows)
-		if svg, err := plot.Bars(mpkiChart("Figure 12 — Icache MPKI: baseline vs UFTQ variants vs OPT", rows)); err == nil {
-			if err := saveSVG(svgDir, 12, svg); err != nil {
-				return err
-			}
-		}
-	case 13:
-		rows, err := experiments.Figure13(o)
-		if err != nil {
-			return err
-		}
-		printSpeedups("Figure 13 — UDP / Infinite Storage / EIP-8KB / 40K icache (IPC speedup)", rows)
-		if svg, err := plot.Bars(speedupChart("Figure 13 — UDP / Infinite / EIP-8KB / 40K icache", rows)); err == nil {
-			if err := saveSVG(svgDir, 13, svg); err != nil {
-				return err
-			}
-		}
-	case 14:
-		rows, err := experiments.Figure14(o)
-		if err != nil {
-			return err
-		}
-		printMPKI("Figure 14 — Icache MPKI across techniques", rows)
-		if svg, err := plot.Bars(mpkiChart("Figure 14 — Icache MPKI across techniques", rows)); err == nil {
-			if err := saveSVG(svgDir, 14, svg); err != nil {
-				return err
-			}
-		}
-	case 15:
-		rows, err := experiments.Figure15(o)
-		if err != nil {
-			return err
-		}
-		printLost("Figure 15 — Instructions lost to icache misses (per kilo-instruction)", rows)
-		if svg, err := plot.Bars(lostChart("Figure 15 — Instructions lost to icache misses", rows)); err == nil {
-			if err := saveSVG(svgDir, 15, svg); err != nil {
-				return err
-			}
-		}
-	case 16:
-		series, err := experiments.Figure16(o)
-		if err != nil {
-			return err
-		}
-		printSweep("Figure 16 — UDP speedup across BTB sizes", series, "%+.3f")
-		if svg, err := plot.Lines(sweepChart("Figure 16 — UDP speedup across BTB sizes", "speedup", series, true)); err == nil {
-			if err := saveSVG(svgDir, 16, svg); err != nil {
-				return err
-			}
-		}
-	case 17:
-		series, err := experiments.Figure17(o)
-		if err != nil {
-			return err
-		}
-		printSweep("Figure 17 — UDP speedup across FTQ sizes", series, "%+.3f")
-		if svg, err := plot.Lines(sweepChart("Figure 17 — UDP speedup across FTQ sizes", "speedup", series, true)); err == nil {
-			if err := saveSVG(svgDir, 17, svg); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("unknown figure %d (have 1, 3, 4, 5, 6, 8, 11-17)", n)
 	}
 	return nil
 }
 
-func newTW() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-}
-
-func printSpeedups(title string, rows []experiments.SpeedupRow) {
-	fmt.Println(title)
+// renderBars prints rows as a table, one column per series, and
+// returns their grouped bar chart.
+func (f figure) renderBars(w io.Writer, rows []experiments.BarRow) (string, error) {
 	names := experiments.SortedSeriesNames(rows)
-	tw := newTW()
+	fmt.Fprintln(w, f.table)
+	tw := newTW(w)
 	fmt.Fprintf(tw, "app\t%s\n", strings.Join(names, "\t"))
-	means := make(map[string]float64)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s", r.App)
+	apps := make([]string, len(rows))
+	data := make(map[string]map[string]float64, len(rows))
+	for i, r := range rows {
+		apps[i] = r.App
+		data[r.App] = r.Values
+		fmt.Fprint(tw, r.App)
 		for _, nm := range names {
-			fmt.Fprintf(tw, "\t%+.1f%%", r.Speedups[nm]*100)
-			means[nm] += r.Speedups[nm]
+			fmt.Fprintf(tw, "\t%s", f.cell(r.Values[nm]))
 		}
 		fmt.Fprintln(tw)
 	}
-	fmt.Fprintf(tw, "average")
-	for _, nm := range names {
-		fmt.Fprintf(tw, "\t%+.1f%%", means[nm]/float64(len(rows))*100)
+	if f.average {
+		fmt.Fprint(tw, "average")
+		for _, nm := range names {
+			var sum float64
+			for _, r := range rows {
+				sum += r.Values[nm]
+			}
+			fmt.Fprintf(tw, "\t%s", f.cell(sum/float64(len(rows))))
+		}
+		fmt.Fprintln(tw)
 	}
-	fmt.Fprintln(tw)
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(w)
+
+	c := plot.FromSpeedupRows(f.chart, apps, names, data)
+	c.YLabel, c.Percent = f.ylabel, f.percent
+	return plot.Bars(c)
 }
 
-func printSweep(title string, series []experiments.SweepSeries, format string) {
-	fmt.Println(title)
-	tw := newTW()
+// renderSweep prints series as a table, one column per swept value,
+// and returns their line chart.
+func (f figure) renderSweep(w io.Writer, series []experiments.SweepSeries) (string, error) {
+	fmt.Fprintln(w, f.table)
+	tw := newTW(w)
+	c := plot.Chart{Title: f.chart, YLabel: f.ylabel, Percent: f.percent}
 	if len(series) > 0 {
-		fmt.Fprintf(tw, "app")
+		fmt.Fprint(tw, "app")
 		for _, x := range series[0].X {
 			fmt.Fprintf(tw, "\t%d", x)
+			c.XLabels = append(c.XLabels, strconv.Itoa(x))
 		}
 		fmt.Fprintln(tw)
 	}
 	for _, s := range series {
-		fmt.Fprintf(tw, "%s", s.App)
+		fmt.Fprint(tw, s.App)
 		for _, v := range s.Values {
-			fmt.Fprintf(tw, "\t"+format, v)
+			fmt.Fprintf(tw, "\t%s", f.cell(v))
 		}
 		fmt.Fprintln(tw)
+		c.Series = append(c.Series, plot.Series{Name: s.App, Values: s.Values})
 	}
 	tw.Flush()
-	fmt.Println()
+	fmt.Fprintln(w)
+	return plot.Lines(c)
 }
 
-func printMPKI(title string, rows []experiments.MPKIRow) {
-	fmt.Println(title)
-	var names []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		for k := range r.MPKI {
-			if !seen[k] {
-				seen[k] = true
-				names = append(names, k)
-			}
-		}
-	}
-	sort.Strings(names)
-	tw := newTW()
-	fmt.Fprintf(tw, "app\t%s\n", strings.Join(names, "\t"))
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s", r.App)
-		for _, nm := range names {
-			fmt.Fprintf(tw, "\t%.1f", r.MPKI[nm])
-		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
-	fmt.Println()
-}
-
-func printLost(title string, rows []experiments.LostRow) {
-	fmt.Println(title)
-	var names []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		for k := range r.Lost {
-			if !seen[k] {
-				seen[k] = true
-				names = append(names, k)
-			}
-		}
-	}
-	sort.Strings(names)
-	tw := newTW()
-	fmt.Fprintf(tw, "app\t%s\n", strings.Join(names, "\t"))
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s", r.App)
-		for _, nm := range names {
-			fmt.Fprintf(tw, "\t%.0f", r.Lost[nm])
-		}
-		fmt.Fprintln(tw)
-	}
-	tw.Flush()
-	fmt.Println()
+func newTW(w io.Writer) *tabwriter.Writer {
+	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }

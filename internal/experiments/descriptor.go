@@ -379,7 +379,7 @@ func CellKey(d *Descriptor, workloadName string, cs ConfigSpec) string {
 }
 
 // RunDescriptorObserved is RunDescriptor with obsOpts's observability
-// knobs (Interval, Metrics, OnSample) applied to every simulated cell,
+// knobs (Interval, OnSample) applied to every simulated cell,
 // obsOpts.Context cancelling the grid, and obsOpts.Batch selecting the
 // lockstep-batched engine path. Other obsOpts fields (Instructions,
 // Warmup, Simpoints, Workloads) are ignored — the descriptor owns
@@ -387,9 +387,10 @@ func CellKey(d *Descriptor, workloadName string, cs ConfigSpec) string {
 //
 // Cells run through the engine's memoized, store-backed path
 // (Options.run): identical cells across descriptors, figures, or
-// concurrent daemon jobs simulate once, and when a persistent result
-// store is installed, previously computed cells load from disk. Cached
-// and store-served cells emit no interval samples (nothing simulates).
+// concurrent daemon jobs simulate once, and when obsOpts.Store sets a
+// persistent result store, previously computed cells load from disk.
+// Cached and store-served cells emit no interval samples (nothing
+// simulates).
 func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int, obsOpts Options) ([]DescriptorResult, error) {
 	// Per-cell engine options: the descriptor's effort knobs, the
 	// caller's observability hooks, no engine-level progress (labeled
@@ -401,7 +402,6 @@ func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int
 		Batch:        obsOpts.Batch,
 		Context:      obsOpts.Context,
 		Interval:     obsOpts.Interval,
-		Metrics:      obsOpts.Metrics,
 		OnSample:     obsOpts.OnSample,
 		Store:        obsOpts.Store,
 		OnSpan:       obsOpts.OnSpan,
@@ -459,7 +459,7 @@ func WriteCSV(w io.Writer, results []DescriptorResult) error {
 
 // SpeedupTable pivots descriptor results into per-workload speedups
 // over a base config label.
-func SpeedupTable(results []DescriptorResult, baseLabel string) ([]SpeedupRow, error) {
+func SpeedupTable(results []DescriptorResult, baseLabel string) ([]BarRow, error) {
 	base := map[string]sim.Result{}
 	for _, r := range results {
 		if r.Label == baseLabel {
@@ -488,9 +488,9 @@ func SpeedupTable(results []DescriptorResult, baseLabel string) ([]SpeedupRow, e
 		apps = append(apps, a)
 	}
 	sort.Strings(apps)
-	var rows []SpeedupRow
+	var rows []BarRow
 	for _, a := range apps {
-		rows = append(rows, SpeedupRow{App: a, Speedups: byApp[a]})
+		rows = append(rows, BarRow{App: a, Values: byApp[a]})
 	}
 	return rows, nil
 }

@@ -58,25 +58,21 @@ type Options struct {
 	// zero-overhead path).
 	Context context.Context
 
-	// Interval, when non-zero together with Metrics, enables per-
+	// Interval, when non-zero together with OnSample, enables per-
 	// interval time-series sampling (cycles per sample) for every
 	// simulated region. Sampling does not change the simulated machine
 	// or the result-cache key, so cached cells simply emit no samples —
 	// samples come only from the cells actually simulated in this
 	// process.
 	Interval uint64
-	// Metrics receives streamed interval samples when non-nil
-	// (obs.MetricsWriter serializes concurrent regions).
-	Metrics *obs.MetricsWriter
-	// OnSample, when non-nil together with Interval, additionally
-	// receives every interval sample as a typed callback — the hook the
-	// daemon's SSE stream hangs off. Callbacks arrive from concurrently
-	// simulating regions and must be safe for concurrent use.
+	// OnSample receives every interval sample when non-nil: the CLIs
+	// stream it into an obs.MetricsWriter, the daemon onto its SSE
+	// stream. Callbacks arrive from concurrently simulating regions and
+	// must be safe for concurrent use.
 	OnSample func(obs.IntervalSample)
 
 	// Store, when non-nil, is the persistent result store this run reads
-	// through and writes back to, overriding the process-global one
-	// installed with SetResultStore. The daemon passes its own store here
+	// through and writes back to. The daemon passes its own store here,
 	// so several in-process server instances (tests, a restarted daemon)
 	// keep distinct stores despite sharing the process.
 	Store ResultStore
@@ -152,27 +148,16 @@ func (o Options) ctx() context.Context {
 }
 
 // attach returns the per-region observer attach callback implementing
-// Options.Interval/Metrics/OnSample streaming, or nil when sampling is
-// disabled (the plain, zero-overhead path).
+// Options.Interval/OnSample streaming, or nil when sampling is disabled
+// (the plain, zero-overhead path).
 func (o Options) attach() func(int, *sim.Machine) {
-	if o.Interval == 0 || (o.Metrics == nil && o.OnSample == nil) {
+	if o.Interval == 0 || o.OnSample == nil {
 		return nil
 	}
-	w := o.Metrics
 	cb := o.OnSample
 	iv := o.Interval
 	return func(region int, m *sim.Machine) {
-		m.AttachObserver(&obs.Observer{
-			Interval: iv,
-			OnSample: func(s obs.IntervalSample) {
-				if w != nil {
-					_ = w.Write(s)
-				}
-				if cb != nil {
-					cb(s)
-				}
-			},
-		})
+		m.AttachObserver(&obs.Observer{Interval: iv, OnSample: cb})
 	}
 }
 
@@ -222,18 +207,17 @@ func (o Options) attachCell(name string, mech sim.Mechanism) func(int, *sim.Mach
 // (no store → no I/O to time, and a no-op span per cell would be pure
 // timeline noise).
 func (o Options) spanStore() bool {
-	return o.OnSpan != nil && o.store() != nil
+	return o.OnSpan != nil && o.Store != nil
 }
 
 // run resolves one configuration over the option's simpoints through
 // the cell protocol (resolveCells): memoized process-wide and
 // singleflighted, so concurrent callers with the same canonical config
 // key block on the first runner instead of simulating the same
-// deterministic region twice. When a persistent ResultStore is
-// installed (SetResultStore) the cache reads through it: an in-memory
-// miss probes the store before simulating, and completed simulations
-// are written back — so a daemon restart serves known configurations
-// from disk. A lone cell has no stream to share, so it never batches.
+// deterministic region twice. When Options.Store is set the cache reads
+// through it: an in-memory miss probes the store before simulating, and
+// completed simulations are written back — so a daemon restart serves
+// known configurations from disk. A lone cell has no stream to share, so it never batches.
 func (o Options) run(name string, mech sim.Mechanism, mutate func(*sim.Config)) (sim.Result, error) {
 	res, errs := resolveCells(o.ctx(), []cell{o.cell(name, mech, mutate)}, 1, false, nil)
 	return res[0], errs[0]
@@ -261,13 +245,42 @@ func (o Options) cell(name string, mech sim.Mechanism, mutate func(*sim.Config))
 	return cell{name: name, mech: mech, cfg: cfg, opts: o}
 }
 
-// SpeedupRow is one bar of a speedup figure.
-type SpeedupRow struct {
+// BarRow is one application's group of bars in a bar figure.
+type BarRow struct {
 	App string
-	// Speedups maps series name to fractional IPC speedup over the
-	// app's baseline.
-	Speedups map[string]float64
+	// Values maps series name to the bar's value: a fractional IPC
+	// speedup over the app's baseline, an icache MPKI, or instructions
+	// lost per kilo-instruction, depending on the figure.
+	Values map[string]float64
 }
+
+// barRows assembles one row per app from results laid out app-major,
+// len(names)+1 per app with the app's baseline first. With a nil metric
+// each named bar is that series' IPC speedup over the baseline;
+// otherwise every bar, the baseline's own included, is metric of its
+// result.
+func barRows(apps, names []string, results []sim.Result, metric func(sim.Result) float64) []BarRow {
+	stride := len(names) + 1
+	rows := make([]BarRow, len(apps))
+	for ai, app := range apps {
+		group := results[ai*stride : (ai+1)*stride]
+		row := BarRow{App: app, Values: make(map[string]float64, stride)}
+		if metric != nil {
+			row.Values["baseline"] = metric(group[0])
+		}
+		for i, name := range names {
+			if metric == nil {
+				row.Values[name] = group[1+i].Speedup(group[0])
+			} else {
+				row.Values[name] = metric(group[1+i])
+			}
+		}
+		rows[ai] = row
+	}
+	return rows
+}
+
+func icacheMPKI(r sim.Result) float64 { return r.IcacheMPKI }
 
 // SweepSeries is one application's line across a parameter sweep.
 type SweepSeries struct {
@@ -312,7 +325,7 @@ func (o Options) sweepMetric(metric func(sim.Result) float64) ([]SweepSeries, er
 
 // Figure1 measures the IPC speedup of a perfect icache over the FDIP-32
 // baseline for each application.
-func Figure1(o Options) ([]SpeedupRow, error) {
+func Figure1(o Options) ([]BarRow, error) {
 	apps := o.workloads()
 	mechs := []sim.Mechanism{sim.MechBaseline, sim.MechPerfectICache, sim.MechNoPrefetch}
 	var jobs []jobSpec
@@ -325,15 +338,15 @@ func Figure1(o Options) ([]SpeedupRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []SpeedupRow
-	for ai, app := range apps {
-		base := results[ai*len(mechs)]
-		rows = append(rows, SpeedupRow{App: app, Speedups: map[string]float64{
-			"perfect-icache": results[ai*len(mechs)+1].Speedup(base),
-			"no-prefetch":    results[ai*len(mechs)+2].Speedup(base),
-		}})
+	return barRows(apps, mechNames(mechs[1:]), results, nil), nil
+}
+
+func mechNames(mechs []sim.Mechanism) []string {
+	names := make([]string, len(mechs))
+	for i, m := range mechs {
+		names[i] = string(m)
 	}
-	return rows, nil
+	return names
 }
 
 // Figure3 sweeps FTQ depth and reports the IPC speedup over depth 32
@@ -448,54 +461,26 @@ var UFTQSeries = []sim.Mechanism{sim.MechUFTQAUR, sim.MechUFTQATR, sim.MechUFTQA
 
 // Figure11 compares the UFTQ variants and the OPT oracle (per-app best
 // fixed depth from the Fig. 3 sweep) against the FDIP-32 baseline.
-func Figure11(o Options) ([]SpeedupRow, map[string]int, error) {
-	_, optima, err := Figure3(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	apps := o.workloads()
-	stride := len(UFTQSeries) + 2 // baseline, UFTQ variants, OPT
-	var jobs []jobSpec
-	for _, app := range apps {
-		jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline})
-		for _, mech := range UFTQSeries {
-			jobs = append(jobs, jobSpec{app: app, mech: mech})
-		}
-		opt := optima[app]
-		jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline,
-			mutate: func(c *sim.Config) { c.FTQDepth = opt }})
-	}
-	results, err := o.runAll(jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows []SpeedupRow
-	for ai, app := range apps {
-		base := results[ai*stride]
-		row := SpeedupRow{App: app, Speedups: map[string]float64{}}
-		for mi, mech := range UFTQSeries {
-			row.Speedups[string(mech)] = results[ai*stride+1+mi].Speedup(base)
-		}
-		row.Speedups["opt"] = results[ai*stride+stride-1].Speedup(base)
-		rows = append(rows, row)
-	}
-	return rows, optima, nil
-}
-
-// MPKIRow is one application's icache MPKI under several mechanisms.
-type MPKIRow struct {
-	App  string
-	MPKI map[string]float64
+func Figure11(o Options) ([]BarRow, map[string]int, error) {
+	return o.uftqBars(nil)
 }
 
 // Figure12 reports icache MPKI for baseline, the UFTQ variants, and OPT.
-func Figure12(o Options) ([]MPKIRow, error) {
+func Figure12(o Options) ([]BarRow, error) {
+	rows, _, err := o.uftqBars(icacheMPKI)
+	return rows, err
+}
+
+// uftqBars runs the apps × (baseline, UFTQSeries, OPT) grid shared by
+// Figs. 11/12, OPT being the baseline at the app's optimal depth from
+// the Fig. 3 sweep, and returns its bars (see barRows for metric) with
+// those optima.
+func (o Options) uftqBars(metric func(sim.Result) float64) ([]BarRow, map[string]int, error) {
 	_, optima, err := Figure3(o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	apps := o.workloads()
-	stride := len(UFTQSeries) + 2
 	var jobs []jobSpec
 	for _, app := range apps {
 		jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline})
@@ -508,19 +493,10 @@ func Figure12(o Options) ([]MPKIRow, error) {
 	}
 	results, err := o.runAll(jobs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var rows []MPKIRow
-	for ai, app := range apps {
-		row := MPKIRow{App: app, MPKI: map[string]float64{}}
-		row.MPKI["baseline"] = results[ai*stride].IcacheMPKI
-		for mi, mech := range UFTQSeries {
-			row.MPKI[string(mech)] = results[ai*stride+1+mi].IcacheMPKI
-		}
-		row.MPKI["opt"] = results[ai*stride+stride-1].IcacheMPKI
-		rows = append(rows, row)
-	}
-	return rows, nil
+	names := append(mechNames(UFTQSeries), "opt")
+	return barRows(apps, names, results, metric), optima, nil
 }
 
 // UDPSeries are the mechanisms of Fig. 13-15 (besides the baseline):
@@ -530,22 +506,29 @@ var UDPSeries = []string{"udp", "udp-infinite", "eip", "icache-40k"}
 
 // Figure13 compares UDP, Infinite Storage, EIP-8KB and a 40K icache
 // against the FDIP-32 baseline.
-func Figure13(o Options) ([]SpeedupRow, error) {
+func Figure13(o Options) ([]BarRow, error) {
+	return o.udpBars(nil)
+}
+
+// Figure14 reports icache MPKI for the baseline and the Fig. 13 series.
+func Figure14(o Options) ([]BarRow, error) {
+	return o.udpBars(icacheMPKI)
+}
+
+// Figure15 reports instructions lost to icache-miss fetch stalls (per
+// kilo-instruction) for the baseline and the Fig. 13 series.
+func Figure15(o Options) ([]BarRow, error) {
+	return o.udpBars(func(r sim.Result) float64 { return r.LostInstrsPKI })
+}
+
+// udpBars returns the bars of the Figs. 13-15 grid (see barRows for
+// metric).
+func (o Options) udpBars(metric func(sim.Result) float64) ([]BarRow, error) {
 	results, err := o.runUDPGrid()
 	if err != nil {
 		return nil, err
 	}
-	stride := len(UDPSeries) + 1
-	var rows []SpeedupRow
-	for ai, app := range o.workloads() {
-		base := results[ai*stride]
-		row := SpeedupRow{App: app, Speedups: map[string]float64{}}
-		for si, series := range UDPSeries {
-			row.Speedups[series] = results[ai*stride+1+si].Speedup(base)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return barRows(o.workloads(), UDPSeries, results, metric), nil
 }
 
 // runUDPGrid submits the full apps × (baseline + UDPSeries) grid shared
@@ -583,59 +566,6 @@ func udpSeriesJob(app, series string) (jobSpec, error) {
 	default:
 		return jobSpec{}, fmt.Errorf("experiments: unknown UDP series %q", series)
 	}
-}
-
-func (o Options) runUDPSeries(app, series string) (sim.Result, error) {
-	j, err := udpSeriesJob(app, series)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return o.run(j.app, j.mech, j.mutate)
-}
-
-// Figure14 reports icache MPKI for the baseline and the Fig. 13 series.
-func Figure14(o Options) ([]MPKIRow, error) {
-	results, err := o.runUDPGrid()
-	if err != nil {
-		return nil, err
-	}
-	stride := len(UDPSeries) + 1
-	var rows []MPKIRow
-	for ai, app := range o.workloads() {
-		row := MPKIRow{App: app, MPKI: map[string]float64{}}
-		row.MPKI["baseline"] = results[ai*stride].IcacheMPKI
-		for si, series := range UDPSeries {
-			row.MPKI[series] = results[ai*stride+1+si].IcacheMPKI
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// LostRow is one application's instructions-lost-to-icache-miss count
-// (per kilo-instruction) under several mechanisms.
-type LostRow struct {
-	App  string
-	Lost map[string]float64
-}
-
-// Figure15 reports instructions lost to icache-miss fetch stalls.
-func Figure15(o Options) ([]LostRow, error) {
-	results, err := o.runUDPGrid()
-	if err != nil {
-		return nil, err
-	}
-	stride := len(UDPSeries) + 1
-	var rows []LostRow
-	for ai, app := range o.workloads() {
-		row := LostRow{App: app, Lost: map[string]float64{}}
-		row.Lost["baseline"] = results[ai*stride].LostInstrsPKI
-		for si, series := range UDPSeries {
-			row.Lost[series] = results[ai*stride+1+si].LostInstrsPKI
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // BTBSizes is the Fig. 16 sensitivity grid.
@@ -730,13 +660,13 @@ func sqrt(x float64) float64 {
 	return math.Sqrt(x)
 }
 
-// SortedSeriesNames returns the map keys of a speedup row in stable
-// order for rendering.
-func SortedSeriesNames(rows []SpeedupRow) []string {
+// SortedSeriesNames returns the series names of bar rows in the one
+// order every table and chart of them uses: sorted, each name once.
+func SortedSeriesNames(rows []BarRow) []string {
 	seen := map[string]bool{}
 	var names []string
 	for _, r := range rows {
-		for k := range r.Speedups {
+		for k := range r.Values {
 			if !seen[k] {
 				seen[k] = true
 				names = append(names, k)

@@ -53,11 +53,11 @@ func TestFigure1Shape(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	r := rows[0]
-	if r.Speedups["perfect-icache"] < 0 {
-		t.Errorf("perfect icache slowed down: %+v", r.Speedups)
+	if r.Values["perfect-icache"] < 0 {
+		t.Errorf("perfect icache slowed down: %+v", r.Values)
 	}
-	if r.Speedups["no-prefetch"] > 0.01 {
-		t.Errorf("no-prefetch sped up: %+v", r.Speedups)
+	if r.Values["no-prefetch"] > 0.01 {
+		t.Errorf("no-prefetch sped up: %+v", r.Values)
 	}
 }
 
@@ -107,9 +107,9 @@ func TestRunCachesResults(t *testing.T) {
 }
 
 func TestSortedSeriesNames(t *testing.T) {
-	rows := []SpeedupRow{
-		{App: "a", Speedups: map[string]float64{"z": 1, "a": 2}},
-		{App: "b", Speedups: map[string]float64{"m": 3}},
+	rows := []BarRow{
+		{App: "a", Values: map[string]float64{"z": 1, "a": 2}},
+		{App: "b", Values: map[string]float64{"m": 3}},
 	}
 	names := SortedSeriesNames(rows)
 	if len(names) != 3 || names[0] != "a" || names[1] != "m" || names[2] != "z" {
@@ -125,8 +125,7 @@ func TestWorkloadsDefault(t *testing.T) {
 }
 
 func TestRunUDPSeriesUnknown(t *testing.T) {
-	o := tinyOptions()
-	if _, err := o.runUDPSeries("mysql", "quantum"); err == nil {
+	if _, err := udpSeriesJob("mysql", "quantum"); err == nil {
 		t.Error("unknown series accepted")
 	}
 }
@@ -224,7 +223,7 @@ func TestRunDescriptorAndPivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || len(rows[0].Speedups) != 1 {
+	if len(rows) != 1 || len(rows[0].Values) != 1 {
 		t.Errorf("pivot shape: %+v", rows)
 	}
 	if _, err := SpeedupTable(results, "nope"); err == nil {
@@ -287,7 +286,7 @@ func TestAllFigureHarnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || len(rows[0].Speedups) != 4 {
+	if len(rows) != 1 || len(rows[0].Values) != 4 {
 		t.Fatalf("Figure11 shape: %+v", rows)
 	}
 	if optima2["mysql"] != optima["mysql"] {
@@ -298,7 +297,7 @@ func TestAllFigureHarnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mpki) != 1 || mpki[0].MPKI["baseline"] <= 0 {
+	if len(mpki) != 1 || mpki[0].Values["baseline"] <= 0 {
 		t.Fatalf("Figure12: %+v", mpki)
 	}
 
@@ -306,15 +305,15 @@ func TestAllFigureHarnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(udpRows[0].Speedups) != len(UDPSeries) {
-		t.Fatalf("Figure13 series: %+v", udpRows[0].Speedups)
+	if len(udpRows[0].Values) != len(UDPSeries) {
+		t.Fatalf("Figure13 series: %+v", udpRows[0].Values)
 	}
 
 	mpki14, err := Figure14(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mpki14[0].MPKI["udp"] < 0 {
+	if mpki14[0].Values["udp"] < 0 {
 		t.Error("Figure14 negative MPKI")
 	}
 
@@ -322,7 +321,7 @@ func TestAllFigureHarnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lost[0].Lost["baseline"] < 0 {
+	if lost[0].Values["baseline"] < 0 {
 		t.Error("Figure15 negative lost count")
 	}
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"udpsim/internal/obs"
@@ -17,9 +16,9 @@ import (
 // internal/experiments does not import internal/serve (the daemon
 // depends on the engine, never the reverse).
 
-// ResultStore is a persistent result cache consulted by Options.run on
-// in-memory misses and populated on completed simulations. Both methods
-// must be safe for concurrent use.
+// ResultStore is a persistent result cache (Options.Store) consulted by
+// Options.run on in-memory misses and populated on completed
+// simulations. Both methods must be safe for concurrent use.
 //
 // Load returns (result, true, nil) on a hit and (zero, false, nil) on a
 // clean miss; an error means the store itself failed (I/O), which the
@@ -30,26 +29,6 @@ import (
 type ResultStore interface {
 	Load(key string) (sim.Result, bool, error)
 	Save(key string, r sim.Result) error
-}
-
-// store holds the installed ResultStore (atomic so Options.run can read
-// it lock-free on the hot path). Nil means in-memory caching only.
-var store atomic.Value // of resultStoreBox
-
-// resultStoreBox wraps the interface so atomic.Value sees one concrete
-// type even when different ResultStore implementations are installed.
-type resultStoreBox struct{ s ResultStore }
-
-// SetResultStore installs (or, with nil, removes) the persistent store
-// the engine cache reads through. Typically called once at daemon
-// startup before any simulation runs.
-func SetResultStore(s ResultStore) { store.Store(resultStoreBox{s: s}) }
-
-func currentStore() ResultStore {
-	if b, ok := store.Load().(resultStoreBox); ok {
-		return b.s
-	}
-	return nil
 }
 
 // CacheKey returns the canonical result-cache key for one simulated
@@ -75,23 +54,11 @@ func FlushResultCache() {
 	resultMu.Unlock()
 }
 
-// store resolves the persistent store this Options reads through: the
-// per-run Options.Store when set, else the process-global one. The
-// per-run override exists for several in-process daemon instances,
-// each with its own disk store, where a process-global would make
-// every instance share one store.
-func (o Options) store() ResultStore {
-	if o.Store != nil {
-		return o.Store
-	}
-	return currentStore()
-}
-
 // storeLoad probes this run's persistent store (if any) for key,
 // maintaining the obs counters and the read-latency histogram. The
 // bool reports a usable hit.
 func (o Options) storeLoad(key string) (sim.Result, bool) {
-	st := o.store()
+	st := o.Store
 	if st == nil {
 		return sim.Result{}, false
 	}
@@ -114,7 +81,7 @@ func (o Options) storeLoad(key string) (sim.Result, bool) {
 // store (if any). Failures are counted, never propagated: the
 // simulation already succeeded.
 func (o Options) storeSave(key string, r sim.Result) {
-	st := o.store()
+	st := o.Store
 	if st == nil {
 		return
 	}

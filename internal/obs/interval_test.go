@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -125,4 +126,17 @@ func TestMetricsWriterConcurrent(t *testing.T) {
 	if len(recs) != goroutines*perG+1 {
 		t.Fatalf("records = %d, want %d", len(recs), goroutines*perG+1)
 	}
+}
+
+// failAfter accepts n writes, then fails every later one.
+type failAfter struct {
+	n int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, errors.New("disk full")
+	}
+	f.n--
+	return len(p), nil
 }

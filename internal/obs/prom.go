@@ -403,8 +403,8 @@ var (
 		"grid cells the experiment engine finalized")
 
 	// Persistent result-store traffic (the disk-backed store the engine
-	// cache reads through when one is installed; see
-	// experiments.SetResultStore). StoreHits are in-memory misses served
+	// cache reads through when one is set; see
+	// experiments.Options.Store). StoreHits are in-memory misses served
 	// from disk without simulating; StoreMisses are probes that fell
 	// through to a real simulation; StoreWrites are successful
 	// write-backs; StoreErrors are store I/O failures (treated as

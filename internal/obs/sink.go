@@ -6,13 +6,11 @@ import (
 	"io"
 )
 
-// This file renders recorded events into external trace formats:
-//
-//   - Chrome trace-event JSON ("{"traceEvents":[...]}"), loadable in
-//     Perfetto / chrome://tracing. Cycles are mapped 1:1 onto the
-//     format's microsecond timestamps, so 1 "µs" in the viewer is one
-//     simulated cycle.
-//   - JSONL: one raw Event object per line, for ad-hoc jq/pandas work.
+// This file renders recorded events as Chrome trace-event JSON
+// ("{"traceEvents":[...]}"), loadable in Perfetto / chrome://tracing,
+// and holds the envelope that WriteChromeSpans shares. Cycles are
+// mapped 1:1 onto the format's microsecond timestamps, so 1 "µs" in the
+// viewer is one simulated cycle.
 //
 // Event mapping into the Chrome format:
 //
@@ -39,9 +37,31 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
+// chromeTrace is the trace-event envelope both Chrome exporters fill.
 type chromeTrace struct {
 	TraceEvents []chromeEvent  `json:"traceEvents"`
 	Metadata    map[string]any `json:"metadata,omitempty"`
+}
+
+// newChromeTrace starts an envelope whose timestamps read in clock,
+// with room for n events.
+func newChromeTrace(clock string, n int) *chromeTrace {
+	return &chromeTrace{
+		TraceEvents: make([]chromeEvent, 0, n),
+		Metadata:    map[string]any{"clock": clock},
+	}
+}
+
+// process names pid's group of tracks in the viewer.
+func (t *chromeTrace) process(pid int, name string) {
+	t.TraceEvents = append(t.TraceEvents, chromeEvent{
+		Name: "process_name", Phase: "M", PID: pid,
+		Args: map[string]any{"name": name},
+	})
+}
+
+func (t *chromeTrace) write(w io.Writer) error {
+	return json.NewEncoder(w).Encode(t)
 }
 
 // TraceRegion is one machine's worth of events plus its identifying
@@ -56,23 +76,15 @@ type TraceRegion struct {
 
 // WriteChromeTrace renders regions as Chrome trace-event JSON.
 func WriteChromeTrace(w io.Writer, regions []TraceRegion) error {
-	trace := chromeTrace{
-		TraceEvents: make([]chromeEvent, 0, 256),
-		Metadata:    map[string]any{"clock": "simulated-cycles-as-us"},
-	}
+	trace := newChromeTrace("simulated-cycles-as-us", 256)
 	for i, r := range regions {
 		pid := i + 1
-		name := fmt.Sprintf("%s/%s region %d", r.Workload, r.Mechanism, r.Region)
-		trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid,
-			Args: map[string]any{"name": name},
-		})
+		trace.process(pid, fmt.Sprintf("%s/%s region %d", r.Workload, r.Mechanism, r.Region))
 		for _, e := range r.Events {
 			trace.TraceEvents = append(trace.TraceEvents, chromeFromEvent(pid, e))
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(trace)
+	return trace.write(w)
 }
 
 // chromeFromEvent maps one typed event onto a trace-event record.
@@ -138,26 +150,4 @@ func eventArgs(e Event) map[string]any {
 		return nil
 	}
 	return args
-}
-
-// jsonlEvent is the JSONL rendering of an Event with symbolic kind.
-type jsonlEvent struct {
-	Cycle uint64 `json:"cycle"`
-	Kind  string `json:"kind"`
-	Addr  uint64 `json:"addr,omitempty"`
-	A     uint64 `json:"a,omitempty"`
-	B     uint64 `json:"b,omitempty"`
-}
-
-// WriteJSONL renders events one JSON object per line.
-func WriteJSONL(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	for _, e := range events {
-		if err := enc.Encode(jsonlEvent{
-			Cycle: e.Cycle, Kind: e.Kind.String(), Addr: e.Addr, A: e.A, B: e.B,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

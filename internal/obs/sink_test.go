@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"strings"
 	"testing"
 )
 
@@ -86,57 +84,5 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	}
 	if c := byName["uftq-window"]; len(c) != 1 || c[0]["ph"] != "C" {
 		t.Errorf("uftq-window = %v, want one counter event", c)
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	events := []Event{
-		{Cycle: 5, Kind: EvUDPLearn, Addr: 0x40},
-		{Cycle: 9, Kind: EvRecovery, A: 12},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
-	}
-	var rec struct {
-		Cycle uint64 `json:"cycle"`
-		Kind  string `json:"kind"`
-		Addr  uint64 `json:"addr"`
-		A     uint64 `json:"a"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("line 0: %v", err)
-	}
-	if rec.Kind != "udp-learn" || rec.Addr != 0x40 || rec.Cycle != 5 {
-		t.Errorf("line 0 = %+v", rec)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatalf("line 1: %v", err)
-	}
-	if rec.Kind != "recovery" || rec.A != 12 {
-		t.Errorf("line 1 = %+v", rec)
-	}
-}
-
-type failAfter struct {
-	n int
-}
-
-func (f *failAfter) Write(p []byte) (int, error) {
-	if f.n <= 0 {
-		return 0, errors.New("disk full")
-	}
-	f.n--
-	return len(p), nil
-}
-
-func TestWriteJSONLPropagatesError(t *testing.T) {
-	events := []Event{{Kind: EvResteer}, {Kind: EvResteer}}
-	if err := WriteJSONL(&failAfter{n: 1}, events); err == nil {
-		t.Fatal("expected write error")
 	}
 }

@@ -11,7 +11,6 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -132,12 +131,9 @@ func (r *SpanRecorder) Dropped() uint64 {
 // stack). Timestamps are microseconds since the earliest span start —
 // wall clock, unlike WriteChromeTrace's cycle clock.
 func WriteChromeSpans(w io.Writer, spans []Span) error {
-	trace := chromeTrace{
-		TraceEvents: make([]chromeEvent, 0, len(spans)+8),
-		Metadata:    map[string]any{"clock": "wall-us-since-first-span"},
-	}
+	trace := newChromeTrace("wall-us-since-first-span", len(spans)+8)
 	if len(spans) == 0 {
-		return json.NewEncoder(w).Encode(trace)
+		return trace.write(w)
 	}
 
 	sorted := append([]Span(nil), spans...)
@@ -158,10 +154,7 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 			if name == "" {
 				name = "(no trace)"
 			}
-			trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
-				Name: "process_name", Phase: "M", PID: tr.pid,
-				Args: map[string]any{"name": "trace " + name},
-			})
+			trace.process(tr.pid, "trace "+name)
 		}
 		lane := -1
 		for i, end := range tr.ends {
@@ -189,16 +182,5 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 			Args:  s.Args,
 		})
 	}
-	return json.NewEncoder(w).Encode(trace)
-}
-
-// WriteSpanJSONL renders spans one JSON object per line for jq/pandas.
-func WriteSpanJSONL(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	for _, s := range spans {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
+	return trace.write(w)
 }

@@ -158,24 +158,3 @@ func TestWriteChromeSpans(t *testing.T) {
 		t.Fatalf("empty export invalid JSON: %v", err)
 	}
 }
-
-func TestWriteSpanJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	spans := []Span{
-		{Trace: "t", Name: "a", Start: time.Unix(1, 0), End: time.Unix(2, 0)},
-		{Trace: "t", Name: "b", Start: time.Unix(2, 0), End: time.Unix(3, 0)},
-	}
-	if err := WriteSpanJSONL(&buf, spans); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("JSONL lines = %d, want 2", len(lines))
-	}
-	for _, l := range lines {
-		var s Span
-		if err := json.Unmarshal(l, &s); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", l, err)
-		}
-	}
-}

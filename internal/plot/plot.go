@@ -11,7 +11,6 @@ package plot
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -237,19 +236,9 @@ func escape(s string) string {
 }
 
 // FromSpeedupRows converts experiment speedup rows (app → series →
-// value) into a bar chart, ordering series alphabetically.
-func FromSpeedupRows(title string, apps []string, rows map[string]map[string]float64) Chart {
-	seen := map[string]bool{}
-	var names []string
-	for _, m := range rows {
-		for k := range m {
-			if !seen[k] {
-				seen[k] = true
-				names = append(names, k)
-			}
-		}
-	}
-	sort.Strings(names)
+// value) into a bar chart with one series per name, in names' order; a
+// series an app lacks plots as zero.
+func FromSpeedupRows(title string, apps, names []string, rows map[string]map[string]float64) Chart {
 	c := Chart{Title: title, YLabel: "IPC speedup", XLabels: apps, Percent: true}
 	for _, nm := range names {
 		s := Series{Name: nm}

@@ -120,18 +120,18 @@ func TestFromSpeedupRows(t *testing.T) {
 		"mysql":   {"udp": 0.01, "eip": 0.0},
 		"xgboost": {"udp": 0.16},
 	}
-	c := FromSpeedupRows("F", []string{"mysql", "xgboost"}, rows)
+	c := FromSpeedupRows("F", []string{"mysql", "xgboost"}, []string{"udp", "eip"}, rows)
 	if len(c.Series) != 2 || len(c.XLabels) != 2 {
 		t.Fatalf("chart shape: %+v", c)
 	}
-	// Series sorted: eip first.
-	if c.Series[0].Name != "eip" || c.Series[1].Name != "udp" {
+	// Series follow the given names' order, not their sorted order.
+	if c.Series[0].Name != "udp" || c.Series[1].Name != "eip" {
 		t.Errorf("series order: %v, %v", c.Series[0].Name, c.Series[1].Name)
 	}
-	if c.Series[1].Values[1] != 0.16 {
+	if c.Series[0].Values[1] != 0.16 {
 		t.Error("value misplaced")
 	}
-	if c.Series[0].Values[1] != 0 {
+	if c.Series[1].Values[1] != 0 {
 		t.Error("missing value not zero-filled")
 	}
 	if _, err := Bars(c); err != nil {

@@ -68,9 +68,9 @@ func ResultAddr(key string) string {
 
 // Store is the disk-backed, content-addressed result store with an
 // in-memory LRU read layer. All methods are safe for concurrent use.
-// It implements experiments.ResultStore, so installing it with
-// experiments.SetResultStore makes every engine cache miss read
-// through it.
+// It implements experiments.ResultStore, so passing it as
+// experiments.Options.Store makes every engine cache miss of that run
+// read through it.
 type Store struct {
 	dir string
 	log *slog.Logger

@@ -48,12 +48,9 @@ type Program struct {
 
 	// condTab and indirectTab hold every site's metadata in site order;
 	// StaticInstr.Site indexes them, so the executor finds a branch's
-	// behaviour without hashing its PC. conds and indirects key the same
-	// entries by PC for lookups from outside the image walk.
+	// behaviour without hashing its PC.
 	condTab     []CondMeta
 	indirectTab []IndirectMeta
-	conds       map[isa.Addr]*CondMeta
-	indirects   map[isa.Addr]*IndirectMeta
 
 	// FuncEntries holds every generated function's entry address;
 	// FuncEntries[0] is the dispatcher targets' table order.
@@ -105,8 +102,6 @@ func Generate(p Profile) (*Program, error) {
 		code:        make([]isa.StaticInstr, sized.n),
 		condTab:     make([]CondMeta, 0, counts.NumCond),
 		indirectTab: make([]IndirectMeta, 0, counts.NumIndirect),
-		conds:       make(map[isa.Addr]*CondMeta, counts.NumCond),
-		indirects:   make(map[isa.Addr]*IndirectMeta, counts.NumIndirect),
 		FuncEntries: counts.FuncEntries,
 	}
 	b := &builder{prog: prog}
@@ -150,7 +145,7 @@ func (b *builder) run() {
 
 // NewProgramFromImage rebuilds a Program from an externally captured
 // static image (a UDPT2 trace's embedded code layout). The resulting
-// program carries no executor metadata — conds/indirects are empty —
+// program carries no executor metadata — its site tables are empty —
 // because a trace-driven run takes dynamic behaviour from the recorded
 // stream, and the frontend consults only the static fields. Code must
 // be dense from ImageBase in layout order (code[i].PC == ImageBase+4i);
@@ -161,13 +156,7 @@ func NewProgramFromImage(p Profile, entry isa.Addr, code []isa.StaticInstr) (*Pr
 			return nil, fmt.Errorf("workload: image not dense at instr %d: pc %#x, want %#x", i, code[i].PC, want)
 		}
 	}
-	return &Program{
-		profile:   p,
-		code:      code,
-		entry:     entry,
-		conds:     make(map[isa.Addr]*CondMeta),
-		indirects: make(map[isa.Addr]*IndirectMeta),
-	}, nil
+	return &Program{profile: p, code: code, entry: entry}, nil
 }
 
 // StaticCode exposes the full static image in layout order (trace
@@ -302,9 +291,7 @@ func (b *builder) condMeta() CondMeta {
 
 // addCond registers the conditional branch at instruction i, assigning
 // it the next dense site index (used by the executor for slice-backed
-// per-site state instead of map lookups on the hot path). The sizing
-// pass presized condTab, so appending never moves the entries the map
-// points at.
+// per-site state instead of map lookups on the hot path).
 func (b *builder) addCond(i int, m CondMeta) {
 	b.prog.NumCond++
 	if b.sizing {
@@ -314,7 +301,6 @@ func (b *builder) addCond(i int, m CondMeta) {
 	m.Idx = len(pr.condTab)
 	pr.condTab = append(pr.condTab, m)
 	pr.code[i].Site = uint32(m.Idx + 1)
-	pr.conds[pcOf(i)] = &pr.condTab[m.Idx]
 }
 
 // addIndirect registers the indirect branch at instruction i with a
@@ -328,7 +314,6 @@ func (b *builder) addIndirect(i int, targets []isa.Addr, s float64) {
 	k := len(pr.indirectTab)
 	pr.indirectTab = append(pr.indirectTab, IndirectMeta{Targets: targets, Cum: zipfWeights(len(targets), s, b.r)})
 	pr.code[i].Site = uint32(k + 1)
-	pr.indirects[pcOf(i)] = &pr.indirectTab[k]
 }
 
 // emitDiamond generates
@@ -550,11 +535,23 @@ func (pr *Program) indirectOf(si *isa.StaticInstr) *IndirectMeta {
 	return nil
 }
 
-// CondMetaAt exposes conditional behaviour (executor + tests).
-func (pr *Program) CondMetaAt(pc isa.Addr) *CondMeta { return pr.conds[pc] }
+// CondMetaAt returns the behaviour of the conditional branch at pc, or
+// nil when pc holds none with metadata.
+func (pr *Program) CondMetaAt(pc isa.Addr) *CondMeta {
+	if si := pr.InstrAt(pc); si.Branch.IsConditional() {
+		return pr.condOf(si)
+	}
+	return nil
+}
 
-// IndirectMetaAt exposes indirect target sets (executor + tests).
-func (pr *Program) IndirectMetaAt(pc isa.Addr) *IndirectMeta { return pr.indirects[pc] }
+// IndirectMetaAt returns the target set of the indirect jump or call at
+// pc, or nil when pc holds none with metadata (returns have none).
+func (pr *Program) IndirectMetaAt(pc isa.Addr) *IndirectMeta {
+	if si := pr.InstrAt(pc); si.Branch.IsIndirect() {
+		return pr.indirectOf(si)
+	}
+	return nil
+}
 
 // Profile returns the generating profile.
 func (pr *Program) Profile() Profile { return pr.profile }

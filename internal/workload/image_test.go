@@ -37,8 +37,8 @@ func imageDigest(pr *Program) string {
 	for _, a := range pr.FuncEntries {
 		u64(uint64(a))
 	}
-	u64(uint64(len(pr.conds)))
-	u64(uint64(len(pr.indirects)))
+	u64(uint64(len(pr.condTab)))
+	u64(uint64(len(pr.indirectTab)))
 	flush()
 	for i := range pr.code {
 		si := &pr.code[i]
@@ -46,7 +46,7 @@ func imageDigest(pr *Program) string {
 		buf = append(buf, byte(si.Class), byte(si.Branch))
 		u64(uint64(si.Target))
 		u64(uint64(si.DataAddr))
-		if m := pr.conds[si.PC]; m != nil {
+		if m := pr.CondMetaAt(si.PC); m != nil {
 			buf = append(buf, 'c', byte(m.Behavior))
 			u64(uint64(m.Idx))
 			f64(m.PTaken)
@@ -55,7 +55,7 @@ func imageDigest(pr *Program) string {
 			u64(uint64(m.Trip))
 			u64(uint64(m.TripJitter))
 		}
-		if m := pr.indirects[si.PC]; m != nil {
+		if m := pr.IndirectMetaAt(si.PC); m != nil {
 			buf = append(buf, 'i')
 			u64(uint64(len(m.Targets)))
 			for _, a := range m.Targets {
