@@ -38,11 +38,13 @@ func (f *Frontend) completeFills(cycle uint64) {
 // predecodeLine walks a freshly filled line's instructions and installs
 // its branches into the BTB (predecode-based BTB fill).
 func (f *Frontend) predecodeLine(line isa.Addr, cycle uint64) {
+	code := f.prog.StaticCode()
 	for pc := line; pc < line+isa.LineBytes; pc += isa.InstrBytes {
-		si := f.prog.InstrAt(pc)
-		if !si.IsBranch() {
-			continue
+		i, ok := f.prog.Index(pc)
+		if !ok || !code[i].IsBranch() {
+			continue // past the image there are only nops
 		}
+		si := &code[i]
 		// Predecode sees kind and direct targets; indirect targets stay
 		// unknown until execution, so only install resolvable entries
 		// and returns (whose target comes from the RAS anyway).

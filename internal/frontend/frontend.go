@@ -345,9 +345,9 @@ func (f *Frontend) buildBlock(cycle uint64) *FetchBlock {
 	blockEnd := start.Block() + isa.FetchBlockBytes
 	pc := start
 	for pc < blockEnd {
-		si := f.prog.InstrAt(pc)
 		f.fetchSeq++
 		fi := f.instrs.get()
+		si := f.staticAt(pc, fi)
 		fi.Static = si
 		fi.OnPath = f.onPath
 		fi.FetchSeq = f.fetchSeq
@@ -379,6 +379,18 @@ func (f *Frontend) buildBlock(cycle uint64) *FetchBlock {
 	fb.NextPC = blockEnd
 	f.fetchPC = blockEnd
 	return fb
+}
+
+// staticAt returns the image instruction at pc, as
+// workload.Program.InstrAt does, but keeps the nop it returns outside
+// the image in fi's own storage, so a deep wrong-path walk does not
+// allocate.
+func (f *Frontend) staticAt(pc isa.Addr, fi *FrontInstr) *isa.StaticInstr {
+	if i, ok := f.prog.Index(pc); ok {
+		return &f.prog.StaticCode()[i]
+	}
+	fi.nopStorage = workload.PadNop(pc)
+	return &fi.nopStorage
 }
 
 // handleBranch processes a control-flow instruction during block build.

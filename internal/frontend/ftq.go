@@ -61,9 +61,12 @@ type FrontInstr struct {
 	// last per-instruction heap allocations from the cycle loop. They
 	// are live exactly as long as the owning instruction (the frontend
 	// clears its cross-instruction divergence pointer before the owner
-	// is released; see flushYoungerThan and Recover).
+	// is released; see flushYoungerThan and Recover). nopStorage is
+	// what Static points at when the walk left the image: a nop at the
+	// walked pc, held here for the same reason.
 	branchStorage PredictedBranch
 	divStorage    Divergence
+	nopStorage    isa.StaticInstr
 }
 
 // DivKind classifies why the frontend diverged from the oracle path.

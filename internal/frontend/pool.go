@@ -43,11 +43,11 @@ func newInstrPool(n int) instrPool {
 }
 
 // get returns an instruction whose header fields (everything but
-// branchStorage and divStorage) are zero. The embedded storage keeps
-// its last contents: it is read only through Branch and Divergence,
-// which get clears, and handleBranch and diverge overwrite it whole
-// before setting them. Clearing it too would zero 264 more bytes per
-// fetched instruction.
+// branchStorage, divStorage and nopStorage) are zero. The embedded
+// storage keeps its last contents: it is read only through Branch,
+// Divergence and Static, which get clears, and handleBranch, diverge
+// and staticAt overwrite it whole before setting them. Clearing it too
+// would zero 296 more bytes per fetched instruction.
 func (p *instrPool) get() *FrontInstr {
 	n := len(p.free)
 	if n == 0 {

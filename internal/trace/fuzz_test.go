@@ -11,12 +11,11 @@ import (
 	"udpsim/internal/workload"
 )
 
-// FuzzReader2 feeds arbitrary bytes to the UDPT2 decoder: whatever the
-// chunk headers claim, it must never panic or allocate unboundedly, and
-// every rejection must be a structured error (*FormatError past the
-// preamble). (Seeds run as part of the normal test suite;
-// `go test -fuzz=FuzzReader2 ./internal/trace` explores further.)
-func FuzzReader2(f *testing.F) {
+// traceSeeds are the fuzz seeds for the UDPT2 decoders: valid traces
+// in both encodings and with a many-member image, and truncated,
+// bit-flipped, length-lying and count-lying ones. valid is the binary
+// trace they derive from.
+func traceSeeds(f *testing.F) (valid []byte, seeds [][]byte) {
 	p := workload.MustByName("postgres")
 	p.Funcs = 20
 	p.DispatchTargets = 10
@@ -27,24 +26,39 @@ func FuzzReader2(f *testing.F) {
 	if err := RecordN2(&validJSONL, p, 0, 200, EncJSONL); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(validBin.Bytes())
-	f.Add(validJSONL.Bytes())
-	f.Add(smallMembers(f, validBin.Bytes()))   // image as many gzip members
-	f.Add(validBin.Bytes()[:validBin.Len()/2]) // truncated
-	f.Add([]byte(Magic2))                      // preamble only
-	f.Add([]byte("not a trace at all, definitely"))
-	flipped := append([]byte{}, validBin.Bytes()...)
+	valid = validBin.Bytes()
+	flipped := append([]byte{}, valid...)
 	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
 	// Length-lying chunk header: huge claimed payload.
-	lying := append([]byte{}, validBin.Bytes()[:len(Magic2)+1+13]...)
+	lying := append([]byte{}, valid[:len(Magic2)+1+13]...)
 	for i := len(Magic2) + 2; i < len(Magic2)+1+5; i++ {
 		lying[i] = 0xff
 	}
-	f.Add(lying)
-	// Image header claiming imageInstrsMax instructions in a few bytes.
-	f.Add(imageTrace(f, lyingImage(imageInstrsMax)))
+	return valid, [][]byte{
+		valid,
+		validJSONL.Bytes(),
+		smallMembers(f, valid), // image as many gzip members
+		valid[:len(valid)/2],   // truncated
+		[]byte(Magic2),         // preamble only
+		[]byte("not a trace at all, definitely"),
+		flipped,
+		lying,
+		// Image header claiming imageInstrsMax instructions in a few
+		// bytes.
+		imageTrace(f, lyingImage(imageInstrsMax)),
+	}
+}
 
+// FuzzReader2 feeds arbitrary bytes to the UDPT2 decoder: whatever the
+// chunk headers claim, it must never panic or allocate unboundedly, and
+// every rejection must be a structured error (*FormatError past the
+// preamble). (Seeds run as part of the normal test suite;
+// `go test -fuzz=FuzzReader2 ./internal/trace` explores further.)
+func FuzzReader2(f *testing.F) {
+	_, seeds := traceSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader2(bytes.NewReader(data))
 		if err != nil {
@@ -70,6 +84,32 @@ func FuzzReader2(f *testing.F) {
 		}
 		if r.Count() != count {
 			t.Errorf("Count() = %d, decoded %d", r.Count(), count)
+		}
+	})
+}
+
+// FuzzLoadSourceBytes feeds arbitrary bytes to the trace loader: it
+// must return a Source or an error, never panic, and a Source it
+// returns must replay all Len() records, each an image instruction, in
+// sequence.
+func FuzzLoadSourceBytes(f *testing.F) {
+	valid, seeds := traceSeeds(f)
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Add(claimingMax(f, valid))
+	f.Add(strayPCTrace(f, workload.ImageBase-isa.InstrBytes))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src, err := LoadSourceBytes("fuzz", data)
+		if err != nil {
+			return
+		}
+		st := mustStream(t, src)
+		for i := uint64(0); i < src.Len(); i++ {
+			d := st.Next()
+			if d.Seq != i+1 || src.prog.InstrAt(d.PC()) != d.Static {
+				t.Fatalf("record %d of %d replays as %+v", i, src.Len(), d)
+			}
 		}
 	})
 }

@@ -3,12 +3,12 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"udpsim/internal/isa"
@@ -18,20 +18,40 @@ import (
 // Source is a fully decoded UDPT2 trace presented as a workload.Source:
 // the embedded image plus the recorded dynamic stream, keyed by the
 // SHA-256 of the trace file content. LoadSourceBytes decodes the whole
-// trace up front — the stream is materialized into a flat
-// []isa.DynInstr whose Static pointers alias the shared image, so
-// Stream()s replay with zero allocation per instruction (the
-// Machine.Step zero-alloc invariant) and random access (frontend's
-// ring-free direct oracle mode) is an index. A load costs about
-// 110 ns per embedded image instruction plus 65 ns per record on a
-// 2-core x86-64 host: BenchmarkLoadSourceBytes, 160k records of the
-// 852k-instruction xgboost image, takes ~0.1 s, most of it the image.
+// trace up front, so Stream()s replay with zero allocation per
+// instruction (the Machine.Step zero-alloc invariant) and random access
+// (frontend's ring-free direct oracle mode) is an index.
+//
+// Each record is held in 24 bytes: the index of its instruction in the
+// image and the three fields the run resolved. The replay cursor
+// rebuilds the 40-byte isa.DynInstr from them, with a Static pointer
+// into the shared image and Seq from the record's position, so a
+// 10M-instruction region takes 240 MB. The record array is allocated
+// once, at its exact length, from the chunk headers' record counts; a
+// hostile header cannot claim more records than its chunk's compressed
+// payload can inflate to. A record whose PC is outside the image is a
+// *FormatError (Writer2 never writes one).
+//
+// A load costs about 110 ns per embedded image instruction plus 65 ns
+// per record on a 2-core x86-64 host: BenchmarkLoadSourceBytes, 160k
+// records of the 852k-instruction xgboost image, takes ~0.1 s, most of
+// it the image.
 type Source struct {
 	name string
 	sha  string // hex SHA-256 of the raw file content
 	salt uint64
 	prog *workload.Program
-	recs []isa.DynInstr
+	recs []record
+}
+
+// record is one decoded trace record. The instruction's image index
+// stands in for DynInstr.Static, and Seq is the record's position plus
+// one, so neither is stored.
+type record struct {
+	idx      uint32
+	taken    bool
+	target   isa.Addr
+	dataAddr isa.Addr
 }
 
 var _ workload.Source = (*Source)(nil)
@@ -58,31 +78,26 @@ func LoadSourceBytes(name string, data []byte) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	var recs []isa.DynInstr
-	for {
-		if r.pendLeft == 0 {
-			err := r.nextChunk()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			recs = slices.Grow(recs, int(r.pendLeft))
-		}
+	recs := make([]record, claimedRecords(data))
+	n := 0
+	for ; ; n++ {
 		rec, err := r.Read()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
 			return nil, err
 		}
-		recs = append(recs, isa.DynInstr{
-			Static:   prog.InstrAt(rec.PC),
-			Taken:    rec.Taken,
-			Target:   rec.Target,
-			DataAddr: rec.DataAddr,
-			Seq:      uint64(len(recs)) + 1, // Seq is 1-based, matching the executor
-		})
+		idx, ok := prog.Index(rec.PC)
+		if !ok {
+			return nil, &FormatError{Chunk: r.chunk - 1, Reason: fmt.Sprintf("record %d: pc %#x is outside the embedded image", n, uint64(rec.PC))}
+		}
+		if n == len(recs) {
+			return nil, &FormatError{Chunk: r.chunk - 1, Reason: fmt.Sprintf("more than the %d records the chunk headers claim", n)}
+		}
+		recs[n] = record{idx: uint32(idx), taken: rec.Taken, target: rec.Target, dataAddr: rec.DataAddr}
 	}
-	if len(recs) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("trace: %s holds no records", name)
 	}
 	return &Source{
@@ -90,8 +105,34 @@ func LoadSourceBytes(name string, data []byte) (*Source, error) {
 		sha:  hex.EncodeToString(sum[:]),
 		salt: r.Salt(),
 		prog: prog,
-		recs: recs,
+		recs: recs[:n],
 	}, nil
+}
+
+// deflateRatioMax is the most a deflate stream can inflate: 258 bytes
+// for every two bits.
+const deflateRatioMax = 1032
+
+// claimedRecords sums the record counts the record-chunk headers of a
+// trace claim, walking only the framing: from the chunk after the image,
+// which NewReader2 has accepted, up to the first chunk that is not a
+// plausible record chunk. Every record decodes from at least one byte,
+// so a chunk is credited with no more records than deflateRatioMax
+// times its compressed payload. For a valid trace the sum is the exact
+// record count, which the end chunk's total must also equal.
+func claimedRecords(data []byte) int {
+	b := data[len(Magic2)+1:]
+	b = b[chunkHeaderLen+int(binary.LittleEndian.Uint32(b[1:5])):]
+	total := 0
+	for len(b) >= chunkHeaderLen && b[0] == chunkRecords {
+		n, records := binary.LittleEndian.Uint32(b[1:5]), binary.LittleEndian.Uint32(b[5:9])
+		if n > chunkPayloadMax || records > chunkRecordsMax || uint64(n) > uint64(len(b)-chunkHeaderLen) {
+			break
+		}
+		total += int(min(uint64(records), deflateRatioMax*uint64(n)))
+		b = b[chunkHeaderLen+int(n):]
+	}
+	return total
 }
 
 // Name returns the workload label.
@@ -123,16 +164,17 @@ func (s *Source) Stream(seedSalt uint64) (workload.Stream, error) {
 		return nil, fmt.Errorf("trace: %s was recorded at salt %d; cannot replay at salt %d (traces support a single simpoint)",
 			s.name, s.salt, seedSalt)
 	}
-	return &sourceStream{recs: s.recs, name: s.name}, nil
+	return &sourceStream{recs: s.recs, code: s.prog.StaticCode(), name: s.name}, nil
 }
 
-// sourceStream replays the materialized records. It implements both the
+// sourceStream replays the decoded records. It implements both the
 // sequential frontend.InstrSource protocol (Next) and random access
 // (At), which puts the oracle in ring-free direct mode. It has no
 // cancellation of its own: a run stops between strides of the machine's
 // cycle loop (sim.Machine.RunCtx), whatever feeds the oracle.
 type sourceStream struct {
-	recs []isa.DynInstr
+	recs []record
+	code []isa.StaticInstr // the shared image the records index
 	pos  uint64
 	name string
 }
@@ -143,7 +185,14 @@ func (s *sourceStream) At(i uint64) isa.DynInstr {
 		panic(fmt.Sprintf("trace: %s replay past end of trace (%d records, want %d); record a longer region (simulation length + oracle runahead margin)",
 			s.name, len(s.recs), i+1))
 	}
-	return s.recs[i]
+	r := &s.recs[i]
+	return isa.DynInstr{
+		Static:   &s.code[r.idx],
+		Taken:    r.taken,
+		Target:   r.target,
+		DataAddr: r.dataAddr,
+		Seq:      i + 1, // Seq is 1-based, matching the executor
+	}
 }
 
 // Next implements frontend.InstrSource.

@@ -1,0 +1,120 @@
+package trace
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"unsafe"
+
+	"udpsim/internal/isa"
+	"udpsim/internal/workload"
+)
+
+// mustStream opens src's replay cursor at its recorded salt.
+func mustStream(t testing.TB, src *Source) workload.Stream {
+	t.Helper()
+	st, err := src.Stream(src.Salt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// claimingMax rewrites every record-chunk header of a v2 trace to claim
+// chunkRecordsMax records. The CRC covers only the payload, so only the
+// decoded count can expose the lie.
+func claimingMax(t testing.TB, data []byte) []byte {
+	t.Helper()
+	pre, chunks := v2chunks(t, data)
+	out := append([]byte{}, pre...)
+	for _, c := range chunks {
+		c = append([]byte{}, c...)
+		if c[0] == chunkRecords {
+			binary.LittleEndian.PutUint32(c[5:9], chunkRecordsMax)
+		}
+		out = append(out, c...)
+	}
+	return out
+}
+
+// strayPCTrace is a trace of the tiny profile's image whose only record
+// sits at pc.
+func strayPCTrace(t testing.TB, pc isa.Addr) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter2(&buf, workload.MustGenerate(tinyProfile()), 0, EncBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(Record{PC: pc, Target: pc + isa.InstrBytes}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRecordIs24Bytes pins the resident cost of a decoded record, which
+// sizes every trace replay's memory.
+func TestRecordIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 24 {
+		t.Errorf("record is %d bytes, want 24", got)
+	}
+}
+
+// TestSourceRecordsSizedOnce checks that a load allocates the record
+// array at its exact length, in either encoding and across chunks.
+func TestSourceRecordsSizedOnce(t *testing.T) {
+	const n = recordsPerChunk + 3_000
+	for _, enc := range []Encoding{EncBinary, EncJSONL} {
+		src, err := LoadSourceBytes("tiny", recordTiny(t, 0, n, enc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(src.recs) != n || cap(src.recs) != n {
+			t.Errorf("%v: records have len %d, cap %d; want both %d", enc, len(src.recs), cap(src.recs), n)
+		}
+	}
+}
+
+// TestSourceRejectsStrayPC checks that a record whose PC is not an
+// instruction of the embedded image fails the load with a *FormatError
+// naming its record chunk.
+func TestSourceRejectsStrayPC(t *testing.T) {
+	size := isa.Addr(workload.MustGenerate(tinyProfile()).Size())
+	for _, pc := range []isa.Addr{0, workload.ImageBase - isa.InstrBytes, workload.ImageBase + 1, workload.ImageBase + size*isa.InstrBytes} {
+		_, err := LoadSourceBytes("stray", strayPCTrace(t, pc))
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Chunk != 1 || !strings.Contains(fe.Reason, "outside the embedded image") {
+			t.Errorf("pc %#x: want a chunk-1 *FormatError for a pc outside the image, got %v", uint64(pc), err)
+		}
+	}
+}
+
+// TestSourceLyingRecordCount checks that a record chunk claiming
+// chunkRecordsMax records in 398 compressed bytes fails with a
+// *FormatError, and that the load sizes its records by the payload, not
+// the claim: honoring the claim would take 24 MiB, the payload allows
+// about 9.4 MiB.
+func TestSourceLyingRecordCount(t *testing.T) {
+	const bound = 16 << 20
+	if chunkRecordsMax*unsafe.Sizeof(record{}) <= bound {
+		t.Fatal("the claim fits under the bound; the case tests nothing")
+	}
+	data := claimingMax(t, recordTiny(t, 0, 200, EncBinary))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadSourceBytes("lying", data)
+	runtime.ReadMemStats(&after)
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Chunk != 1 {
+		t.Fatalf("want a chunk-1 *FormatError, got %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= bound {
+		t.Errorf("rejecting the trace allocated %d bytes, want under %d", grew, bound)
+	}
+}

@@ -218,11 +218,12 @@ func TestV2LoadsEveryImageLayout(t *testing.T) {
 					t.Fatalf("static instr %d: %+v, want %+v", i, gc[i], wc[i])
 				}
 			}
-			if len(got.recs) != len(want.recs) {
-				t.Fatalf("%d records, want %d", len(got.recs), len(want.recs))
+			if got.Len() != want.Len() {
+				t.Fatalf("%d records, want %d", got.Len(), want.Len())
 			}
-			for i := range got.recs {
-				g, w := got.recs[i], want.recs[i]
+			gs, ws := mustStream(t, got), mustStream(t, want)
+			for i := uint64(0); i < got.Len(); i++ {
+				g, w := gs.Next(), ws.Next()
 				if g.PC() != w.PC() || g.Taken != w.Taken || g.Target != w.Target || g.DataAddr != w.DataAddr || g.Seq != w.Seq {
 					t.Fatalf("record %d: %+v, want %+v", i, g, w)
 				}

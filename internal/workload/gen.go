@@ -482,34 +482,42 @@ func (pr *Program) Size() int { return len(pr.code) }
 // FootprintBytes returns the code footprint.
 func (pr *Program) FootprintBytes() int { return len(pr.code) * isa.InstrBytes }
 
-// padNop is returned for walks outside the image (deep wrong path).
-var padNop = isa.StaticInstr{Class: isa.ClassNop}
+// PadNop is the instruction at a pc outside the image, which only a
+// deep wrong-path walk reaches: a synthetic nop, so the frontend keeps
+// walking — and polluting the icache — exactly as hardware running into
+// unmapped bytes would.
+func PadNop(pc isa.Addr) isa.StaticInstr {
+	return isa.StaticInstr{PC: pc, Class: isa.ClassNop}
+}
 
-// InstrAt returns the static instruction at pc. Addresses outside the
-// image (reachable only on the wrong path) return a synthetic nop at
-// that pc so the frontend can keep walking — and polluting the icache —
-// exactly as hardware running into unmapped bytes would.
-func (pr *Program) InstrAt(pc isa.Addr) *isa.StaticInstr {
+// Index returns the layout index of the instruction at pc, and false
+// when pc is outside the image or not instruction-aligned.
+func (pr *Program) Index(pc isa.Addr) (int, bool) {
 	if pc < ImageBase || uint64(pc-ImageBase)%isa.InstrBytes != 0 {
-		n := padNop
-		n.PC = pc
-		return &n
+		return 0, false
 	}
 	idx := uint64(pc-ImageBase) / isa.InstrBytes
 	if idx >= uint64(len(pr.code)) {
-		n := padNop
-		n.PC = pc
-		return &n
+		return 0, false
 	}
-	return &pr.code[idx]
+	return int(idx), true
+}
+
+// InstrAt returns the static instruction at pc, or a fresh heap copy
+// of PadNop(pc) outside the image. The cycle loop uses Index and keeps
+// the nop in its own storage instead.
+func (pr *Program) InstrAt(pc isa.Addr) *isa.StaticInstr {
+	if i, ok := pr.Index(pc); ok {
+		return &pr.code[i]
+	}
+	n := PadNop(pc)
+	return &n
 }
 
 // InImage reports whether pc falls inside the generated code.
 func (pr *Program) InImage(pc isa.Addr) bool {
-	if pc < ImageBase || uint64(pc-ImageBase)%isa.InstrBytes != 0 {
-		return false
-	}
-	return uint64(pc-ImageBase)/isa.InstrBytes < uint64(len(pr.code))
+	_, ok := pr.Index(pc)
+	return ok
 }
 
 // CondSites returns the number of conditional branch sites; CondMeta.Idx
