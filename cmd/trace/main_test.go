@@ -9,15 +9,28 @@ import (
 	"udpsim/internal/workload"
 )
 
+// TestRecordFileRemovesFailedOutput checks that a recording that fails
+// leaves no file behind: an invalid profile fails after the file
+// exists, and zero instructions, which no loader accepts, fail before
+// it is created.
 func TestRecordFileRemovesFailedOutput(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.udpt2")
 	bad := workload.MustByName("mysql")
-	bad.Funcs = 0 // fails validation, so recording fails after the file exists
-	if _, err := recordFile(path, bad, 0, 100, trace.EncBinary); err == nil {
-		t.Fatal("recording an invalid profile succeeded")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("failed recording left %s behind (stat: %v)", path, err)
+	bad.Funcs = 0 // fails validation
+	for _, tc := range []struct {
+		name   string
+		prof   workload.Profile
+		instrs uint64
+	}{
+		{"invalid-profile", bad, 100},
+		{"zero-instrs", workload.MustByName("mysql"), 0},
+	} {
+		path := filepath.Join(t.TempDir(), tc.name+".udpt2")
+		if _, err := recordFile(path, tc.prof, 0, tc.instrs); err == nil {
+			t.Errorf("%s: recording succeeded", tc.name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: failed recording left %s behind (stat: %v)", tc.name, path, err)
+		}
 	}
 }
 
@@ -26,7 +39,7 @@ func TestRecordFileWritesLoadableTrace(t *testing.T) {
 	p := workload.MustByName("postgres")
 	p.Funcs = 20
 	p.DispatchTargets = 10
-	size, err := recordFile(path, p, 0, 1_000, trace.EncBinary)
+	size, err := recordFile(path, p, 0, 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}

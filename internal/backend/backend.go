@@ -204,9 +204,6 @@ func New(cfg Config, fe *frontend.Frontend, hier *memory.Hierarchy) *Backend {
 // package's StatsResetter.
 func (b *Backend) ResetStats() { b.Stats = Stats{} }
 
-// ROBOccupancy returns the number of in-flight instructions.
-func (b *Backend) ROBOccupancy() int { return b.count }
-
 // Cycle advances the backend: retire, complete/resolve, issue, decode.
 func (b *Backend) Cycle(cycle uint64) {
 	b.Stats.Cycles++

@@ -122,8 +122,6 @@ type Stats struct {
 	// bit still set: they were brought in by a prefetch and never
 	// touched by a demand access — the paper's "useless prefetch".
 	UselessPrefetchEvictions uint64
-	// Invalidations counts explicit line invalidations.
-	Invalidations uint64
 }
 
 // MPKI returns misses per kilo-event given an instruction count.
@@ -316,26 +314,6 @@ func (c *Cache) InsertPath(lineAddr isa.Addr, cycle uint64, isPrefetch, offPath 
 		c.Stats.PrefetchInserts++
 	}
 	return ev
-}
-
-// Invalidate removes lineAddr if present, reporting whether it was an
-// unused prefetch.
-func (c *Cache) Invalidate(lineAddr isa.Addr) (present, wasUnusedPrefetch bool) {
-	at, _, _ := c.find(lineAddr)
-	if at < 0 {
-		return false, false
-	}
-	c.Stats.Invalidations++
-	c.tags[at] = invalidTag
-	c.version++
-	return true, c.lines[at].prefetch
-}
-
-// PrefetchBit reports whether lineAddr is present with its prefetch bit
-// still set.
-func (c *Cache) PrefetchBit(lineAddr isa.Addr) bool {
-	at, _, _ := c.find(lineAddr)
-	return at >= 0 && c.lines[at].prefetch
 }
 
 // Occupancy returns the number of valid lines.

@@ -67,10 +67,17 @@ func TestMissThenHit(t *testing.T) {
 	}
 }
 
+// prefetchBit reports whether lineAddr is present with its prefetch bit
+// still set.
+func prefetchBit(c *Cache, lineAddr isa.Addr) bool {
+	at, _, _ := c.find(lineAddr)
+	return at >= 0 && c.lines[at].prefetch
+}
+
 func TestPrefetchBitLifecycle(t *testing.T) {
 	c := small()
 	c.InsertPath(ln(1), 1, true, true)
-	if !c.PrefetchBit(ln(1)) {
+	if !prefetchBit(c, ln(1)) {
 		t.Fatal("prefetch bit not set")
 	}
 	r := c.Access(ln(1), 2)
@@ -82,7 +89,7 @@ func TestPrefetchBitLifecycle(t *testing.T) {
 	if !r.Hit || r.WasPrefetched || r.WasOffPathPrefetch {
 		t.Fatalf("second hit still reports prefetch: %+v", r)
 	}
-	if c.PrefetchBit(ln(1)) {
+	if prefetchBit(c, ln(1)) {
 		t.Error("prefetch bit survived demand hit")
 	}
 	if c.Stats.PrefetchHits != 1 {
@@ -142,24 +149,8 @@ func TestInsertExistingRefreshes(t *testing.T) {
 	}
 	// Re-insert must not set the prefetch bit on an already-demanded
 	// line.
-	if c.PrefetchBit(ln(1)) {
+	if prefetchBit(c, ln(1)) {
 		t.Error("re-insert flipped prefetch bit")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := small()
-	c.Insert(ln(1), 1, true)
-	present, unused := c.Invalidate(ln(1))
-	if !present || !unused {
-		t.Errorf("invalidate = (%v, %v)", present, unused)
-	}
-	if c.Lookup(ln(1)) {
-		t.Error("line survived invalidate")
-	}
-	present, _ = c.Invalidate(ln(1))
-	if present {
-		t.Error("double invalidate reported present")
 	}
 }
 
@@ -266,10 +257,6 @@ func TestCacheVersion(t *testing.T) {
 	c.Lookup(ln(1))
 	c.Insert(ln(1), 4, false) // already present: a refresh
 	unchanged("hit, miss, lookup and refresh")
-	c.Invalidate(ln(2))
-	unchanged("Invalidate of an absent line")
-	c.Invalidate(ln(1))
-	changed("Invalidate")
 	c.Insert(ln(3), 5, false)
 	changed("Insert")
 	c.Flush()

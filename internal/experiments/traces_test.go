@@ -24,7 +24,7 @@ func writeTestTrace(t *testing.T, dir, file string, salt uint64) string {
 	p.Funcs = 30
 	p.DispatchTargets = 20
 	var buf bytes.Buffer
-	if err := trace.RecordN2(&buf, p, salt, 12_500, trace.EncBinary); err != nil {
+	if err := trace.RecordN2(&buf, p, salt, 12_500); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, file)

@@ -45,20 +45,6 @@ func (a Addr) LineIndex() uint64 { return uint64(a) >> LineShift }
 // Block returns the fetch-block address (aligned) containing a.
 func (a Addr) Block() Addr { return a &^ (FetchBlockBytes - 1) }
 
-// BlockOffset returns the byte offset of a within its fetch block.
-func (a Addr) BlockOffset() uint64 { return uint64(a) & (FetchBlockBytes - 1) }
-
-// LineOffset returns the byte offset of a within its cache line.
-func (a Addr) LineOffset() uint64 { return uint64(a) & (LineBytes - 1) }
-
-// NextBlock returns the address of the fetch block following the one
-// containing a.
-func (a Addr) NextBlock() Addr { return a.Block() + FetchBlockBytes }
-
-// NextLine returns the address of the cache line following the one
-// containing a.
-func (a Addr) NextLine() Addr { return a.Line() + LineBytes }
-
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
 // Class is the coarse instruction class used by the backend's functional
@@ -139,9 +125,6 @@ func (k BranchKind) String() string {
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
-
-// IsBranch reports whether the kind denotes a control-flow instruction.
-func (k BranchKind) IsBranch() bool { return k != BranchNone }
 
 // IsConditional reports whether the branch consults the direction
 // predictor.

@@ -29,18 +29,6 @@ func TestAddrAlignment(t *testing.T) {
 	if a.Block() != 0x401220 {
 		t.Errorf("Block() = %v", a.Block())
 	}
-	if a.BlockOffset() != 0x17 {
-		t.Errorf("BlockOffset() = %#x", a.BlockOffset())
-	}
-	if a.LineOffset() != 0x37 {
-		t.Errorf("LineOffset() = %#x", a.LineOffset())
-	}
-	if a.NextBlock() != 0x401240 {
-		t.Errorf("NextBlock() = %v", a.NextBlock())
-	}
-	if a.NextLine() != 0x401240 {
-		t.Errorf("NextLine() = %v", a.NextLine())
-	}
 }
 
 // Property: for any address, its block lies within its line, alignment
@@ -57,10 +45,7 @@ func TestAddrAlignmentProperties(t *testing.T) {
 		if a.Line().Line() != a.Line() || a.Block().Block() != a.Block() {
 			return false
 		}
-		if a.BlockOffset() >= FetchBlockBytes || a.LineOffset() >= LineBytes {
-			return false
-		}
-		if a-a.Line() != Addr(a.LineOffset()) {
+		if a-a.Block() >= FetchBlockBytes || a-a.Line() >= LineBytes {
 			return false
 		}
 		return a.LineIndex() == uint64(a)>>LineShift
@@ -73,21 +58,18 @@ func TestAddrAlignmentProperties(t *testing.T) {
 func TestBranchKindPredicates(t *testing.T) {
 	cases := []struct {
 		k                         BranchKind
-		branch, cond, indirect    bool
+		cond, indirect            bool
 		pushes, pops, alwaysTaken bool
 	}{
-		{BranchNone, false, false, false, false, false, false},
-		{BranchCond, true, true, false, false, false, false},
-		{BranchUncond, true, false, false, false, false, true},
-		{BranchCall, true, false, false, true, false, true},
-		{BranchReturn, true, false, true, false, true, true},
-		{BranchIndirect, true, false, true, false, false, true},
-		{BranchIndirectCall, true, false, true, true, false, true},
+		{BranchNone, false, false, false, false, false},
+		{BranchCond, true, false, false, false, false},
+		{BranchUncond, false, false, false, false, true},
+		{BranchCall, false, false, true, false, true},
+		{BranchReturn, false, true, false, true, true},
+		{BranchIndirect, false, true, false, false, true},
+		{BranchIndirectCall, false, true, true, false, true},
 	}
 	for _, c := range cases {
-		if c.k.IsBranch() != c.branch {
-			t.Errorf("%v.IsBranch() = %v", c.k, c.k.IsBranch())
-		}
 		if c.k.IsConditional() != c.cond {
 			t.Errorf("%v.IsConditional() = %v", c.k, c.k.IsConditional())
 		}

@@ -365,18 +365,8 @@ func New(cfg Config) *Hierarchy {
 	return h
 }
 
-// Config returns the hierarchy's (defaulted) configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
 // L1DMSHRFile exposes the L1D miss file (tests, conformance checks).
 func (h *Hierarchy) L1DMSHRFile() *cache.MSHRFile { return h.l1dm }
-
-// L2MSHRFile exposes the L2 miss file shared by instruction fills, data
-// demands and all prefetchers.
-func (h *Hierarchy) L2MSHRFile() *cache.MSHRFile { return h.l2m }
-
-// LLCMSHRFile exposes the LLC miss file.
-func (h *Hierarchy) LLCMSHRFile() *cache.MSHRFile { return h.llcm }
 
 // ResetStats clears the hierarchy's and every level's accumulated
 // statistics (end of warmup) while preserving cache contents and

@@ -154,16 +154,6 @@ func (m *MetricsWriter) Write(s IntervalSample) error {
 	return nil
 }
 
-// WriteSamples appends a batch (the buffered-Observer drain path).
-func (m *MetricsWriter) WriteSamples(samples []IntervalSample) error {
-	for _, s := range samples {
-		if err := m.Write(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Rows returns how many samples have been written.
 func (m *MetricsWriter) Rows() uint64 {
 	m.mu.Lock()

@@ -38,8 +38,10 @@ func sampleFixture(cycle uint64) IntervalSample {
 func TestMetricsWriterCSV(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewMetricsWriter(&buf, FormatCSV)
-	if err := w.WriteSamples([]IntervalSample{sampleFixture(10_000), sampleFixture(20_000)}); err != nil {
-		t.Fatalf("WriteSamples: %v", err)
+	for _, cycle := range []uint64{10_000, 20_000} {
+		if err := w.Write(sampleFixture(cycle)); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
 	}
 	if got := w.Rows(); got != 2 {
 		t.Fatalf("Rows = %d, want 2", got)

@@ -258,15 +258,6 @@ func Log2Bounds(maxPow uint) []uint64 {
 	return bounds
 }
 
-// LinearBounds returns n bounds of equal width: width, 2*width, …
-func LinearBounds(n int, width uint64) []uint64 {
-	bounds := make([]uint64, n)
-	for i := range bounds {
-		bounds[i] = uint64(i+1) * width
-	}
-	return bounds
-}
-
 // escapeLabel escapes a label value per the exposition format:
 // backslash, double-quote and newline.
 func escapeLabel(v string) string {

@@ -191,7 +191,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 // TestMetricsCounterSeries pins the engine, store and queue series
-// that CI, perfbench and udpstat scrape: each appears exactly once on
+// that CI and perfbench scrape: each appears exactly once on
 // the process-wide registry with its type (counters, except the queue
 // depth gauge), and no family is emitted twice.
 func TestMetricsCounterSeries(t *testing.T) {
@@ -236,12 +236,9 @@ func TestMetricsCounterSeries(t *testing.T) {
 	}
 }
 
-func TestLogAndLinearBounds(t *testing.T) {
+func TestLog2Bounds(t *testing.T) {
 	if got := Log2Bounds(3); len(got) != 3 || got[0] != 2 || got[2] != 8 {
 		t.Fatalf("Log2Bounds(3) = %v", got)
-	}
-	if got := LinearBounds(4, 5); len(got) != 4 || got[0] != 5 || got[3] != 20 {
-		t.Fatalf("LinearBounds(4,5) = %v", got)
 	}
 }
 

@@ -1,16 +1,13 @@
 package client
 
-// Prometheus text-exposition parsing — just enough for udpstat and
+// Prometheus text-exposition parsing — just enough for callers and
 // tests to consume the daemon's /metrics without a Prometheus
-// dependency: samples with labels, and percentile estimation over
-// cumulative histogram buckets.
+// dependency: samples with labels.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -161,68 +158,4 @@ func MetricValue(samples []MetricSample, name string, labels map[string]string) 
 		}
 	}
 	return 0, false
-}
-
-// HistogramPercentile estimates the p-th percentile (p in [0,1]) of a
-// Prometheus histogram from its cumulative <name>_bucket samples,
-// optionally filtered by labels (the "le" label is handled here). The
-// estimate is the smallest bucket bound whose cumulative count covers
-// p of the samples — an upper bound, same contract as
-// stats.Histogram.Percentile. ok is false when the histogram is absent
-// or empty.
-func HistogramPercentile(samples []MetricSample, name string, labels map[string]string, p float64) (float64, bool) {
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bucket
-	for _, s := range samples {
-		if s.Name != name+"_bucket" {
-			continue
-		}
-		match := true
-		for k, v := range labels {
-			if k == "le" {
-				continue
-			}
-			if s.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		leStr := s.Labels["le"]
-		le := math.Inf(1)
-		if leStr != "+Inf" {
-			v, err := strconv.ParseFloat(leStr, 64)
-			if err != nil {
-				continue
-			}
-			le = v
-		}
-		buckets = append(buckets, bucket{le: le, cum: s.Value})
-	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].cum
-	if total == 0 {
-		return 0, false
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	need := p * total
-	for _, b := range buckets {
-		if b.cum >= need && b.cum > 0 {
-			return b.le, true
-		}
-	}
-	return buckets[len(buckets)-1].le, true
 }

@@ -59,39 +59,6 @@ func TestParseMetricsFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentile(t *testing.T) {
-	in := `lat_bucket{le="2"} 5
-lat_bucket{le="4"} 8
-lat_bucket{le="8"} 10
-lat_bucket{le="+Inf"} 10
-lat_sum 37
-lat_count 10
-other_bucket{le="2",mech="udp"} 1
-other_bucket{le="+Inf",mech="udp"} 1
-`
-	samples, err := ParseMetrics(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := HistogramPercentile(samples, "lat", nil, 0.5); !ok || p != 2 {
-		t.Fatalf("p50 = %v (present %v), want 2", p, ok)
-	}
-	if p, ok := HistogramPercentile(samples, "lat", nil, 0.79); !ok || p != 4 {
-		t.Fatalf("p79 = %v (present %v), want 4", p, ok)
-	}
-	if p, ok := HistogramPercentile(samples, "lat", nil, 1.0); !ok || p != 8 {
-		t.Fatalf("p100 = %v (present %v), want 8 (everything fits in le=8)", p, ok)
-	}
-	// Label filtering picks the right family slice.
-	if p, ok := HistogramPercentile(samples, "other",
-		map[string]string{"mech": "udp"}, 0.5); !ok || p != 2 {
-		t.Fatalf("labeled p50 = %v (present %v), want 2", p, ok)
-	}
-	if _, ok := HistogramPercentile(samples, "absent", nil, 0.5); ok {
-		t.Fatal("absent histogram should report !ok")
-	}
-}
-
 // TestParseMetricsTable drives the parser across the format corners a
 // real scrape produces, one case per corner.
 func TestParseMetricsTable(t *testing.T) {

@@ -307,7 +307,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJobList pages the job registry in admission (seq) order —
 // stable across requests, so `?after=<last id>` cursors never skip or
 // duplicate entries as new jobs arrive. Without ?limit the whole list
-// comes back in one page (the pre-paging behavior udpstat relies on).
+// comes back in one page.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	limit := 0
 	if v := r.URL.Query().Get("limit"); v != "" {

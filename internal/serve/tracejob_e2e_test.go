@@ -32,7 +32,7 @@ func TestServerTraceDescriptorDedup(t *testing.T) {
 	p.Funcs = 30
 	p.DispatchTargets = 20
 	var buf bytes.Buffer
-	if err := trace.RecordN2(&buf, p, 6, 200_000, trace.EncBinary); err != nil {
+	if err := trace.RecordN2(&buf, p, 6, 200_000); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "svcdedup.udpt2")
@@ -151,7 +151,7 @@ func TestServerRejectsOverlongTraceDescriptor(t *testing.T) {
 	p.Funcs = 30
 	p.DispatchTargets = 20
 	var buf bytes.Buffer
-	if err := trace.RecordN2(&buf, p, 7, 5_000, trace.EncBinary); err != nil {
+	if err := trace.RecordN2(&buf, p, 7, 5_000); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "short.udpt2")

@@ -133,12 +133,15 @@ func (m *Machine) obsFlush() {
 	m.obsSample()
 }
 
-// RunSimpointsObserved is RunSimpointsParallel with a per-region attach
-// callback: attach(region, machine) is invoked after each region's
-// machine is built and before it runs, giving the caller a place to
-// AttachObserver with per-region tracers/lifecycles (observers must not
-// be shared across machines). A nil attach degrades to the plain
-// parallel runner.
+// RunSimpointsObserved runs n regions with up to parallelism of them
+// simulated concurrently over one shared (immutable) program image.
+// Regions are independent machines seeded per-salt, so the per-region
+// results — and therefore the aggregate — are identical at any
+// parallelism; results are returned in salt order. parallelism == 1
+// runs serially; <= 0 means GOMAXPROCS. attach(region, machine), when
+// non-nil, is invoked after each region's machine is built and before
+// it runs, giving the caller a place to AttachObserver with per-region
+// tracers/lifecycles (observers must not be shared across machines).
 func RunSimpointsObserved(cfg Config, n, parallelism int, attach func(region int, m *Machine)) ([]Result, Result, error) {
 	return RunSimpointsCtx(context.Background(), cfg, n, parallelism, attach)
 }

@@ -184,7 +184,7 @@ func TestRunSimpointsParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parResults, parAgg, err := RunSimpointsParallel(cfg, 3, 3)
+	parResults, parAgg, err := RunSimpointsObserved(cfg, 3, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

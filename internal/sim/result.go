@@ -154,20 +154,11 @@ func RunOne(cfg Config) (Result, error) {
 	return m.Run(), nil
 }
 
-// RunSimpoints runs n regions (seed salts 0..n-1) over a shared program
-// image and returns the per-region results plus their aggregate.
+// RunSimpoints runs n regions (seed salts 0..n-1) one after another
+// over a shared program image and returns the per-region results plus
+// their aggregate.
 func RunSimpoints(cfg Config, n int) ([]Result, Result, error) {
-	return RunSimpointsParallel(cfg, n, 1)
-}
-
-// RunSimpointsParallel is RunSimpoints with up to parallelism regions
-// simulated concurrently over one shared (immutable) program image.
-// Regions are independent machines seeded per-salt, so the per-region
-// results — and therefore the aggregate — are identical at any
-// parallelism; results are returned in salt order. parallelism == 1
-// runs serially; <= 0 means GOMAXPROCS.
-func RunSimpointsParallel(cfg Config, n, parallelism int) ([]Result, Result, error) {
-	return RunSimpointsObserved(cfg, n, parallelism, nil)
+	return RunSimpointsObserved(cfg, n, 1, nil)
 }
 
 // Aggregate combines per-simpoint results: cycle- and instruction-

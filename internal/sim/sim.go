@@ -394,9 +394,6 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 	return m, nil
 }
 
-// Mech returns the active mechanism's binding bundle.
-func (m *Machine) Mech() Bindings { return m.mech }
-
 // UDP returns the active UDP instance (nil unless a UDP-family
 // mechanism is selected).
 func (m *Machine) UDP() *core.UDP { return m.mech.UDP }

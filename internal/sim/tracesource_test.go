@@ -34,7 +34,7 @@ func testTraceSource(t testing.TB, n uint64) *trace.Source {
 	}
 	p := testProfile()
 	var buf bytes.Buffer
-	if err := trace.RecordN2(&buf, p, 0, n, trace.EncBinary); err != nil {
+	if err := trace.RecordN2(&buf, p, 0, n); err != nil {
 		t.Fatal(err)
 	}
 	src, err := trace.LoadSourceBytes(p.Name, buf.Bytes())

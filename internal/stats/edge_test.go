@@ -2,10 +2,8 @@ package stats
 
 import "testing"
 
-// Edge-case coverage for Percentile and WindowedRatio (ISSUE 2
-// satellite): p=0, p=1, out-of-range p, all samples in the overflow
-// bucket, single sample, and WindowedRatio behaviour before its first
-// window completes.
+// Edge-case coverage for Percentile: p=0, p=1, out-of-range p, all
+// samples in the overflow bucket, and a single sample.
 
 func TestPercentileP0AndP1(t *testing.T) {
 	h := NewLog2Histogram(4) // bounds 2,4,8,16
@@ -71,34 +69,6 @@ func TestPercentileEmpty(t *testing.T) {
 	}
 }
 
-func TestWindowedRatioPreFirstWindow(t *testing.T) {
-	w := NewWindowedRatio(4)
-	// Before any window completes, Last reports (0, false) no matter
-	// what has been observed so far.
-	for i := 0; i < 3; i++ {
-		if r, done := w.Observe(true); done || r != 0 {
-			t.Fatalf("obs %d: premature window completion (r=%v done=%v)", i, r, done)
-		}
-		if r, ok := w.Last(); ok || r != 0 {
-			t.Fatalf("obs %d: Last()=(%v,%v) before first window", i, r, ok)
-		}
-	}
-	if w.Windows() != 0 {
-		t.Fatalf("Windows()=%d before first completion", w.Windows())
-	}
-	// Fourth observation closes the window: 4/4 hits.
-	r, done := w.Observe(true)
-	if !done || r != 1.0 {
-		t.Fatalf("window close: got (%v,%v), want (1.0,true)", r, done)
-	}
-	if last, ok := w.Last(); !ok || last != 1.0 {
-		t.Fatalf("Last() after close: got (%v,%v)", last, ok)
-	}
-	if w.Windows() != 1 {
-		t.Fatalf("Windows()=%d, want 1", w.Windows())
-	}
-}
-
 func TestHistogramCloneMerge(t *testing.T) {
 	a := NewLog2Histogram(6)
 	b := NewLog2Histogram(6)
@@ -123,7 +93,7 @@ func TestHistogramCloneMerge(t *testing.T) {
 	if err := c.Merge(NewLog2Histogram(4)); err == nil {
 		t.Fatal("merge accepted mismatched shapes")
 	}
-	if err := c.Merge(NewLinearHistogram(6, 7)); err == nil {
+	if err := c.Merge(NewHistogram([]uint64{7, 14, 21, 28, 35, 42})); err == nil {
 		t.Fatal("merge accepted mismatched bounds")
 	}
 }

@@ -1,7 +1,6 @@
-// Package stats provides the lightweight measurement primitives the
-// simulator's observability is built from: power-of-two latency
-// histograms, linear occupancy histograms, and windowed ratio trackers
-// (the hardware-style measurement UFTQ's counters model).
+// Package stats provides the fixed-bucket histograms the simulator's
+// observability is built from: power-of-two latency histograms and
+// histograms over explicit bucket bounds.
 package stats
 
 import (
@@ -30,18 +29,6 @@ func NewLog2Histogram(maxPow uint) *Histogram {
 	bounds := make([]uint64, maxPow)
 	for i := range bounds {
 		bounds[i] = 1 << uint(i+1)
-	}
-	return NewHistogram(bounds)
-}
-
-// NewLinearHistogram builds a histogram with n buckets of equal width.
-func NewLinearHistogram(n int, width uint64) *Histogram {
-	if n <= 0 || width == 0 {
-		panic("stats: linear histogram needs positive shape")
-	}
-	bounds := make([]uint64, n)
-	for i := range bounds {
-		bounds[i] = uint64(i+1) * width
 	}
 	return NewHistogram(bounds)
 }
@@ -185,32 +172,12 @@ func (h *Histogram) Merge(other *Histogram) error {
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() uint64 { return h.sum }
 
-// Bounds returns the inclusive bucket upper bounds. The returned slice
-// is the histogram's own (never mutated after construction) — callers
-// must not modify it.
-func (h *Histogram) Bounds() []uint64 { return h.bounds }
-
 // Counts returns the per-bucket sample counts, including the trailing
-// overflow bucket (len = len(Bounds())+1). Unlike Buckets it reports
-// empty buckets too, which exposition formats with fixed series need.
+// overflow bucket (one more than the bounds), empty buckets included,
+// which exposition formats with fixed series need.
 // The returned slice aliases the histogram's counts — callers must not
 // modify it and must copy if they need a stable snapshot.
 func (h *Histogram) Counts() []uint64 { return h.counts }
-
-// Buckets invokes f for every non-empty bucket with its upper bound
-// (max for overflow) and count.
-func (h *Histogram) Buckets(f func(upper uint64, count uint64)) {
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if i < len(h.bounds) {
-			f(h.bounds[i], c)
-		} else {
-			f(h.max, c)
-		}
-	}
-}
 
 // String renders a compact ASCII distribution.
 func (h *Histogram) String() string {
@@ -222,47 +189,3 @@ func (h *Histogram) String() string {
 		h.total, h.Mean(), h.Percentile(0.5), h.Percentile(0.99), h.max)
 	return b.String()
 }
-
-// WindowedRatio tracks a success ratio over tumbling windows of fixed
-// size — the measurement structure UFTQ implements with two 10-bit
-// hardware counters.
-type WindowedRatio struct {
-	window  int
-	hits    int
-	total   int
-	last    float64
-	windows uint64
-	valid   bool
-}
-
-// NewWindowedRatio builds a tracker with the given window size.
-func NewWindowedRatio(window int) *WindowedRatio {
-	if window <= 0 {
-		panic("stats: window must be positive")
-	}
-	return &WindowedRatio{window: window}
-}
-
-// Observe records one event; it returns (ratio, true) when this event
-// completed a window.
-func (w *WindowedRatio) Observe(hit bool) (float64, bool) {
-	w.total++
-	if hit {
-		w.hits++
-	}
-	if w.total < w.window {
-		return 0, false
-	}
-	w.last = float64(w.hits) / float64(w.total)
-	w.valid = true
-	w.windows++
-	w.hits, w.total = 0, 0
-	return w.last, true
-}
-
-// Last returns the most recent completed window's ratio and whether any
-// window has completed.
-func (w *WindowedRatio) Last() (float64, bool) { return w.last, w.valid }
-
-// Windows returns the number of completed windows.
-func (w *WindowedRatio) Windows() uint64 { return w.windows }

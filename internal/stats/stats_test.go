@@ -16,10 +16,9 @@ func TestLog2HistogramBuckets(t *testing.T) {
 	if h.Max() != 1000 {
 		t.Errorf("max %d", h.Max())
 	}
-	var seen []uint64
-	h.Buckets(func(upper, count uint64) { seen = append(seen, upper, count) })
 	// 1,2 → ≤2; 3,4 → ≤4; 9 → ≤16; 17,1000 → overflow
-	want := []uint64{2, 2, 4, 2, 16, 1, 1000, 2}
+	seen := h.Counts()
+	want := []uint64{2, 2, 0, 1, 2}
 	if len(seen) != len(want) {
 		t.Fatalf("buckets %v", seen)
 	}
@@ -31,7 +30,7 @@ func TestLog2HistogramBuckets(t *testing.T) {
 }
 
 func TestHistogramPercentiles(t *testing.T) {
-	h := NewLinearHistogram(10, 10) // 10,20,...,100
+	h := NewHistogram([]uint64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	for v := uint64(1); v <= 100; v++ {
 		h.Observe(v)
 	}
@@ -91,8 +90,6 @@ func TestHistogramPanics(t *testing.T) {
 	cases := []func(){
 		func() { NewLog2Histogram(0) },
 		func() { NewLog2Histogram(64) },
-		func() { NewLinearHistogram(0, 1) },
-		func() { NewLinearHistogram(4, 0) },
 		func() { NewHistogram([]uint64{4, 2}) },
 	}
 	for i, fn := range cases {
@@ -105,42 +102,4 @@ func TestHistogramPanics(t *testing.T) {
 			fn()
 		}()
 	}
-}
-
-func TestWindowedRatio(t *testing.T) {
-	w := NewWindowedRatio(4)
-	if _, ok := w.Last(); ok {
-		t.Error("fresh tracker has a window")
-	}
-	for i := 0; i < 3; i++ {
-		if _, done := w.Observe(true); done {
-			t.Fatal("window completed early")
-		}
-	}
-	r, done := w.Observe(false)
-	if !done || r != 0.75 {
-		t.Fatalf("window = (%v, %v)", r, done)
-	}
-	if last, ok := w.Last(); !ok || last != 0.75 {
-		t.Error("Last() inconsistent")
-	}
-	if w.Windows() != 1 {
-		t.Errorf("windows %d", w.Windows())
-	}
-	// Next window starts fresh.
-	for i := 0; i < 4; i++ {
-		r, done = w.Observe(false)
-	}
-	if !done || r != 0 {
-		t.Errorf("second window = (%v, %v)", r, done)
-	}
-}
-
-func TestWindowedRatioPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	NewWindowedRatio(0)
 }

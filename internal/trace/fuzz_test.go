@@ -11,22 +11,21 @@ import (
 	"udpsim/internal/workload"
 )
 
-// traceSeeds are the fuzz seeds for the UDPT2 decoders: valid traces
-// in both encodings and with a many-member image, and truncated,
-// bit-flipped, length-lying and count-lying ones. valid is the binary
-// trace they derive from.
+// traceSeeds are the fuzz seeds for the UDPT2 decoders: a valid trace,
+// the same trace with a many-member image and with the former JSONL
+// encoding byte, and truncated, bit-flipped, length-lying and
+// count-lying ones. valid is the trace they derive from.
 func traceSeeds(f *testing.F) (valid []byte, seeds [][]byte) {
 	p := workload.MustByName("postgres")
 	p.Funcs = 20
 	p.DispatchTargets = 10
-	var validBin, validJSONL bytes.Buffer
-	if err := RecordN2(&validBin, p, 0, 200, EncBinary); err != nil {
+	var buf bytes.Buffer
+	if err := RecordN2(&buf, p, 0, 200); err != nil {
 		f.Fatal(err)
 	}
-	if err := RecordN2(&validJSONL, p, 0, 200, EncJSONL); err != nil {
-		f.Fatal(err)
-	}
-	valid = validBin.Bytes()
+	valid = buf.Bytes()
+	jsonlByte := append([]byte{}, valid...)
+	jsonlByte[len(Magic2)] = 1
 	flipped := append([]byte{}, valid...)
 	flipped[len(flipped)/2] ^= 0x10
 	// Length-lying chunk header: huge claimed payload.
@@ -36,7 +35,7 @@ func traceSeeds(f *testing.F) (valid []byte, seeds [][]byte) {
 	}
 	return valid, [][]byte{
 		valid,
-		validJSONL.Bytes(),
+		jsonlByte,
 		smallMembers(f, valid), // image as many gzip members
 		valid[:len(valid)/2],   // truncated
 		[]byte(Magic2),         // preamble only
@@ -82,8 +81,8 @@ func FuzzReader2(f *testing.F) {
 				t.Fatal("decoder runaway")
 			}
 		}
-		if r.Count() != count {
-			t.Errorf("Count() = %d, decoded %d", r.Count(), count)
+		if r.count != count {
+			t.Errorf("reader counted %d records, decoded %d", r.count, count)
 		}
 	})
 }
@@ -115,7 +114,7 @@ func FuzzLoadSourceBytes(f *testing.F) {
 }
 
 // FuzzRoundtrip checks that any PC/flag sequence encodes and decodes
-// identically in both record encodings.
+// identically.
 func FuzzRoundtrip(f *testing.F) {
 	f.Add(uint32(0x400000), uint32(0x400100), true)
 	f.Add(uint32(0), uint32(4), false)
@@ -127,10 +126,8 @@ func FuzzRoundtrip(f *testing.F) {
 			Target: isa.Addr(tgt) &^ 3,
 			Taken:  taken,
 		}
-		for _, enc := range []Encoding{EncBinary, EncJSONL} {
-			if got := roundtrip(t, prog, enc, []Record{rec})[0]; got != encoded(rec, enc) {
-				t.Errorf("%v roundtrip %+v → %+v", enc, encoded(rec, enc), got)
-			}
+		if got := roundtrip(t, prog, []Record{rec})[0]; got != encoded(rec) {
+			t.Errorf("roundtrip %+v → %+v", encoded(rec), got)
 		}
 	})
 }

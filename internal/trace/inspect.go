@@ -10,13 +10,16 @@ import (
 )
 
 // InspectReport writes the corpus-triage summary of an analyzed trace:
-// instruction count, branch mix by kind, taken rate, code footprint,
-// and the top-N hot fetch blocks with their share of dynamic
-// instructions. The format is stable enough for table-driven tests to
-// pin (cmd/trace inspect wraps it unchanged).
-func InspectReport(w io.Writer, name string, prog *workload.Program, st *Stats, top int) error {
+// the recording's workload, salt and embedded image, then instruction
+// count, branch mix by kind, taken rate, code footprint, and the top-N
+// hot fetch blocks with their share of dynamic instructions. The format
+// is stable enough for table-driven tests to pin (cmd/trace inspect
+// wraps it unchanged).
+func InspectReport(w io.Writer, name string, salt uint64, prog *workload.Program, st *Stats, top int) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "workload\t%s\n", name)
+	fmt.Fprintf(tw, "salt\t%d\n", salt)
+	fmt.Fprintf(tw, "image\t%s\n", prog)
 	fmt.Fprintf(tw, "instructions\t%d\n", st.Instructions)
 	fmt.Fprintf(tw, "branches\t%d (%.1f%% of instrs)\n",
 		st.Branches, pct(st.Branches, st.Instructions))

@@ -95,6 +95,8 @@ func TestInspectReport(t *testing.T) {
 			top:  2,
 			want: []string{
 				"workload      fixture",
+				"salt          7",
+				"image         fixture: 16 instrs (0 KiB), 0 funcs, 0 cond, 0 indirect, 0 calls",
 				"instructions  12",
 				"branches      3 (25.0% of instrs)",
 				"cond        2 (66.7% of branches)",
@@ -126,7 +128,7 @@ func TestInspectReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			var b strings.Builder
-			if err := InspectReport(&b, "fixture", prog, &st, tc.top); err != nil {
+			if err := InspectReport(&b, "fixture", 7, prog, &st, tc.top); err != nil {
 				t.Fatal(err)
 			}
 			out := b.String()

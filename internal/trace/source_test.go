@@ -67,17 +67,15 @@ func TestRecordIs24Bytes(t *testing.T) {
 }
 
 // TestSourceRecordsSizedOnce checks that a load allocates the record
-// array at its exact length, in either encoding and across chunks.
+// array at its exact length across chunks.
 func TestSourceRecordsSizedOnce(t *testing.T) {
 	const n = recordsPerChunk + 3_000
-	for _, enc := range []Encoding{EncBinary, EncJSONL} {
-		src, err := LoadSourceBytes("tiny", recordTiny(t, 0, n, enc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(src.recs) != n || cap(src.recs) != n {
-			t.Errorf("%v: records have len %d, cap %d; want both %d", enc, len(src.recs), cap(src.recs), n)
-		}
+	src, err := LoadSourceBytes("tiny", recordTiny(t, 0, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(src.recs) != n || cap(src.recs) != n {
+		t.Errorf("records have len %d, cap %d; want both %d", len(src.recs), cap(src.recs), n)
 	}
 }
 
@@ -105,7 +103,7 @@ func TestSourceLyingRecordCount(t *testing.T) {
 	if chunkRecordsMax*unsafe.Sizeof(record{}) <= bound {
 		t.Fatal("the claim fits under the bound; the case tests nothing")
 	}
-	data := claimingMax(t, recordTiny(t, 0, 200, EncBinary))
+	data := claimingMax(t, recordTiny(t, 0, 200))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := LoadSourceBytes("lying", data)

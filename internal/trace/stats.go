@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -78,11 +77,6 @@ func (s *Stats) HotBlocks(n int) []BlockCount {
 		out = out[:n]
 	}
 	return out
-}
-
-func (s *Stats) String() string {
-	return fmt.Sprintf("%d instrs, %d branches (%d taken), %d loads, %d stores, footprint %d KiB",
-		s.Instructions, s.Branches, s.Taken, s.Loads, s.Stores, s.FootprintBytes()/1024)
 }
 
 // Analyze scans a whole trace against its program image, accumulating

@@ -17,12 +17,12 @@ func tinyProfile() workload.Profile {
 	return p
 }
 
-// roundtrip writes recs as a trace of prog in enc and reads them back,
+// roundtrip writes recs as a trace of prog and reads them back,
 // failing on any error or on a record count that differs.
-func roundtrip(t testing.TB, prog *workload.Program, enc Encoding, recs []Record) []Record {
+func roundtrip(t testing.TB, prog *workload.Program, recs []Record) []Record {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter2(&buf, prog, 0, enc)
+	w, err := NewWriter2(&buf, prog, 0, EncBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,48 +55,46 @@ func roundtrip(t testing.TB, prog *workload.Program, enc Encoding, recs []Record
 	return got
 }
 
-// encoded is what a record decodes to under enc: the binary encoding
-// stores a zero target as the fall-through.
-func encoded(rec Record, enc Encoding) Record {
-	if enc == EncBinary && rec.Target == 0 {
+// encoded is what a record decodes to: the encoding stores a zero
+// target as the fall-through.
+func encoded(rec Record) Record {
+	if rec.Target == 0 {
 		rec.Target = rec.PC + isa.InstrBytes
 	}
 	return rec
 }
 
-// Property: arbitrary record sequences survive both record encodings
-// (the binary delta/varint scheme and JSONL) bit-exactly.
+// Property: arbitrary record sequences survive the delta/varint record
+// encoding bit-exactly.
 func TestRecordRoundtripProperty(t *testing.T) {
 	prog := workload.MustGenerate(tinyProfile())
-	for _, enc := range []Encoding{EncBinary, EncJSONL} {
-		f := func(pcs []uint32, flags []bool) bool {
-			var recs []Record
-			for i, pc := range pcs {
-				taken := i < len(flags) && flags[i]
-				recs = append(recs, Record{
-					PC:       isa.Addr(pc) &^ 3,
-					Target:   isa.Addr(pc+8) &^ 3,
-					DataAddr: isa.Addr(pc * 3),
-					Taken:    taken,
-				})
-			}
-			for i, got := range roundtrip(t, prog, enc, recs) {
-				if got != encoded(recs[i], enc) {
-					return false
-				}
-			}
-			return true
+	f := func(pcs []uint32, flags []bool) bool {
+		var recs []Record
+		for i, pc := range pcs {
+			taken := i < len(flags) && flags[i]
+			recs = append(recs, Record{
+				PC:       isa.Addr(pc) &^ 3,
+				Target:   isa.Addr(pc+8) &^ 3,
+				DataAddr: isa.Addr(pc * 3),
+				Taken:    taken,
+			})
 		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%v: %v", enc, err)
+		for i, got := range roundtrip(t, prog, recs) {
+			if got != encoded(recs[i]) {
+				return false
+			}
 		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestAnalyze(t *testing.T) {
 	p := tinyProfile()
 	const n = 20_000
-	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, n, EncBinary)))
+	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, n)))
 	prog := workload.MustGenerate(p)
 	s, err := Analyze(prog, r)
 	if err != nil {
@@ -117,7 +115,7 @@ func TestAnalyze(t *testing.T) {
 }
 
 func TestIntervalsAndSelect(t *testing.T) {
-	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, 100_000, EncBinary)))
+	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, 100_000)))
 	intervals, err := Intervals(r, 10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +173,7 @@ func TestSelectEdgeCases(t *testing.T) {
 }
 
 func TestIntervalsRejectsZeroLength(t *testing.T) {
-	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, 10, EncBinary)))
+	r, _ := NewReader2(bytes.NewReader(recordTiny(t, 0, 10)))
 	if _, err := Intervals(r, 0); err == nil {
 		t.Error("zero interval length accepted")
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -36,18 +35,17 @@ import (
 // so a truncated, bit-flipped, or length-lying file fails with a
 // structured *FormatError at the damaged chunk instead of decoding
 // garbage. Image and record payloads are gzip-compressed; the encoding
-// byte selects how records serialize inside their payload — binary
-// (flags plus delta varints) or JSONL (one JSON object per record,
-// greppable). The writer compresses at BestSpeed. The image payload is
-// a multi-member gzip stream: one member per segment of
-// imageSegmentInstrs instructions (the header rides in the first), so
-// segments compress in parallel; gzip readers decompress the members as
-// one stream, and a single-member image, as older writers made, reads
-// the same. The 'E' chunk carries the total record count, catching
-// whole-chunk truncation at a chunk boundary that per-chunk checksums
-// cannot see.
+// byte names how records serialize inside their payload, and the one
+// encoding is EncBinary (flags plus delta varints). The writer
+// compresses at BestSpeed. The image payload is a multi-member gzip
+// stream: one member per segment of imageSegmentInstrs instructions
+// (the header rides in the first), so segments compress in parallel;
+// gzip readers decompress the members as one stream, and a
+// single-member image, as older writers made, reads the same. The 'E'
+// chunk carries the total record count, catching whole-chunk truncation
+// at a chunk boundary that per-chunk checksums cannot see.
 //
-// The image payload is binary whatever the record encoding:
+// The image payload is binary too:
 //
 //	version byte (imageVersion)
 //	uvarint name length, name bytes
@@ -65,34 +63,18 @@ import (
 // re-recording.
 const Magic2 = "UDPT2\n"
 
-// Encoding selects the record serialization inside chunk payloads.
+// Encoding is the preamble byte that names the record serialization
+// inside chunk payloads.
 type Encoding byte
 
-// Record encodings.
-const (
-	EncBinary Encoding = 0 // flags + delta varints, gzipped
-	EncJSONL  Encoding = 1 // one JSON object per record, gzipped
-)
+// EncBinary is the record encoding: flags plus delta varints, gzipped.
+// Readers reject every other byte, among them 1, a former JSONL
+// encoding.
+const EncBinary Encoding = 0
 
-// ParseEncoding maps the CLI spelling to an Encoding.
-func ParseEncoding(s string) (Encoding, error) {
-	switch s {
-	case "binary", "":
-		return EncBinary, nil
-	case "jsonl":
-		return EncJSONL, nil
-	}
-	return 0, fmt.Errorf("trace: unknown encoding %q (want binary or jsonl)", s)
-}
-
-func (e Encoding) String() string {
-	switch e {
-	case EncBinary:
-		return "binary"
-	case EncJSONL:
-		return "jsonl"
-	}
-	return fmt.Sprintf("encoding(%d)", byte(e))
+// encodingError rejects a preamble encoding byte other than EncBinary.
+func encodingError(e Encoding) error {
+	return fmt.Errorf("trace: unsupported record encoding %d (only %d, binary, is read; re-record the trace)", byte(e), byte(EncBinary))
 }
 
 // Framing limits: a reader never allocates more than these per chunk,
@@ -334,14 +316,6 @@ func decodeImage(b []byte) (*image, error) {
 	return img, nil
 }
 
-// recordJSON is one EncJSONL record line.
-type recordJSON struct {
-	PC       uint64 `json:"pc"`
-	Target   uint64 `json:"tgt"`
-	DataAddr uint64 `json:"da,omitempty"`
-	Taken    bool   `json:"tk,omitempty"`
-}
-
 // chunkHeaderLen is the framed size of a chunk header: type, payload
 // length, record count and CRC.
 const chunkHeaderLen = 13
@@ -369,7 +343,6 @@ const imageSegmentInstrs = 1 << 17
 // fixed-count framed chunks, and a trailing count chunk on Flush.
 type Writer2 struct {
 	w      *bufio.Writer
-	enc    Encoding
 	lastPC isa.Addr // binary delta state, carried across chunks
 	buf    bytes.Buffer
 	inBuf  uint32
@@ -384,8 +357,8 @@ type Writer2 struct {
 // NewWriter2 begins a v2 trace embedding prog's static image. The salt
 // is recorded so replay can validate against a config's SeedSalt.
 func NewWriter2(w io.Writer, prog *workload.Program, salt uint64, enc Encoding) (*Writer2, error) {
-	if enc != EncBinary && enc != EncJSONL {
-		return nil, fmt.Errorf("trace: unknown encoding %d", enc)
+	if enc != EncBinary {
+		return nil, encodingError(enc)
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(Magic2); err != nil {
@@ -401,7 +374,7 @@ func NewWriter2(w io.Writer, prog *workload.Program, salt uint64, enc Encoding) 
 	// On xgboost record chunks the default level takes ~4.5x as long as
 	// BestSpeed to save ~8% of their bytes.
 	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // valid level: cannot fail
-	return &Writer2{w: bw, enc: enc, zw: zw}, nil
+	return &Writer2{w: bw, zw: zw}, nil
 }
 
 // Write appends one record.
@@ -412,23 +385,7 @@ func (w *Writer2) Write(r Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	switch w.enc {
-	case EncBinary:
-		w.writeBinary(r)
-	case EncJSONL:
-		line, err := json.Marshal(recordJSON{
-			PC:       uint64(r.PC),
-			Target:   uint64(r.Target),
-			DataAddr: uint64(r.DataAddr),
-			Taken:    r.Taken,
-		})
-		if err != nil {
-			w.err = err
-			return err
-		}
-		w.buf.Write(line)
-		w.buf.WriteByte('\n')
-	}
+	w.writeBinary(r)
 	w.count++
 	w.inBuf++
 	if w.inBuf >= recordsPerChunk {
@@ -493,9 +450,6 @@ func (w *Writer2) flushChunk() error {
 	return nil
 }
 
-// Count returns the number of records written.
-func (w *Writer2) Count() uint64 { return w.count }
-
 // Flush finishes the trace: final record chunk, the end chunk with the
 // total count, and the underlying buffer.
 func (w *Writer2) Flush() error {
@@ -519,7 +473,6 @@ func (w *Writer2) Flush() error {
 // open (so a corrupt image fails fast); record chunks stream.
 type Reader2 struct {
 	r   *bufio.Reader
-	enc Encoding
 	img *image
 
 	chunk    int // index of the next chunk to read (image chunk was 0)
@@ -547,11 +500,10 @@ func NewReader2(r io.Reader) (*Reader2, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading encoding: %w", err)
 	}
-	enc := Encoding(encB)
-	if enc != EncBinary && enc != EncJSONL {
-		return nil, fmt.Errorf("trace: unknown encoding byte %d", encB)
+	if Encoding(encB) != EncBinary {
+		return nil, encodingError(Encoding(encB))
 	}
-	rd := &Reader2{r: br, enc: enc}
+	rd := &Reader2{r: br}
 	typ, records, payload, err := rd.readChunk()
 	if err != nil {
 		return nil, err
@@ -636,17 +588,8 @@ func (r *Reader2) readChunk() (typ byte, records uint32, payload []byte, err err
 // Workload returns the traced workload's name.
 func (r *Reader2) Workload() string { return r.img.name }
 
-// Seed returns the recorded generation seed (0 for external captures).
-func (r *Reader2) Seed() uint64 { return r.img.seed }
-
 // Salt returns the executor salt the trace was recorded at.
 func (r *Reader2) Salt() uint64 { return r.img.salt }
-
-// Encoding returns the record encoding.
-func (r *Reader2) Encoding() Encoding { return r.enc }
-
-// Count returns records decoded so far.
-func (r *Reader2) Count() uint64 { return r.count }
 
 // Image reconstructs the embedded static image as a Program.
 func (r *Reader2) Image() (*workload.Program, error) {
@@ -661,13 +604,7 @@ func (r *Reader2) Read() (Record, error) {
 			return Record{}, err
 		}
 	}
-	var rec Record
-	var err error
-	if r.enc == EncJSONL {
-		rec, err = r.decodeJSONL()
-	} else {
-		rec, err = r.decodeBinary()
-	}
+	rec, err := r.decodeBinary()
 	if err != nil {
 		return Record{}, &FormatError{Chunk: r.chunk - 1, Reason: "record decode", Err: err}
 	}
@@ -718,25 +655,6 @@ func (r *Reader2) nextChunk() error {
 	}
 }
 
-// decodeJSONL consumes one EncJSONL record line from pending.
-func (r *Reader2) decodeJSONL() (Record, error) {
-	i := bytes.IndexByte(r.pending, '\n')
-	if i < 0 {
-		return Record{}, io.ErrUnexpectedEOF
-	}
-	var rj recordJSON
-	if err := json.Unmarshal(r.pending[:i], &rj); err != nil {
-		return Record{}, err
-	}
-	r.pending = r.pending[i+1:]
-	return Record{
-		PC:       isa.Addr(rj.PC),
-		Target:   isa.Addr(rj.Target),
-		DataAddr: isa.Addr(rj.DataAddr),
-		Taken:    rj.Taken,
-	}, nil
-}
-
 // decodeBinary consumes one EncBinary record from pending, mirroring
 // Writer2.writeBinary.
 func (r *Reader2) decodeBinary() (Record, error) {
@@ -782,13 +700,13 @@ func (r *Reader2) decodeBinary() (Record, error) {
 
 // RecordN2 captures n instructions of a workload execution as a v2
 // trace.
-func RecordN2(w io.Writer, p workload.Profile, salt uint64, n uint64, enc Encoding) error {
+func RecordN2(w io.Writer, p workload.Profile, salt uint64, n uint64) error {
 	prog, err := workload.Generate(p)
 	if err != nil {
 		return err
 	}
 	exec := workload.NewExecutor(prog, salt)
-	tw, err := NewWriter2(w, prog, salt, enc)
+	tw, err := NewWriter2(w, prog, salt, EncBinary)
 	if err != nil {
 		return err
 	}

@@ -158,7 +158,7 @@ func TestV2BytesIndependentOfGOMAXPROCS(t *testing.T) {
 	record := func(procs int) []byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var buf bytes.Buffer
-		if err := RecordN2(&buf, p, 1, 2_000, EncBinary); err != nil {
+		if err := RecordN2(&buf, p, 1, 2_000); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -179,7 +179,7 @@ func TestV2BytesIndependentOfGOMAXPROCS(t *testing.T) {
 // default level), and with a 64-instruction member per image segment —
 // and requires the same image and records from each.
 func TestV2LoadsEveryImageLayout(t *testing.T) {
-	data := recordTiny(t, 2, recordsPerChunk+3_000, EncBinary)
+	data := recordTiny(t, 2, recordsPerChunk+3_000)
 	want, err := LoadSourceBytes("tiny", data)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,9 @@
 //
 // The package re-exports the building blocks from internal packages so
 // downstream code can assemble custom machines, define new synthetic
-// workloads, or plug in new Tuner mechanisms. See the examples/
-// directory for runnable programs.
+// workloads, or plug in new Tuner mechanisms. ExampleRun in
+// example_test.go is the runnable tour; examples/udpdeepdive steps a
+// Machine cycle by cycle, and the cmd/ tools drive every paper figure.
 package udpsim
 
 import (
