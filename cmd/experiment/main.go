@@ -118,21 +118,13 @@ func main() {
 		fatal("trace resolution failed", "err", err)
 	}
 
-	if *metricsOut != "" && *interval == 0 {
-		*interval = 10_000
+	obsOpts := experiments.Options{Batch: *batch}
+	metrics, err := obs.CreateMetricsFile(*metricsOut, interval)
+	if err != nil {
+		fatal("metrics-out create failed", "err", err)
 	}
-	var obsOpts experiments.Options
-	obsOpts.Batch = *batch
-	var metrics *obs.MetricsWriter
-	if *metricsOut != "" {
-		mf, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal("metrics-out create failed", "err", err)
-		}
-		defer mf.Close()
-		metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsOut))
-		// A failed write sticks in metrics.Err, checked after the run.
-		obsOpts.OnSample = func(s obs.IntervalSample) { _ = metrics.Write(s) }
+	if metrics != nil {
+		obsOpts.OnSample = metrics.Sample
 		obsOpts.Interval = *interval
 	}
 
@@ -147,11 +139,8 @@ func main() {
 		fatal("experiment failed", "err", err)
 	}
 
-	if metrics != nil {
-		if err := metrics.Err(); err != nil {
-			fatal("metrics write failed", "err", err)
-		}
-		log.Info("metrics written", "path", *metricsOut, "rows", metrics.Rows())
+	if err := metrics.Close(log); err != nil {
+		fatal("metrics write failed", "err", err)
 	}
 
 	w := os.Stdout

@@ -123,19 +123,12 @@ func main() {
 		o.Progress = func(s string) { logger.Debug("run done", "run", s) }
 	}
 
-	if *metricsOut != "" && *interval == 0 {
-		*interval = 10_000
+	metrics, err := obs.CreateMetricsFile(*metricsOut, interval)
+	if err != nil {
+		fatal("metrics-out create failed", "err", err)
 	}
-	var metrics *obs.MetricsWriter
-	if *metricsOut != "" {
-		mf, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal("metrics-out create failed", "err", err)
-		}
-		defer mf.Close()
-		metrics = obs.NewMetricsWriter(mf, obs.FormatForPath(*metricsOut))
-		// A failed write sticks in metrics.Err, checked once at exit.
-		o.OnSample = func(s obs.IntervalSample) { _ = metrics.Write(s) }
+	if metrics != nil {
+		o.OnSample = metrics.Sample
 		o.Interval = *interval
 	}
 
@@ -174,11 +167,8 @@ func main() {
 		}
 	}
 
-	if metrics != nil {
-		if err := metrics.Err(); err != nil {
-			fatal("metrics write failed", "err", err)
-		}
-		logger.Info("metrics written", "path", *metricsOut, "rows", metrics.Rows())
+	if err := metrics.Close(logger); err != nil {
+		fatal("metrics write failed", "err", err)
 	}
 }
 
@@ -210,7 +200,7 @@ func saveNamedSVG(dir, name, svg string) error {
 // aggregates average away.
 func renderTimeline(app string, mechs []string, o experiments.Options, interval uint64, svgDir string) error {
 	if interval == 0 {
-		interval = 10_000
+		interval = obs.DefaultInterval
 	}
 	prof, ok := workload.ByName(app)
 	if !ok {

@@ -1,6 +1,8 @@
 // Command sweep runs parameter sweeps over FTQ depth, BTB size, or
 // icache size for one workload and mechanism, printing a CSV-ish table
-// suitable for plotting.
+// suitable for plotting. Each swept value is one descriptor config run
+// on the experiment engine, so a row measures the same region as the
+// same cell of `experiment`, `udpsim` and the figures.
 //
 // Examples:
 //
@@ -56,10 +58,24 @@ func main() {
 		defer stopDebug()
 	}
 
-	var (
-		baseConfig func(sim.Mechanism) sim.Config
-		prog       *workload.Program
-	)
+	d := &experiments.Descriptor{
+		Name:         "sweep-" + *param,
+		Workloads:    []string{*name},
+		Instructions: *instrs,
+		Warmup:       *warmup,
+		Simpoints:    1,
+	}
+	grid, err := parseGrid(*param, *values)
+	if err != nil {
+		fatal("bad sweep grid", "err", err)
+	}
+	for _, v := range grid {
+		cs, err := paramSpec(*param, *mech, v)
+		if err != nil {
+			fatal("bad sweep grid", "err", err)
+		}
+		d.Configs = append(d.Configs, cs)
+	}
 	if *traceIn != "" {
 		src, err := trace.LoadSource(*traceIn)
 		if err != nil {
@@ -74,118 +90,53 @@ func main() {
 		if n < *instrs {
 			log.Info("trace shorter than requested run; clamping -instrs", "instrs", n)
 		}
-		*instrs = n
-		baseConfig = func(m sim.Mechanism) sim.Config {
-			return sim.NewTraceConfig(src.Name(), src.SHA256(), m)
+		d.Instructions = n
+		// A descriptor's trace may not shadow a synthetic workload
+		// (a recording of mysql is named mysql); the name only labels
+		// results, the content hash keys the cells.
+		tn := src.Name()
+		if _, ok := workload.ByName(tn); ok {
+			tn += "-trace"
 		}
-		prog, err = src.Image()
-		if err != nil {
-			fatal("trace image failed", "err", err)
-		}
-	} else {
-		prof, ok := workload.ByName(*name)
-		if !ok {
-			fatal("unknown workload", "workload", *name)
-		}
-		baseConfig = func(m sim.Mechanism) sim.Config {
-			return sim.NewConfig(prof, m)
-		}
-		var err error
-		prog, err = sim.SharedImage(prof)
-		if err != nil {
-			fatal("workload image failed", "err", err)
-		}
+		d.Traces = []experiments.TraceSpec{{Name: tn, SHA256: src.SHA256()}}
+		d.Workloads = []string{"trace:" + tn}
+	}
+	if err := d.Validate(); err != nil {
+		fatal("bad sweep", "err", err)
 	}
 
-	grid, err := parseGrid(*param, *values)
+	opts := experiments.Options{Batch: *batch}
+	metrics, err := obs.CreateMetricsFile(*metricsOut, interval)
 	if err != nil {
-		fatal("bad sweep grid", "err", err)
+		fatal("metrics-out create failed", "err", err)
 	}
-
-	if *metricsOut != "" && *interval == 0 {
-		*interval = 10_000
+	if metrics != nil {
+		opts.OnSample = metrics.Sample
+		opts.Interval = *interval
 	}
-	var metrics *obs.MetricsWriter
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal("metrics-out create failed", "err", err)
-		}
-		defer f.Close()
-		metrics = obs.NewMetricsWriter(f, obs.FormatForPath(*metricsOut))
+	var progress func(string)
+	if *verbose {
+		progress = func(s string) { log.Debug("sweep cell done", "cell", s) }
 	}
-
-	cellConfig := func(i int) sim.Config {
-		cfg := baseConfig(sim.Mechanism(*mech))
-		cfg.MaxInstructions = *instrs
-		cfg.WarmupInstructions = *warmup
-		applyParam(&cfg, *param, grid[i])
-		return cfg
-	}
-	// One observer per machine; the metrics writer serializes the
-	// concurrently swept runs. The swept value is stamped into the
-	// salt column so rows stay attributable.
-	attach := func(i int, m *sim.Machine) {
-		if metrics == nil {
-			return
-		}
-		o := &obs.Observer{
-			Interval: *interval,
-			OnSample: func(s obs.IntervalSample) { _ = metrics.Write(s) },
-		}
-		m.AttachObserver(o)
-		o.Salt = uint64(grid[i])
-	}
-
-	// Run the whole grid; results land in grid order so the CSV is
-	// identical at any -j, batched or not.
-	results := make([]sim.Result, len(grid))
-	if *batch {
-		// Lockstep mode: every swept machine reads one shared
-		// architectural stream (a tape of the executor, or the decoded
-		// trace) instead of re-executing it per cell.
-		cfgs := make([]sim.Config, len(grid))
-		for i := range grid {
-			cfgs[i] = cellConfig(i)
-		}
-		res, errs := sim.RunBatchCtx(nil, cfgs, *parallel, attach)
-		for i, e := range errs {
-			if e != nil {
-				err = fmt.Errorf("value %d: %w", grid[i], e)
-				break
-			}
-			results[i] = res[i]
-			log.Debug("sweep cell done", "param", *param, "value", grid[i], "ipc", results[i].IPC)
-		}
-	} else {
-		err = experiments.ForEach(len(grid), *parallel, func(i int) error {
-			m, err := sim.NewMachineWithProgram(cellConfig(i), prog)
-			if err != nil {
-				return fmt.Errorf("value %d: %w", grid[i], err)
-			}
-			attach(i, m)
-			results[i] = m.Run()
-			log.Debug("sweep cell done", "param", *param, "value", grid[i], "ipc", results[i].IPC)
-			return nil
-		})
-	}
+	results, err := experiments.RunDescriptorObserved(d, progress, *parallel, opts)
 	if err != nil {
 		fatal("sweep failed", "err", err)
 	}
-	if metrics != nil {
-		if err := metrics.Err(); err != nil {
-			fatal("metrics write failed", "err", err)
-		}
-		log.Info("metrics written", "path", *metricsOut, "rows", metrics.Rows())
+	if err := metrics.Close(log); err != nil {
+		fatal("metrics write failed", "err", err)
 	}
 
 	fmt.Printf("# workload=%s mechanism=%s param=%s\n", *name, *mech, *param)
 	fmt.Println("value,ipc,icache_mpki,timeliness,onpath_ratio,usefulness,mean_ftq_occ,lost_pki")
 	for i, v := range grid {
-		r := results[i]
-		fmt.Printf("%d,%.4f,%.2f,%.3f,%.3f,%.3f,%.1f,%.0f\n",
-			v, r.IPC, r.IcacheMPKI, r.Timeliness, r.OnPathRatio, r.Usefulness, r.MeanFTQOcc, r.LostInstrsPKI)
+		fmt.Println(row(v, results[i].Result))
 	}
+}
+
+// row is the CSV row of swept value v.
+func row(v int, r sim.Result) string {
+	return fmt.Sprintf("%d,%.4f,%.2f,%.3f,%.3f,%.3f,%.1f,%.0f",
+		v, r.IPC, r.IcacheMPKI, r.Timeliness, r.OnPathRatio, r.Usefulness, r.MeanFTQOcc, r.LostInstrsPKI)
 }
 
 func parseGrid(param, values string) ([]int, error) {
@@ -202,9 +153,9 @@ func parseGrid(param, values string) ([]int, error) {
 	}
 	switch param {
 	case "ftq":
-		return []int{8, 12, 16, 24, 32, 48, 64, 96, 128}, nil
+		return experiments.FTQDepths, nil
 	case "btb":
-		return []int{1024, 2048, 4096, 8192, 16384}, nil
+		return experiments.BTBSizes, nil
 	case "icache":
 		return []int{16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024}, nil
 	default:
@@ -212,19 +163,27 @@ func parseGrid(param, values string) ([]int, error) {
 	}
 }
 
-func applyParam(cfg *sim.Config, param string, v int) {
+// paramSpec is the descriptor config of one swept value, labelled
+// param+value (the config tag of its -metrics-out rows). ConfigSpec
+// treats zero as "Table II default", so values must be positive, and
+// it sizes the icache in whole KiB.
+func paramSpec(param, mech string, v int) (experiments.ConfigSpec, error) {
+	cs := experiments.ConfigSpec{Label: param + strconv.Itoa(v), Mechanism: mech}
+	if v <= 0 {
+		return cs, fmt.Errorf("%s value %d is not positive", param, v)
+	}
 	switch param {
 	case "ftq":
-		cfg.FTQDepth = v
+		cs.FTQ = v
 	case "btb":
-		cfg.BTBEntries = v
+		cs.BTB = v
 	case "icache":
-		cfg.ICacheBytes = v
-		// Pick the associativity automatically so non-power-of-two
-		// sizes (40 KiB, 48 KiB, ...) keep a power-of-two set count;
-		// sim.NewMachineWithProgram rejects invalid geometries.
-		if w := sim.AutoWays(v); w > 0 {
-			cfg.ICacheWays = w
+		if v%1024 != 0 {
+			return cs, fmt.Errorf("icache size %d is not a whole KiB", v)
 		}
+		cs.ICacheKB = v / 1024
+	default:
+		return cs, fmt.Errorf("unknown param %q (ftq, btb, icache)", param)
 	}
+	return cs, nil
 }

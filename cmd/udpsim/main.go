@@ -144,18 +144,9 @@ func main() {
 
 	// Observability wiring: one observer per region (observers are
 	// single-machine), fanned into shared sinks.
-	if *metricsOut != "" && *interval == 0 {
-		*interval = 10_000
-		log.Debug("defaulting -interval", "cycles", *interval)
-	}
-	var metrics *obs.MetricsWriter
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			fatal("metrics-out create failed", "err", err)
-		}
-		defer f.Close()
-		metrics = obs.NewMetricsWriter(f, obs.FormatForPath(*metricsOut))
+	metrics, err := obs.CreateMetricsFile(*metricsOut, interval)
+	if err != nil {
+		fatal("metrics-out create failed", "err", err)
 	}
 	observing := *traceOut != "" || metrics != nil || *interval > 0
 	var (
@@ -170,7 +161,7 @@ func main() {
 				o.Trace = obs.NewTracer(*traceCap)
 			}
 			if metrics != nil {
-				o.OnSample = func(s obs.IntervalSample) { _ = metrics.Write(s) }
+				o.OnSample = metrics.Sample
 			}
 			m.AttachObserver(o)
 			obsMu.Lock()
@@ -186,11 +177,8 @@ func main() {
 		fatal("simulation failed", "err", err)
 	}
 
-	if metrics != nil {
-		if err := metrics.Err(); err != nil {
-			fatal("metrics write failed", "err", err)
-		}
-		log.Info("metrics written", "path", *metricsOut, "rows", metrics.Rows())
+	if err := metrics.Close(log); err != nil {
+		fatal("metrics write failed", "err", err)
 	}
 	if *traceOut != "" {
 		var regions []obs.TraceRegion

@@ -14,24 +14,18 @@ import (
 // engine and asserts bit-for-bit identical results — the invariant that
 // makes -batch a pure speed knob for every figure driver.
 func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
-	grid := func() []jobSpec {
-		var jobs []jobSpec
-		for _, app := range []string{"mysql", "xgboost"} {
-			for _, mech := range []sim.Mechanism{sim.MechBaseline, sim.MechUDP} {
-				for _, depth := range []int{16, 64} {
-					d := depth
-					jobs = append(jobs, jobSpec{app: app, mech: mech,
-						mutate: func(c *sim.Config) { c.FTQDepth = d }})
-				}
-			}
+	var specs []ConfigSpec
+	for _, mech := range []sim.Mechanism{sim.MechBaseline, sim.MechUDP} {
+		for _, depth := range []int{16, 64} {
+			specs = append(specs, ConfigSpec{Mechanism: string(mech), FTQ: depth})
 		}
-		return jobs
 	}
+	grid := func(string) []ConfigSpec { return specs }
 
 	o := engineOptions(21_101)
-	o.Workloads = nil
+	o.Workloads = []string{"mysql", "xgboost"}
 	o.Simpoints = 2
-	want, err := o.runAll(grid())
+	want, err := o.runAll(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +35,15 @@ func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 	ob := o
 	ob.Batch = true
 	ob.Parallelism = 3
-	got, err := ob.runAll(grid())
+	got, err := ob.runAll(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("cell %d: batched result differs\n got: %+v\nwant: %+v", i, got[i], want[i])
+	for a := range want {
+		for i := range want[a] {
+			if got[a][i] != want[a][i] {
+				t.Errorf("cell %d/%d: batched result differs\n got: %+v\nwant: %+v", a, i, got[a][i], want[a][i])
+			}
 		}
 	}
 
@@ -57,7 +53,7 @@ func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 	var mu sync.Mutex
 	oc := ob
 	oc.Progress = func(s string) { mu.Lock(); lines = append(lines, s); mu.Unlock() }
-	if _, err := oc.runAll(grid()); err != nil {
+	if _, err := oc.runAll(grid); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range lines {
@@ -75,16 +71,12 @@ func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 // locking in the engine's batch-grouping path.
 func TestBatchedSingleflightInterop(t *testing.T) {
 	o := engineOptions(21_102)
-	grid := func() []jobSpec {
-		var jobs []jobSpec
-		for _, mech := range []sim.Mechanism{sim.MechBaseline, sim.MechUDP, sim.MechUFTQATRAUR} {
-			jobs = append(jobs, jobSpec{app: "mysql", mech: mech})
-		}
-		return jobs
+	grid := func(string) []ConfigSpec {
+		return []ConfigSpec{mechSpec(sim.MechBaseline), mechSpec(sim.MechUDP), mechSpec(sim.MechUFTQATRAUR)}
 	}
 
 	var wg sync.WaitGroup
-	results := make([][]sim.Result, 2)
+	results := make([][][]sim.Result, 2)
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -92,15 +84,15 @@ func TestBatchedSingleflightInterop(t *testing.T) {
 			defer wg.Done()
 			oo := o
 			oo.Batch = i == 0
-			results[i], errs[i] = oo.runAll(grid())
+			results[i], errs[i] = oo.runAll(grid)
 		}(i)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	for i := range results[0] {
-		if results[0][i] != results[1][i] {
+	for i := range results[0][0] {
+		if results[0][0][i] != results[1][0][i] {
 			t.Errorf("cell %d: batched and unbatched concurrent runs disagree", i)
 		}
 	}

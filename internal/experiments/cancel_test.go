@@ -62,7 +62,7 @@ func TestRunConfigCancelMidSimulation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := o.run("mysql", sim.MechBaseline, nil)
+	_, err := o.run("mysql", mechSpec(sim.MechBaseline))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -73,7 +73,7 @@ func TestRunConfigCancelMidSimulation(t *testing.T) {
 	// run under the same options shape completes normally.
 	FlushResultCache()
 	o2 := Options{Instructions: 30_000, Warmup: 5_000, Simpoints: 1}
-	r, err := o2.run("mysql", sim.MechBaseline, nil)
+	r, err := o2.run("mysql", mechSpec(sim.MechBaseline))
 	if err != nil {
 		t.Fatalf("rerun after cancel: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestRunConfigPreCanceled(t *testing.T) {
 	cancel()
 	o := Options{Instructions: 1_000_000, Simpoints: 1, Context: ctx}
 	start := time.Now()
-	_, err := o.run("mysql", sim.MechBaseline, nil)
+	_, err := o.run("mysql", mechSpec(sim.MechBaseline))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -132,7 +132,7 @@ func TestCanceledRunnerDoesNotFailWaiters(t *testing.T) {
 	FlushResultCache()
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
-	oB := Options{Instructions: 21_201, Warmup: 2_000, Simpoints: 1}
+	oB := Options{Instructions: 21_201, Warmup: 2_000, Simpoints: 1, Workloads: []string{"mysql"}}
 	oA := oB
 	oA.Context = ctxA
 	oA.Parallelism = 1
@@ -151,7 +151,7 @@ func TestCanceledRunnerDoesNotFailWaiters(t *testing.T) {
 		once.Do(func() {
 			waits := obs.CacheInflightWaits.Value()
 			go func() {
-				bRes, bErr = oB.run("mysql", sim.MechBaseline, nil)
+				bRes, bErr = oB.run("mysql", mechSpec(sim.MechBaseline))
 				close(bDone)
 			}()
 			for deadline := time.Now().Add(10 * time.Second); obs.CacheInflightWaits.Value() == waits; {
@@ -164,7 +164,9 @@ func TestCanceledRunnerDoesNotFailWaiters(t *testing.T) {
 			cancelA()
 		})
 	}
-	_, err := oA.runAll([]jobSpec{{app: "mysql", mech: sim.MechUDP}, {app: "mysql", mech: sim.MechBaseline}})
+	_, err := oA.runAll(func(string) []ConfigSpec {
+		return []ConfigSpec{mechSpec(sim.MechUDP), mechSpec(sim.MechBaseline)}
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled runner err = %v, want context.Canceled", err)
 	}
@@ -173,7 +175,7 @@ func TestCanceledRunnerDoesNotFailWaiters(t *testing.T) {
 		t.Fatalf("waiter inherited the runner's cancellation: %v", bErr)
 	}
 	FlushResultCache()
-	want, err := oB.run("mysql", sim.MechBaseline, nil)
+	want, err := oB.run("mysql", mechSpec(sim.MechBaseline))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,10 +322,12 @@ func (cs ConfigSpec) apply(cfg *sim.Config) {
 
 // CellConfig builds the full simulation configuration of one
 // (workload, config-spec) cell of a validated descriptor — the exact
-// Config RunDescriptor simulates for that cell. Trace cells
-// ("trace:<name>") key on the declared spec's SHA-256 without touching
-// the trace bytes, so cell keys — and therefore daemon dedup and store
-// addressing — are computable at submission time.
+// Config RunDescriptor simulates for that cell, and the one mapping
+// from a cell to a machine: figure grids and cmd/sweep build theirs
+// through it too. Trace cells ("trace:<name>") key on the declared
+// spec's SHA-256 without touching the trace bytes, so cell keys — and
+// therefore daemon dedup and store addressing — are computable at
+// submission time.
 func CellConfig(d *Descriptor, workloadName string, cs ConfigSpec) sim.Config {
 	var cfg sim.Config
 	if tn, ok := strings.CutPrefix(workloadName, "trace:"); ok {
@@ -341,6 +343,12 @@ func CellConfig(d *Descriptor, workloadName string, cs ConfigSpec) sim.Config {
 	cfg.WarmupInstructions = d.Warmup
 	cs.apply(&cfg)
 	return cfg
+}
+
+// newCell is the grid cell of workload w under cs in descriptor d,
+// resolved with opts' cache and observability hooks.
+func newCell(d *Descriptor, w string, cs ConfigSpec, opts Options) cell {
+	return cell{name: w, label: cs.Label, cfg: CellConfig(d, w, cs), opts: opts}
 }
 
 // isHexSHA256 reports whether s is a 64-character lowercase/uppercase
@@ -410,8 +418,7 @@ func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int
 	var out []DescriptorResult
 	for _, w := range d.Workloads {
 		for _, cs := range d.Configs {
-			cells = append(cells, cell{name: w, mech: sim.Mechanism(cs.Mechanism),
-				cfg: CellConfig(d, w, cs), opts: opts})
+			cells = append(cells, newCell(d, w, cs, opts))
 			out = append(out, DescriptorResult{Workload: w, Label: cs.Label})
 		}
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the parallel run engine behind every figure/table
-// driver: the full (workload, mechanism, config) grid of a driver is
-// materialized as a job list up front and executed on a bounded worker
+// driver, descriptor and sweep: the full grid of (workload, ConfigSpec)
+// cells is materialized up front and executed on a bounded worker
 // pool, while results are collected positionally so the output order —
 // and therefore every rendered table, series and CSV — is byte-for-byte
 // identical at any parallelism.
@@ -52,26 +52,32 @@ func (o Options) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// jobSpec is one simulation of a driver's grid.
-type jobSpec struct {
-	app    string
-	mech   sim.Mechanism
-	mutate func(*sim.Config)
-}
-
-// runAll resolves the jobs as one grid and returns their results in
-// input order. Errors are aggregated (errors.Join) rather than
-// short-circuiting, so a failed cell reports every failure of the grid
-// at once. Cancellation (Options.Context) both skips cells that have
-// not started and stops in-flight machines cooperatively.
-func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
-	cells := make([]cell, len(jobs))
-	for i, j := range jobs {
-		cells[i] = o.cell(j.app, j.mech, j.mutate)
+// runAll resolves, for every app of the options, the cells specs(app)
+// names, as one grid, and returns each app's results in spec order.
+// Errors are aggregated (errors.Join) rather than short-circuiting, so
+// a failed cell reports every failure of the grid at once. Cancellation
+// (Options.Context) both skips cells that have not started and stops
+// in-flight machines cooperatively.
+func (o Options) runAll(specs func(app string) []ConfigSpec) ([][]sim.Result, error) {
+	d := o.descriptor()
+	apps := o.workloads()
+	var cells []cell
+	ends := make([]int, len(apps))
+	for ai, app := range apps {
+		for _, cs := range specs(app) {
+			cells = append(cells, newCell(d, app, cs, o))
+		}
+		ends[ai] = len(cells)
 	}
 	// Live grid-cell progress for the /metrics endpoint.
-	obs.JobsTotal.Add(float64(len(jobs)))
-	results, errs := resolveCells(o.ctx(), cells, o.parallelism(), o.Batch, func() { obs.JobsDone.Add(1) })
+	obs.JobsTotal.Add(float64(len(cells)))
+	flat, errs := resolveCells(o.ctx(), cells, o.parallelism(), o.Batch, func() { obs.JobsDone.Add(1) })
+	results := make([][]sim.Result, len(apps))
+	start := 0
+	for ai, end := range ends {
+		results[ai] = flat[start:end]
+		start = end
+	}
 	return results, errors.Join(errs...)
 }
 
@@ -80,14 +86,14 @@ func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
 // eat the locality win, and 16 matches the headline 16-config sweep.
 const maxBatchSize = 16
 
-// cell is one grid cell: its identity for progress lines, its full
-// config, and the Options owning its cache behaviour and observability
-// hooks.
+// cell is one grid cell: its workload name for progress lines, its
+// config label for interval samples, its full config, and the Options
+// owning its cache behaviour and observability hooks.
 type cell struct {
-	name string
-	mech sim.Mechanism
-	cfg  sim.Config
-	opts Options
+	name  string
+	label string
+	cfg   sim.Config
+	opts  Options
 }
 
 // resolveCells takes every cell through the cell protocol: the memoized
@@ -244,7 +250,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 			for k, g := range chunk {
 				c := cells[g.cells[0]]
 				cfgs[k] = c.cfg
-				atts[k] = c.opts.attachCell(c.name, c.mech)
+				atts[k] = c.attach()
 			}
 			res, rerrs := sim.RunBatchSimpoints(ctx, cfgs, cells[chunk[0].cells[0]].opts.simpoints(), workers,
 				func(region, k int, m *sim.Machine) {
@@ -264,7 +270,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 				return nil
 			}
 			c := cells[g.cells[0]]
-			_, res, err := sim.RunSimpointsCtx(ctx, c.cfg, c.opts.Simpoints, 1, c.opts.attachCell(c.name, c.mech))
+			_, res, err := sim.RunSimpointsCtx(ctx, c.cfg, c.opts.Simpoints, 1, c.attach())
 			complete(g, res, err)
 			return nil
 		})
@@ -310,14 +316,14 @@ func canceled(err error) bool {
 // progress reports one resolved cell; how tags where the result came
 // from (" (cached)", " (store)", or "" when simulated).
 func (c cell) progress(r sim.Result, how string) {
-	c.opts.progress("%s/%s ftq=%d: IPC %.4f%s", c.name, c.mech, r.FinalFTQDepth, r.IPC, how)
+	c.opts.progress("%s/%s ftq=%d: IPC %.4f%s", c.name, c.cfg.Mechanism, r.FinalFTQDepth, r.IPC, how)
 }
 
 // ForEach runs fn(i) for i in [0, n) on a bounded worker pool of the
 // given width (<= 0 means GOMAXPROCS, 1 runs serially) and aggregates
 // all errors — the engine primitive for grids whose per-cell work is
-// not a plain Options.run call (Table I's trace characterization,
-// cmd/sweep's grid). fn must write its result into
+// not a plain Options.run call (Table I's trace characterization).
+// fn must write its result into
 // slot i of a caller-owned slice so output order stays deterministic.
 func ForEach(n, workers int, fn func(int) error) error {
 	return ForEachCtx(context.Background(), n, workers, fn)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"udpsim/internal/obs"
 	"udpsim/internal/sim"
 )
 
@@ -43,7 +44,7 @@ func TestSingleflightDeduplicatesConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = o.run("mysql", sim.MechBaseline, nil)
+			results[i], errs[i] = o.run("mysql", mechSpec(sim.MechBaseline))
 		}(i)
 	}
 	wg.Wait()
@@ -74,23 +75,22 @@ func TestRunAllDeterministicOrder(t *testing.T) {
 	o := engineOptions(21_002)
 	o.Parallelism = 4
 	depths := []int{8, 12, 16, 24, 48, 64}
-	var jobs []jobSpec
+	var specs []ConfigSpec
 	for _, d := range depths {
-		depth := d
-		jobs = append(jobs, jobSpec{app: "mysql", mech: sim.MechBaseline,
-			mutate: func(c *sim.Config) { c.FTQDepth = depth }})
+		specs = append(specs, ConfigSpec{Mechanism: "baseline", FTQ: d})
 	}
-	results, err := o.runAll(jobs)
+	grid := func(string) []ConfigSpec { return specs }
+	results, err := o.runAll(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(depths) {
-		t.Fatalf("%d results for %d jobs", len(results), len(depths))
+	if len(results) != 1 || len(results[0]) != len(depths) {
+		t.Fatalf("results shape %d×%d for 1×%d cells", len(results), len(results[0]), len(depths))
 	}
 	for i, d := range depths {
-		if results[i].FinalFTQDepth != d {
+		if results[0][i].FinalFTQDepth != d {
 			t.Errorf("slot %d: FTQ depth %d, want %d (results out of grid order)",
-				i, results[i].FinalFTQDepth, d)
+				i, results[0][i].FinalFTQDepth, d)
 		}
 	}
 
@@ -98,12 +98,12 @@ func TestRunAllDeterministicOrder(t *testing.T) {
 	// (fully cache-served) and in the same order.
 	o2 := o
 	o2.Parallelism = 1
-	again, err := o2.runAll(jobs)
+	again, err := o2.runAll(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range results {
-		if again[i] != results[i] {
+	for i := range results[0] {
+		if again[0][i] != results[0][i] {
 			t.Errorf("slot %d differs between parallelism 4 and 1", i)
 		}
 	}
@@ -114,12 +114,9 @@ func TestRunAllDeterministicOrder(t *testing.T) {
 func TestRunAllAggregatesErrors(t *testing.T) {
 	o := engineOptions(21_003)
 	o.Parallelism = 2
-	jobs := []jobSpec{
-		{app: "mysql", mech: sim.MechBaseline},
-		{app: "mysql", mech: "warp-drive"},
-		{app: "mysql", mech: sim.Mechanism("flux-capacitor")},
-	}
-	_, err := o.runAll(jobs)
+	_, err := o.runAll(func(string) []ConfigSpec {
+		return []ConfigSpec{{Mechanism: "baseline"}, {Mechanism: "warp-drive"}, {Mechanism: "flux-capacitor"}}
+	})
 	if err == nil {
 		t.Fatal("invalid mechanisms accepted")
 	}
@@ -185,5 +182,53 @@ func TestParallelismDefault(t *testing.T) {
 	o.Parallelism = 3
 	if o.parallelism() != 3 {
 		t.Errorf("explicit parallelism ignored: %d", o.parallelism())
+	}
+}
+
+// TestIntervalSamplesSumPerConfig carries the interval sampler's sum
+// invariant (sim's TestIntervalSamplesSumToInstructions) through the
+// engine: in a grid of two configs sharing one workload and mechanism,
+// each config's samples carry its label as their config tag, and each
+// label's retired deltas sum to that cell's Result.Instructions,
+// batched or not.
+func TestIntervalSamplesSumPerConfig(t *testing.T) {
+	d := &Descriptor{
+		Name:         "interval-sum",
+		Workloads:    []string{"mysql"},
+		Instructions: 31_234,
+		Warmup:       10_000,
+		Configs: []ConfigSpec{
+			{Label: "btb1024", Mechanism: "baseline", BTB: 1024},
+			{Label: "btb16384", Mechanism: "baseline", BTB: 16384},
+		},
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []bool{false, true} {
+		FlushResultCache() // cached cells emit no samples
+		var mu sync.Mutex
+		sums := map[string]uint64{}
+		opts := Options{Batch: batch, Interval: 5_000, OnSample: func(s obs.IntervalSample) {
+			mu.Lock()
+			defer mu.Unlock()
+			if s.Workload != "mysql" || s.Mechanism != "baseline" {
+				t.Errorf("sample tagged %s/%s", s.Workload, s.Mechanism)
+			}
+			sums[s.Config] += s.Retired
+		}}
+		res, err := RunDescriptorObserved(d, nil, 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sums) != len(res) {
+			t.Errorf("batch=%v: samples carry configs %v, want one per cell", batch, sums)
+		}
+		for _, r := range res {
+			if got := sums[r.Label]; got != r.Result.Instructions {
+				t.Errorf("batch=%v: %s: Σ retired = %d, want Result.Instructions = %d",
+					batch, r.Label, got, r.Result.Instructions)
+			}
+		}
 	}
 }

@@ -147,34 +147,29 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// attach returns the per-region observer attach callback implementing
-// Options.Interval/OnSample streaming, or nil when sampling is disabled
-// (the plain, zero-overhead path).
-func (o Options) attach() func(int, *sim.Machine) {
-	if o.Interval == 0 || o.OnSample == nil {
-		return nil
-	}
-	cb := o.OnSample
-	iv := o.Interval
-	return func(region int, m *sim.Machine) {
-		m.AttachObserver(&obs.Observer{Interval: iv, OnSample: cb})
-	}
-}
-
-// attachCell wraps attach() with the per-machine run-phase hook when
-// span emission is on: warmup and measure become spans (tagged with
+// attach returns the per-region attach callback of one cell, or nil
+// when its options neither sample nor emit spans (the plain,
+// zero-overhead path). Sampling (Options.Interval/OnSample) attaches an
+// interval observer whose samples carry the cell's label as their
+// config tag. Span emission (Options.OnSpan) hooks the machine's run
+// phases: warmup and measure become spans (tagged with
 // workload/mechanism/region), and the measure phase feeds the
 // per-mechanism run-duration histogram. The hook fires O(1) times per
 // run, so the zero-alloc cycle-loop invariant is untouched.
-func (o Options) attachCell(name string, mech sim.Mechanism) func(int, *sim.Machine) {
-	obsAttach := o.attach()
+func (c cell) attach() func(int, *sim.Machine) {
+	o := c.opts
+	sample := o.Interval != 0 && o.OnSample != nil
 	onSpan := o.OnSpan
-	if onSpan == nil {
-		return obsAttach
+	if !sample && onSpan == nil {
+		return nil
 	}
+	mech := string(c.cfg.Mechanism)
 	return func(region int, m *sim.Machine) {
-		if obsAttach != nil {
-			obsAttach(region, m)
+		if sample {
+			m.AttachObserver(&obs.Observer{Interval: o.Interval, OnSample: o.OnSample, Config: c.label})
+		}
+		if onSpan == nil {
+			return
 		}
 		// Per-machine closure state: one machine's transitions are
 		// sequential even under the parallel batch scheduler, so no lock.
@@ -188,13 +183,13 @@ func (o Options) attachCell(name string, mech sim.Mechanism) func(int, *sim.Mach
 					Start: phaseStart,
 					End:   now,
 					Args: map[string]any{
-						"workload":  name,
-						"mechanism": string(mech),
+						"workload":  c.name,
+						"mechanism": mech,
 						"region":    region,
 					},
 				})
 				if phase == "measure" {
-					obs.RunDurationUS.Observe(obs.SinceUS(phaseStart), string(mech))
+					obs.RunDurationUS.Observe(obs.SinceUS(phaseStart), mech)
 				}
 			}
 			phase, phaseStart = p, now
@@ -210,39 +205,43 @@ func (o Options) spanStore() bool {
 	return o.OnSpan != nil && o.Store != nil
 }
 
-// run resolves one configuration over the option's simpoints through
-// the cell protocol (resolveCells): memoized process-wide and
-// singleflighted, so concurrent callers with the same canonical config
-// key block on the first runner instead of simulating the same
-// deterministic region twice. When Options.Store is set the cache reads
-// through it: an in-memory miss probes the store before simulating, and
-// completed simulations are written back — so a daemon restart serves
-// known configurations from disk. A lone cell has no stream to share, so it never batches.
-func (o Options) run(name string, mech sim.Mechanism, mutate func(*sim.Config)) (sim.Result, error) {
-	res, errs := resolveCells(o.ctx(), []cell{o.cell(name, mech, mutate)}, 1, false, nil)
+// run resolves one cell — workload name under cs — over the option's
+// simpoints through the cell protocol (resolveCells): memoized
+// process-wide and singleflighted, so concurrent callers with the same
+// canonical config key block on the first runner instead of simulating
+// the same deterministic region twice. When Options.Store is set the
+// cache reads through it: an in-memory miss probes the store before
+// simulating, and completed simulations are written back — so a daemon
+// restart serves known configurations from disk. A lone cell has no
+// stream to share, so it never batches.
+func (o Options) run(name string, cs ConfigSpec) (sim.Result, error) {
+	res, errs := resolveCells(o.ctx(), []cell{newCell(o.descriptor(), name, cs, o)}, 1, false, nil)
 	return res[0], errs[0]
 }
 
-// cell builds one grid cell. A "trace:<name>" cell resolves through the
-// source registry (the trace must already be loaded and registered —
-// cmd mains and ResolveTraces do that before any grid runs).
-func (o Options) cell(name string, mech sim.Mechanism, mutate func(*sim.Config)) cell {
-	var cfg sim.Config
-	if tn, ok := strings.CutPrefix(name, "trace:"); ok {
-		src, ok := workload.SourceByName(tn)
-		if !ok {
-			panic("experiments: trace workload " + tn + " not registered")
+// descriptor spells the options' region and trace workloads as a
+// descriptor, so a figure grid's cells build through CellConfig exactly
+// like a descriptor's. A "trace:<name>" workload must already be loaded
+// and registered (cmd mains and ResolveTraces do that before any grid
+// runs); its cells key on the registered content hash.
+func (o Options) descriptor() *Descriptor {
+	d := &Descriptor{Instructions: o.Instructions, Warmup: o.Warmup, Simpoints: o.Simpoints}
+	for _, w := range o.workloads() {
+		if tn, ok := strings.CutPrefix(w, "trace:"); ok {
+			src, ok := workload.SourceByName(tn)
+			if !ok {
+				panic("experiments: trace workload " + tn + " not registered")
+			}
+			d.Traces = append(d.Traces, TraceSpec{Name: tn, SHA256: strings.TrimPrefix(src.Key(), "trace:")})
 		}
-		cfg = sim.NewTraceConfig(tn, strings.TrimPrefix(src.Key(), "trace:"), mech)
-	} else {
-		cfg = sim.NewConfig(workload.MustByName(name), mech)
 	}
-	cfg.MaxInstructions = o.Instructions
-	cfg.WarmupInstructions = o.Warmup
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return cell{name: name, mech: mech, cfg: cfg, opts: o}
+	return d
+}
+
+// mechSpec is the Table II machine running mech, labelled with the
+// mechanism's name.
+func mechSpec(mech sim.Mechanism) ConfigSpec {
+	return ConfigSpec{Label: string(mech), Mechanism: string(mech)}
 }
 
 // BarRow is one application's group of bars in a bar figure.
@@ -254,30 +253,39 @@ type BarRow struct {
 	Values map[string]float64
 }
 
-// barRows assembles one row per app from results laid out app-major,
-// len(names)+1 per app with the app's baseline first. With a nil metric
-// each named bar is that series' IPC speedup over the baseline;
+// bars runs, for every app, the baseline followed by series(app), and
+// returns one row per app with a bar per series label. With a nil
+// metric each bar is that series' IPC speedup over the baseline;
 // otherwise every bar, the baseline's own included, is metric of its
 // result.
-func barRows(apps, names []string, results []sim.Result, metric func(sim.Result) float64) []BarRow {
-	stride := len(names) + 1
+func (o Options) bars(series func(app string) []ConfigSpec, metric func(sim.Result) float64) ([]BarRow, error) {
+	apps := o.workloads()
+	specs := make(map[string][]ConfigSpec, len(apps))
+	for _, app := range apps {
+		specs[app] = append([]ConfigSpec{mechSpec(sim.MechBaseline)}, series(app)...)
+	}
+	results, err := o.runAll(func(app string) []ConfigSpec { return specs[app] })
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]BarRow, len(apps))
 	for ai, app := range apps {
-		group := results[ai*stride : (ai+1)*stride]
-		row := BarRow{App: app, Values: make(map[string]float64, stride)}
+		base := results[ai][0]
+		row := BarRow{App: app, Values: make(map[string]float64, len(specs[app]))}
 		if metric != nil {
-			row.Values["baseline"] = metric(group[0])
+			row.Values["baseline"] = metric(base)
 		}
-		for i, name := range names {
+		for k, cs := range specs[app][1:] {
+			r := results[ai][1+k]
 			if metric == nil {
-				row.Values[name] = group[1+i].Speedup(group[0])
+				row.Values[cs.Label] = r.Speedup(base)
 			} else {
-				row.Values[name] = metric(group[1+i])
+				row.Values[cs.Label] = metric(r)
 			}
 		}
 		rows[ai] = row
 	}
-	return rows
+	return rows, nil
 }
 
 func icacheMPKI(r sim.Result) float64 { return r.IcacheMPKI }
@@ -292,31 +300,23 @@ type SweepSeries struct {
 // FTQDepths is the sweep grid used for Figs. 3-6 and 8.
 var FTQDepths = []int{8, 12, 16, 24, 32, 48, 64, 96, 128}
 
-// sweepMetric runs the FTQ sweep collecting one metric per depth. The
-// whole apps × depths grid is submitted to the worker pool at once;
-// series are assembled in input-grid order.
+// sweepMetric runs the baseline FTQ sweep collecting one metric per
+// depth. The whole apps × depths grid is submitted to the worker pool
+// at once; series are assembled in input-grid order.
 func (o Options) sweepMetric(metric func(sim.Result) float64) ([]SweepSeries, error) {
-	apps := o.workloads()
-	var jobs []jobSpec
-	for _, app := range apps {
-		for _, d := range FTQDepths {
-			depth := d
-			jobs = append(jobs, jobSpec{
-				app:    app,
-				mech:   sim.MechBaseline,
-				mutate: func(c *sim.Config) { c.FTQDepth = depth },
-			})
-		}
+	specs := make([]ConfigSpec, len(FTQDepths))
+	for i, d := range FTQDepths {
+		specs[i] = ConfigSpec{Label: fmt.Sprintf("ftq%d", d), Mechanism: string(sim.MechBaseline), FTQ: d}
 	}
-	results, err := o.runAll(jobs)
+	results, err := o.runAll(func(string) []ConfigSpec { return specs })
 	if err != nil {
 		return nil, err
 	}
 	var out []SweepSeries
-	for ai, app := range apps {
+	for ai, app := range o.workloads() {
 		s := SweepSeries{App: app, X: FTQDepths}
-		for di := range FTQDepths {
-			s.Values = append(s.Values, metric(results[ai*len(FTQDepths)+di]))
+		for _, r := range results[ai] {
+			s.Values = append(s.Values, metric(r))
 		}
 		out = append(out, s)
 	}
@@ -326,27 +326,8 @@ func (o Options) sweepMetric(metric func(sim.Result) float64) ([]SweepSeries, er
 // Figure1 measures the IPC speedup of a perfect icache over the FDIP-32
 // baseline for each application.
 func Figure1(o Options) ([]BarRow, error) {
-	apps := o.workloads()
-	mechs := []sim.Mechanism{sim.MechBaseline, sim.MechPerfectICache, sim.MechNoPrefetch}
-	var jobs []jobSpec
-	for _, app := range apps {
-		for _, m := range mechs {
-			jobs = append(jobs, jobSpec{app: app, mech: m})
-		}
-	}
-	results, err := o.runAll(jobs)
-	if err != nil {
-		return nil, err
-	}
-	return barRows(apps, mechNames(mechs[1:]), results, nil), nil
-}
-
-func mechNames(mechs []sim.Mechanism) []string {
-	names := make([]string, len(mechs))
-	for i, m := range mechs {
-		names[i] = string(m)
-	}
-	return names
+	series := []ConfigSpec{mechSpec(sim.MechPerfectICache), mechSpec(sim.MechNoPrefetch)}
+	return o.bars(func(string) []ConfigSpec { return series }, nil)
 }
 
 // Figure3 sweeps FTQ depth and reports the IPC speedup over depth 32
@@ -429,22 +410,18 @@ func Table3(o Options) ([]Table3Row, float64, float64, error) {
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	apps := o.workloads()
-	jobs := make([]jobSpec, len(apps))
-	for i, app := range apps {
-		jobs[i] = jobSpec{app: app, mech: sim.MechBaseline}
-	}
-	results, err := o.runAll(jobs)
+	base := []ConfigSpec{mechSpec(sim.MechBaseline)}
+	results, err := o.runAll(func(string) []ConfigSpec { return base })
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	var rows []Table3Row
-	for i, app := range apps {
+	for i, app := range o.workloads() {
 		rows = append(rows, Table3Row{
 			App:        app,
 			OptimalFTQ: optima[app],
-			Utility:    results[i].Usefulness,
-			Timeliness: results[i].Timeliness,
+			Utility:    results[i][0].Usefulness,
+			Timeliness: results[i][0].Timeliness,
 		})
 	}
 	var fs, us, ts []float64
@@ -473,36 +450,32 @@ func Figure12(o Options) ([]BarRow, error) {
 
 // uftqBars runs the apps × (baseline, UFTQSeries, OPT) grid shared by
 // Figs. 11/12, OPT being the baseline at the app's optimal depth from
-// the Fig. 3 sweep, and returns its bars (see barRows for metric) with
+// the Fig. 3 sweep, and returns its bars (see bars for metric) with
 // those optima.
 func (o Options) uftqBars(metric func(sim.Result) float64) ([]BarRow, map[string]int, error) {
 	_, optima, err := Figure3(o)
 	if err != nil {
 		return nil, nil, err
 	}
-	apps := o.workloads()
-	var jobs []jobSpec
-	for _, app := range apps {
-		jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline})
+	rows, err := o.bars(func(app string) []ConfigSpec {
+		var specs []ConfigSpec
 		for _, mech := range UFTQSeries {
-			jobs = append(jobs, jobSpec{app: app, mech: mech})
+			specs = append(specs, mechSpec(mech))
 		}
-		opt := optima[app]
-		jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline,
-			mutate: func(c *sim.Config) { c.FTQDepth = opt }})
-	}
-	results, err := o.runAll(jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	names := append(mechNames(UFTQSeries), "opt")
-	return barRows(apps, names, results, metric), optima, nil
+		return append(specs, ConfigSpec{Label: "opt", Mechanism: string(sim.MechBaseline), FTQ: optima[app]})
+	}, metric)
+	return rows, optima, err
 }
 
-// UDPSeries are the mechanisms of Fig. 13-15 (besides the baseline):
-// UDP with the 8KB Bloom useful-set, the infinite-storage upper bound,
-// the EIP 8KB comparator, and the ISO-storage 40KiB icache.
-var UDPSeries = []string{"udp", "udp-infinite", "eip", "icache-40k"}
+// UDPSeries are the cells of Figs. 13-15 besides the baseline: UDP with
+// the 8KB Bloom useful-set, the infinite-storage upper bound, the EIP
+// 8KB comparator, and the ISO-storage 40KiB icache.
+var UDPSeries = []ConfigSpec{
+	mechSpec(sim.MechUDP),
+	mechSpec(sim.MechUDPInfinite),
+	mechSpec(sim.MechEIP),
+	{Label: "icache-40k", Mechanism: string(sim.MechBaseline), ICacheKB: 40},
+}
 
 // Figure13 compares UDP, Infinite Storage, EIP-8KB and a 40K icache
 // against the FDIP-32 baseline.
@@ -521,51 +494,10 @@ func Figure15(o Options) ([]BarRow, error) {
 	return o.udpBars(func(r sim.Result) float64 { return r.LostInstrsPKI })
 }
 
-// udpBars returns the bars of the Figs. 13-15 grid (see barRows for
-// metric).
+// udpBars returns the bars of the Figs. 13-15 grid, apps × (baseline +
+// UDPSeries) (see bars for metric).
 func (o Options) udpBars(metric func(sim.Result) float64) ([]BarRow, error) {
-	results, err := o.runUDPGrid()
-	if err != nil {
-		return nil, err
-	}
-	return barRows(o.workloads(), UDPSeries, results, metric), nil
-}
-
-// runUDPGrid submits the full apps × (baseline + UDPSeries) grid shared
-// by Figs. 13-15; results are in grid order with stride
-// len(UDPSeries)+1 per app (baseline first).
-func (o Options) runUDPGrid() ([]sim.Result, error) {
-	var jobs []jobSpec
-	for _, app := range o.workloads() {
-		jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline})
-		for _, series := range UDPSeries {
-			j, err := udpSeriesJob(app, series)
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, j)
-		}
-	}
-	return o.runAll(jobs)
-}
-
-// udpSeriesJob maps a Fig. 13-15 series name to its job.
-func udpSeriesJob(app, series string) (jobSpec, error) {
-	switch series {
-	case "udp":
-		return jobSpec{app: app, mech: sim.MechUDP}, nil
-	case "udp-infinite":
-		return jobSpec{app: app, mech: sim.MechUDPInfinite}, nil
-	case "eip":
-		return jobSpec{app: app, mech: sim.MechEIP}, nil
-	case "icache-40k":
-		return jobSpec{app: app, mech: sim.MechBaseline, mutate: func(c *sim.Config) {
-			c.ICacheBytes = 40 * 1024
-			c.ICacheWays = sim.AutoWays(40 * 1024)
-		}}, nil
-	default:
-		return jobSpec{}, fmt.Errorf("experiments: unknown UDP series %q", series)
-	}
+	return o.bars(func(string) []ConfigSpec { return UDPSeries }, metric)
 }
 
 // BTBSizes is the Fig. 16 sensitivity grid.
@@ -573,34 +505,32 @@ var BTBSizes = []int{1024, 2048, 4096, 8192, 16384}
 
 // Figure16 reports UDP's speedup over the baseline at each BTB size.
 func Figure16(o Options) ([]SweepSeries, error) {
-	return o.pairedSweep(BTBSizes, func(c *sim.Config, v int) { c.BTBEntries = v })
+	return o.pairedSweep(BTBSizes, func(v int) ConfigSpec {
+		return ConfigSpec{Label: fmt.Sprintf("btb%d", v), BTB: v}
+	})
 }
 
-// pairedSweep runs (baseline, udp) pairs across a parameter grid for
-// every app and returns UDP's speedup series in grid order.
-func (o Options) pairedSweep(grid []int, apply func(*sim.Config, int)) ([]SweepSeries, error) {
-	apps := o.workloads()
-	var jobs []jobSpec
-	for _, app := range apps {
-		for _, v := range grid {
-			v := v
-			jobs = append(jobs, jobSpec{app: app, mech: sim.MechBaseline,
-				mutate: func(c *sim.Config) { apply(c, v) }})
-			jobs = append(jobs, jobSpec{app: app, mech: sim.MechUDP,
-				mutate: func(c *sim.Config) { apply(c, v) }})
+// pairedSweep runs a (baseline, udp) pair at every grid value for every
+// app — both cells take spec(v)'s overrides and label — and returns
+// UDP's speedup series in grid order.
+func (o Options) pairedSweep(grid []int, spec func(v int) ConfigSpec) ([]SweepSeries, error) {
+	var specs []ConfigSpec
+	for _, v := range grid {
+		cs := spec(v)
+		for _, mech := range []sim.Mechanism{sim.MechBaseline, sim.MechUDP} {
+			cs.Mechanism = string(mech)
+			specs = append(specs, cs)
 		}
 	}
-	results, err := o.runAll(jobs)
+	results, err := o.runAll(func(string) []ConfigSpec { return specs })
 	if err != nil {
 		return nil, err
 	}
 	var out []SweepSeries
-	for ai, app := range apps {
+	for ai, app := range o.workloads() {
 		s := SweepSeries{App: app, X: grid}
 		for vi := range grid {
-			base := results[(ai*len(grid)+vi)*2]
-			udp := results[(ai*len(grid)+vi)*2+1]
-			s.Values = append(s.Values, udp.Speedup(base))
+			s.Values = append(s.Values, results[ai][2*vi+1].Speedup(results[ai][2*vi]))
 		}
 		out = append(out, s)
 	}
@@ -613,7 +543,9 @@ var UDPFTQSizes = []int{16, 32, 64, 128}
 // Figure17 reports UDP's speedup over a same-depth baseline at each FTQ
 // size.
 func Figure17(o Options) ([]SweepSeries, error) {
-	return o.pairedSweep(UDPFTQSizes, func(c *sim.Config, v int) { c.FTQDepth = v })
+	return o.pairedSweep(UDPFTQSizes, func(v int) ConfigSpec {
+		return ConfigSpec{Label: fmt.Sprintf("ftq%d", v), FTQ: v}
+	})
 }
 
 // valueAt returns the series value at parameter x (0 if absent).

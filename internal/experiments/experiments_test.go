@@ -85,14 +85,14 @@ func TestRunCachesResults(t *testing.T) {
 	o.Instructions = 41_234
 	var lines []string
 	o.Progress = func(s string) { lines = append(lines, s) }
-	r1, err := o.run("mysql", "baseline", nil)
+	r1, err := o.run("mysql", ConfigSpec{Mechanism: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != 1 || strings.Contains(lines[0], "(cached)") {
 		t.Fatalf("first run progress: %q", lines)
 	}
-	r2, err := o.run("mysql", "baseline", nil)
+	r2, err := o.run("mysql", ConfigSpec{Mechanism: "baseline"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +121,6 @@ func TestWorkloadsDefault(t *testing.T) {
 	var o Options
 	if len(o.workloads()) != len(workload.Names) {
 		t.Error("default workload list wrong")
-	}
-}
-
-func TestRunUDPSeriesUnknown(t *testing.T) {
-	if _, err := udpSeriesJob("mysql", "quantum"); err == nil {
-		t.Error("unknown series accepted")
 	}
 }
 

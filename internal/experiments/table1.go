@@ -56,7 +56,7 @@ func Table1(o Options) ([]Table1Row, error) {
 			return err
 		}
 
-		base, err := o.run(app, sim.MechBaseline, nil)
+		base, err := o.run(app, mechSpec(sim.MechBaseline))
 		if err != nil {
 			return err
 		}

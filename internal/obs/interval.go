@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"os"
 	"strings"
 	"sync"
 )
@@ -13,9 +16,12 @@ import (
 // cycles plus running totals, stamped with the run tags so samples
 // from many concurrently simulating machines can share one sink.
 type IntervalSample struct {
-	// Run tags (copied from the Observer).
+	// Run tags (copied from the Observer). Config is the label of the
+	// grid cell the machine simulates (empty outside the engine), so
+	// two configurations of one workload and mechanism stay apart.
 	Workload  string `json:"workload"`
 	Mechanism string `json:"mechanism"`
+	Config    string `json:"config"`
 	Salt      uint64 `json:"salt"`
 
 	// Cycle is the machine cycle at which the interval closed.
@@ -56,7 +62,7 @@ type IntervalSample struct {
 
 // csvHeader is the column order of the CSV metrics format.
 var csvHeader = []string{
-	"workload", "mechanism", "salt", "cycle",
+	"workload", "mechanism", "config", "salt", "cycle",
 	"retired", "retired_total", "ipc", "icache_mpki",
 	"ftq_depth", "ftq_occ", "accuracy", "emitted",
 	"dram_queue_cycles", "fill_queue_cycles", "demand_retries", "prefetch_drops",
@@ -65,7 +71,7 @@ var csvHeader = []string{
 // CSVRecord renders the sample as CSV fields in csvHeader order.
 func (s IntervalSample) CSVRecord() []string {
 	return []string{
-		s.Workload, s.Mechanism,
+		s.Workload, s.Mechanism, s.Config,
 		fmt.Sprintf("%d", s.Salt), fmt.Sprintf("%d", s.Cycle),
 		fmt.Sprintf("%d", s.Retired), fmt.Sprintf("%d", s.RetiredTotal),
 		fmt.Sprintf("%.6f", s.IPC), fmt.Sprintf("%.6f", s.IcacheMPKI),
@@ -166,4 +172,51 @@ func (m *MetricsWriter) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.err
+}
+
+// DefaultInterval is the sampling interval, in cycles, of a
+// -metrics-out run whose -interval is zero.
+const DefaultInterval = 10_000
+
+// MetricsFile is the file behind a CLI's -metrics-out flag: a
+// MetricsWriter over a created file. A nil *MetricsFile (no flag)
+// closes to nil.
+type MetricsFile struct {
+	*MetricsWriter
+	f *os.File
+}
+
+// CreateMetricsFile creates the -metrics-out file at path, in the
+// format its extension names (FormatForPath), and defaults *interval
+// to DefaultInterval when it is zero. An empty path returns nil and
+// leaves *interval alone.
+func CreateMetricsFile(path string, interval *uint64) (*MetricsFile, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if *interval == 0 {
+		*interval = DefaultInterval
+	}
+	return &MetricsFile{MetricsWriter: NewMetricsWriter(f, FormatForPath(path)), f: f}, nil
+}
+
+// Sample writes s, in the shape of an OnSample callback. A failed
+// write sticks, and Close reports it.
+func (m *MetricsFile) Sample(s IntervalSample) { _ = m.Write(s) }
+
+// Close reports the first write error, closes the file and logs how
+// many rows it holds.
+func (m *MetricsFile) Close(log *slog.Logger) error {
+	if m == nil {
+		return nil
+	}
+	if err := errors.Join(m.Err(), m.f.Close()); err != nil {
+		return err
+	}
+	log.Info("metrics written", "path", m.f.Name(), "rows", m.Rows())
+	return nil
 }

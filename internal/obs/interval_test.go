@@ -5,6 +5,10 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +32,7 @@ func TestFormatForPath(t *testing.T) {
 
 func sampleFixture(cycle uint64) IntervalSample {
 	return IntervalSample{
-		Workload: "mysql", Mechanism: "udp", Salt: 7,
+		Workload: "mysql", Mechanism: "udp", Config: "ftq32", Salt: 7,
 		Cycle: cycle, Retired: 9000, RetiredTotal: cycle,
 		IPC: 0.9, IcacheMPKI: 24.5, FTQDepth: 32, FTQOcc: 17,
 		Accuracy: 0.75, Emitted: 120,
@@ -59,7 +63,7 @@ func TestMetricsWriterCSV(t *testing.T) {
 	if len(recs[1]) != len(csvHeader) {
 		t.Fatalf("row width %d != header width %d", len(recs[1]), len(csvHeader))
 	}
-	if recs[1][0] != "mysql" || recs[1][1] != "udp" || recs[1][2] != "7" || recs[1][3] != "10000" {
+	if recs[1][0] != "mysql" || recs[1][1] != "udp" || recs[1][2] != "ftq32" || recs[1][3] != "7" || recs[1][4] != "10000" {
 		t.Errorf("row 1 = %v", recs[1])
 	}
 }
@@ -141,4 +145,38 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	}
 	f.n--
 	return len(p), nil
+}
+
+// TestCreateMetricsFile checks the -metrics-out opener: no path means
+// no file and an untouched interval; a path defaults a zero interval,
+// and Close leaves every sample in the file.
+func TestCreateMetricsFile(t *testing.T) {
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	var interval uint64
+	if m, err := CreateMetricsFile("", &interval); m != nil || err != nil || interval != 0 {
+		t.Fatalf("empty path: %v, %v, interval %d", m, err, interval)
+	}
+	if err := (*MetricsFile)(nil).Close(log); err != nil {
+		t.Fatalf("nil Close: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "m.jsonl")
+	m, err := CreateMetricsFile(path, &interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if interval != DefaultInterval {
+		t.Errorf("interval = %d, want %d", interval, DefaultInterval)
+	}
+	m.Sample(sampleFixture(10_000))
+	if err := m.Close(log); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got IntervalSample
+	if err := json.Unmarshal(data, &got); err != nil || got != sampleFixture(10_000) {
+		t.Errorf("file holds %q (%v), want the one sample as JSON", data, err)
+	}
 }

@@ -193,9 +193,12 @@ type Observer struct {
 	// goroutine; it must serialize its own sinks.
 	OnSample func(IntervalSample)
 
-	// Run tags stamped onto every sample.
+	// Run tags stamped onto every sample. AttachObserver sets
+	// Workload, Mechanism and Salt from the machine; Config is the
+	// caller's grid-cell label.
 	Workload  string
 	Mechanism string
+	Config    string
 	Salt      uint64
 
 	now     uint64

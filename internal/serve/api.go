@@ -185,7 +185,3 @@ func (j *Job) view(withCells bool) JobView {
 	}
 	return v
 }
-
-// View is the exported form of view for the HTTP layer and client
-// tests: the job as the API would render it, including cells.
-func (j *Job) View() JobView { return j.view(true) }

@@ -122,10 +122,6 @@ func (j *Job) Submissions() int64 {
 	return j.submissions
 }
 
-// Seq is the job's admission sequence number: strictly increasing in
-// submission order within one scheduler, never reused.
-func (j *Job) Seq() int64 { return j.seq }
-
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 

@@ -86,9 +86,6 @@ func NewServer(cfg ServerConfig) *Server {
 // job it holds the last few thousand jobs' worth of timeline.
 const spanRecorderCapacity = 16384
 
-// Scheduler exposes the underlying queue (tests, cmd wiring).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // resultStore is the engine's persistent read-through layer: the disk
 // store, or a true nil for a memory-only daemon (a nil *Store wrapped
 // in the interface would read as a store and panic on first use).

@@ -56,13 +56,6 @@ func (t *TuneRun) State() JobState {
 	return t.state
 }
 
-// Result returns the finished search (nil unless state is done).
-func (t *TuneRun) Result() *tune.Result {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.result
-}
-
 // Events exposes the run's event hub for SSE subscriptions.
 func (t *TuneRun) Events() *eventHub { return t.hub }
 

@@ -87,6 +87,7 @@ func (m *Machine) obsSample() {
 	s := obs.IntervalSample{
 		Workload:     m.obs.Workload,
 		Mechanism:    m.obs.Mechanism,
+		Config:       m.obs.Config,
 		Salt:         m.obs.Salt,
 		Cycle:        m.cycle,
 		Retired:      retired - m.obsLastRetired,

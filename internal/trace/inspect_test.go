@@ -96,7 +96,7 @@ func TestInspectReport(t *testing.T) {
 			want: []string{
 				"workload      fixture",
 				"salt          7",
-				"image         fixture: 16 instrs (0 KiB), 0 funcs, 0 cond, 0 indirect, 0 calls",
+				"image         fixture: 16 instrs (0 KiB), 0 funcs, 1 cond, 0 indirect, 0 calls",
 				"instructions  12",
 				"branches      3 (25.0% of instrs)",
 				"cond        2 (66.7% of branches)",

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -114,5 +115,29 @@ func TestSourceLyingRecordCount(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= bound {
 		t.Errorf("rejecting the trace allocated %d bytes, want under %d", grew, bound)
+	}
+}
+
+// TestRecordedImageKeepsStaticCounts checks that a recorded image
+// reports the cond, indirect and call counts and the function entries
+// of the Program it was recorded from, so `trace inspect`'s image line
+// describes the recording's code.
+func TestRecordedImageKeepsStaticCounts(t *testing.T) {
+	want := workload.MustGenerate(tinyProfile())
+	src, err := LoadSourceBytes("tiny", recordTiny(t, 0, 1_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := src.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumCond != want.NumCond || got.NumIndirect != want.NumIndirect || got.NumCalls != want.NumCalls {
+		t.Errorf("image counts cond/indirect/calls = %d/%d/%d, recorded program %d/%d/%d",
+			got.NumCond, got.NumIndirect, got.NumCalls, want.NumCond, want.NumIndirect, want.NumCalls)
+	}
+	if !slices.Equal(got.FuncEntries, want.FuncEntries) {
+		t.Errorf("image has %d function entries, recorded program %d (or their addresses differ)",
+			len(got.FuncEntries), len(want.FuncEntries))
 	}
 }

@@ -150,13 +150,31 @@ func (b *builder) run() {
 // stream, and the frontend consults only the static fields. Code must
 // be dense from ImageBase in layout order (code[i].PC == ImageBase+4i);
 // that invariant is what makes InstrAt a single index computation.
+//
+// The static counts come from the image's branch kinds, and the
+// function entries from its layout: Generate ends every function with
+// its one return and lays the next function (or, after the last, the
+// dispatcher) right after it.
 func NewProgramFromImage(p Profile, entry isa.Addr, code []isa.StaticInstr) (*Program, error) {
+	pr := &Program{profile: p, code: code, entry: entry}
+	start := 0
 	for i := range code {
 		if want := pcOf(i); code[i].PC != want {
 			return nil, fmt.Errorf("workload: image not dense at instr %d: pc %#x, want %#x", i, code[i].PC, want)
 		}
+		switch code[i].Branch {
+		case isa.BranchCond:
+			pr.NumCond++
+		case isa.BranchIndirect, isa.BranchIndirectCall:
+			pr.NumIndirect++
+		case isa.BranchCall:
+			pr.NumCalls++
+		case isa.BranchReturn:
+			pr.FuncEntries = append(pr.FuncEntries, pcOf(start))
+			start = i + 1
+		}
 	}
-	return &Program{profile: p, code: code, entry: entry}, nil
+	return pr, nil
 }
 
 // StaticCode exposes the full static image in layout order (trace
