@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"text/tabwriter"
 
 	"udpsim/internal/experiments"
@@ -44,7 +45,7 @@ func main() {
 		fig       = flag.Int("fig", 0, "figure number to regenerate (1, 3, 4, 5, 6, 8, 11-17)")
 		table     = flag.Int("table", 0, "table number to regenerate (1, 2, 3)")
 		all       = flag.Bool("all", false, "regenerate everything")
-		timeline  = flag.String("timeline", "", "render the interval-sampler timeline figure for this workload (IPC and FTQ depth over time)")
+		timeline  = flag.String("timeline", "", "render the interval-sampler timeline figure for this workload, or for the -trace file of that name (IPC and FTQ depth over time)")
 		tlMechs   = flag.String("timeline-mechs", "baseline,udp", "comma-separated mechanisms for -timeline")
 		quick     = flag.Bool("quick", false, "low-fidelity fast run")
 		instrs    = flag.Uint64("instrs", 0, "override instructions per region")
@@ -197,37 +198,44 @@ func saveNamedSVG(dir, name, svg string) error {
 // sampler attached and renders cycle-resolved IPC and FTQ-depth line
 // charts — the observability layer's view of how UFTQ window decisions
 // and UDP learning play out over a run, which the paper's end-of-run
-// aggregates average away.
+// aggregates average away. Its cells are the engine's: app names a
+// synthetic workload or a "trace:<name>", and under -trace a plain name
+// picks the trace loaded under it.
 func renderTimeline(app string, mechs []string, o experiments.Options, interval uint64, svgDir string) error {
 	if interval == 0 {
 		interval = obs.DefaultInterval
 	}
-	prof, ok := workload.ByName(app)
-	if !ok {
-		return fmt.Errorf("unknown workload %q", app)
+	w := app
+	if traced := "trace:" + app; slices.Contains(o.Workloads, traced) {
+		w = traced
+	}
+	specs := make([]experiments.ConfigSpec, len(mechs))
+	for i, mech := range mechs {
+		mech = strings.TrimSpace(mech)
+		if slices.ContainsFunc(specs[:i], func(cs experiments.ConfigSpec) bool { return cs.Label == mech }) {
+			return fmt.Errorf("timeline %s: mechanism %q listed twice", w, mech)
+		}
+		specs[i] = experiments.ConfigSpec{Label: mech, Mechanism: mech}
+	}
+	var mu sync.Mutex
+	byLabel := map[string][]obs.IntervalSample{}
+	o.Interval = interval
+	o.OnSample = func(s obs.IntervalSample) {
+		mu.Lock()
+		byLabel[s.Config] = append(byLabel[s.Config], s)
+		mu.Unlock()
+	}
+	if err := experiments.Sample(o, w, specs); err != nil {
+		return fmt.Errorf("timeline %s: %w", w, err)
 	}
 	type mechSeries struct {
 		mech    string
 		samples []obs.IntervalSample
 	}
 	var all []mechSeries
-	for _, mech := range mechs {
-		mech = strings.TrimSpace(mech)
-		cfg := sim.NewConfig(prof, sim.Mechanism(mech))
-		cfg.MaxInstructions = o.Instructions
-		cfg.WarmupInstructions = o.Warmup
-		var obsv *obs.Observer
-		attach := func(region int, m *sim.Machine) {
-			if region == 0 { // one sampled region per mechanism
-				obsv = &obs.Observer{Interval: interval}
-				m.AttachObserver(obsv)
-			}
-		}
-		if _, _, err := sim.RunSimpointsObserved(cfg, 1, 1, attach); err != nil {
-			return fmt.Errorf("timeline %s/%s: %w", app, mech, err)
-		}
-		logger.Debug("timeline region done", "mechanism", mech, "samples", len(obsv.Samples()))
-		all = append(all, mechSeries{mech: mech, samples: obsv.Samples()})
+	for _, cs := range specs {
+		logger.Debug("timeline region done", "mechanism", cs.Label, "samples", len(byLabel[cs.Label]))
+		all = append(all, mechSeries{mech: cs.Label, samples: byLabel[cs.Label]})
 	}
 
 	// Align series on the shortest run so every chart column has a
@@ -237,10 +245,10 @@ func renderTimeline(app string, mechs []string, o experiments.Options, interval 
 		n = min(n, len(s.samples))
 	}
 	if n == 0 {
-		return fmt.Errorf("timeline %s: no interval samples (instrs too small for interval %d?)", app, interval)
+		return fmt.Errorf("timeline %s: no interval samples (instrs too small for interval %d?)", w, interval)
 	}
-	ipc := plot.Chart{Title: fmt.Sprintf("Timeline — %s IPC per %d-cycle interval", app, interval), YLabel: "IPC"}
-	ftq := plot.Chart{Title: fmt.Sprintf("Timeline — %s FTQ depth per %d-cycle interval", app, interval), YLabel: "FTQ depth"}
+	ipc := plot.Chart{Title: fmt.Sprintf("Timeline — %s IPC per %d-cycle interval", w, interval), YLabel: "IPC"}
+	ftq := plot.Chart{Title: fmt.Sprintf("Timeline — %s FTQ depth per %d-cycle interval", w, interval), YLabel: "FTQ depth"}
 	for i := 0; i < n; i++ {
 		lbl := fmt.Sprintf("%dk", all[0].samples[i].Cycle/1000)
 		ipc.XLabels = append(ipc.XLabels, lbl)
@@ -257,7 +265,7 @@ func renderTimeline(app string, mechs []string, o experiments.Options, interval 
 		ftq.Series = append(ftq.Series, plot.Series{Name: s.mech, Values: fv})
 	}
 
-	fmt.Printf("Timeline — %s, %d-cycle intervals (%d samples)\n", app, interval, n)
+	fmt.Printf("Timeline — %s, %d-cycle intervals (%d samples)\n", w, interval, n)
 	tw := newTW(os.Stdout)
 	fmt.Fprintf(tw, "cycle")
 	for _, s := range all {
@@ -275,13 +283,14 @@ func renderTimeline(app string, mechs []string, o experiments.Options, interval 
 	tw.Flush()
 	fmt.Println()
 
+	file := strings.ReplaceAll(w, ":", "-")
 	if svg, err := plot.Lines(ipc); err == nil {
-		if err := saveNamedSVG(svgDir, fmt.Sprintf("Timeline-%s-ipc.svg", app), svg); err != nil {
+		if err := saveNamedSVG(svgDir, fmt.Sprintf("Timeline-%s-ipc.svg", file), svg); err != nil {
 			return err
 		}
 	}
 	if svg, err := plot.Lines(ftq); err == nil {
-		if err := saveNamedSVG(svgDir, fmt.Sprintf("Timeline-%s-ftq.svg", app), svg); err != nil {
+		if err := saveNamedSVG(svgDir, fmt.Sprintf("Timeline-%s-ftq.svg", file), svg); err != nil {
 			return err
 		}
 	}

@@ -459,7 +459,7 @@ func (b *Backend) dataAddr(fi *frontend.FrontInstr) isa.Addr {
 	if fi.OnPath {
 		return fi.Oracle.DataAddr
 	}
-	return fi.Static.DataAddr
+	return fi.Static.DataAddr()
 }
 
 // decode pulls instructions from the frontend's decode queue into the

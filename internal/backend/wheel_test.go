@@ -28,7 +28,10 @@ func TestBlockedLoadsOnCollidingLines(t *testing.T) {
 	// the test drives completion and issue without decode or retirement.
 	b := New(Config{}, nil, hier)
 	const loads = 96
-	static := isa.StaticInstr{Class: isa.ClassLoad}
+	static, err := isa.NewStaticInstr(0, isa.ClassLoad, isa.BranchNone, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fis := make([]frontend.FrontInstr, loads)
 	for i := range fis {
 		fis[i] = frontend.FrontInstr{Static: &static, OnPath: true}

@@ -1,13 +1,17 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"udpsim/internal/obs"
 	"udpsim/internal/sim"
+	"udpsim/internal/trace"
+	"udpsim/internal/workload"
 )
 
 // engineOptions returns options with instruction counts unique enough
@@ -230,5 +234,80 @@ func TestIntervalSamplesSumPerConfig(t *testing.T) {
 					batch, r.Label, got, r.Result.Instructions)
 			}
 		}
+	}
+}
+
+// sampleSums runs Sample and returns each config label's Σ retired and
+// its samples with the workload tag cleared.
+func sampleSums(t *testing.T, o Options, w string, specs []ConfigSpec) (map[string]uint64, map[string][]obs.IntervalSample) {
+	t.Helper()
+	var mu sync.Mutex
+	sums := map[string]uint64{}
+	samples := map[string][]obs.IntervalSample{}
+	o.Interval = 5_000
+	o.OnSample = func(s obs.IntervalSample) {
+		mu.Lock()
+		defer mu.Unlock()
+		sums[s.Config] += s.Retired
+		s.Workload = ""
+		samples[s.Config] = append(samples[s.Config], s)
+	}
+	if err := Sample(o, w, specs); err != nil {
+		t.Fatal(err)
+	}
+	return sums, samples
+}
+
+// TestSampleSimulatesCachedCells checks that Sample emits a full region
+// of samples for a cell the result cache already holds, which the
+// cached grid path does not: Σ retired equals the cached result's
+// instructions.
+func TestSampleSimulatesCachedCells(t *testing.T) {
+	o := tinyOptions()
+	o.Instructions = 23_456
+	specs := []ConfigSpec{mechSpec(sim.MechBaseline), mechSpec(sim.MechUDP)}
+	results := map[string]sim.Result{}
+	for _, cs := range specs {
+		r, err := o.run("mysql", cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[cs.Label] = r
+	}
+	sums, _ := sampleSums(t, o, "mysql", specs)
+	for _, cs := range specs {
+		if got, want := sums[cs.Label], results[cs.Label].Instructions; got != want {
+			t.Errorf("%s: Σ retired = %d, want the cached Result.Instructions = %d", cs.Label, got, want)
+		}
+	}
+	if err := Sample(o, "trace:nope", specs); err == nil {
+		t.Error("sampling an unloaded trace succeeded")
+	}
+	if err := Sample(o, "nope", specs); err == nil {
+		t.Error("sampling an unknown workload succeeded")
+	}
+}
+
+// TestSampleTrace checks that Sample runs a trace workload: a trace of
+// mysql recorded at the first simpoint's salt samples exactly like the
+// synthetic mysql.
+func TestSampleTrace(t *testing.T) {
+	o := tinyOptions()
+	var buf bytes.Buffer
+	n := o.Warmup + o.Instructions + trace.RunAhead
+	if err := trace.RecordN2(&buf, workload.MustByName("mysql"), sim.SimpointSalt(0), n); err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.LoadSourceBytes("sample-mysql", buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.RegisterSource(src)
+	o.Workloads = []string{"trace:sample-mysql"}
+	specs := []ConfigSpec{mechSpec(sim.MechBaseline)}
+	_, traced := sampleSums(t, o, "trace:sample-mysql", specs)
+	_, synthetic := sampleSums(t, o, "mysql", specs)
+	if len(traced["baseline"]) == 0 || !reflect.DeepEqual(traced, synthetic) {
+		t.Errorf("trace samples %+v differ from the synthetic run's %+v", traced, synthetic)
 	}
 }

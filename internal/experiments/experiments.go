@@ -219,6 +219,35 @@ func (o Options) run(name string, cs ConfigSpec) (sim.Result, error) {
 	return res[0], errs[0]
 }
 
+// Sample simulates one region of workload w under each of specs and
+// streams every interval sample, one per o.Interval cycles, to
+// o.OnSample, tagged with its spec's label. Each cell builds through
+// CellConfig like any grid cell, but always simulates: the result cache
+// keeps results, not samples, so a cell that a figure already ran would
+// emit none. Cells run on o's worker pool; one cell's samples arrive in
+// cycle order.
+func Sample(o Options, w string, specs []ConfigSpec) error {
+	if o.Interval == 0 || o.OnSample == nil {
+		return fmt.Errorf("experiments: sampling %s needs Options.Interval and OnSample", w)
+	}
+	if tn, ok := strings.CutPrefix(w, "trace:"); ok {
+		if _, ok := workload.SourceByName(tn); !ok {
+			return fmt.Errorf("experiments: trace workload %q is not loaded", tn)
+		}
+	} else if _, ok := workload.ByName(w); !ok {
+		return fmt.Errorf("experiments: unknown workload %q", w)
+	}
+	o.Workloads, o.Simpoints = []string{w}, 1
+	d := o.descriptor()
+	return ForEachCtx(o.ctx(), len(specs), o.parallelism(), func(i int) error {
+		c := newCell(d, w, specs[i], o)
+		if _, _, err := sim.RunSimpointsCtx(o.ctx(), c.cfg, 1, 1, c.attach()); err != nil {
+			return fmt.Errorf("experiments: %s/%s: %w", w, specs[i].Label, err)
+		}
+		return nil
+	})
+}
+
 // descriptor spells the options' region and trace workloads as a
 // descriptor, so a figure grid's cells build through CellConfig exactly
 // like a descriptor's. A "trace:<name>" workload must already be loaded

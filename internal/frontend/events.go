@@ -17,14 +17,14 @@ func (f *Frontend) OnDecode(fi *FrontInstr, cycle uint64) bool {
 	}
 	si := fi.Static
 	f.Stats.PostFetchDiscoveries++
-	f.btb.Insert(si.PC, si.Branch, si.Target, cycle)
+	f.btb.Insert(si.PC(), si.Branch, si.Target(), cycle)
 
 	// Determine the branch's behaviour as decode sees it.
 	taken := true
-	target := si.Target
+	target := si.Target()
 	switch {
 	case si.Branch.IsConditional():
-		pred := f.dir.Predict(si.PC)
+		pred := f.dir.Predict(si.PC())
 		pb.Pred = pred
 		pb.HasPred = true
 		f.tuner.OnCondPrediction(pred.Conf)
@@ -32,10 +32,10 @@ func (f *Frontend) OnDecode(fi *FrontInstr, cycle uint64) bool {
 	case si.Branch.PopsRAS():
 		target = f.ras.Peek()
 		if target == 0 {
-			target = si.Target
+			target = si.Target()
 		}
 	case si.Branch == isa.BranchIndirect || si.Branch == isa.BranchIndirectCall:
-		if t, ok := f.ibtb.Lookup(si.PC, pb.HistSnap.PathHist); ok {
+		if t, ok := f.ibtb.Lookup(si.PC(), pb.HistSnap.PathHist); ok {
 			target = t
 		}
 	}
@@ -60,7 +60,7 @@ func (f *Frontend) OnDecode(fi *FrontInstr, cycle uint64) bool {
 	f.dir.Restore(pb.HistSnap)
 	f.ras.Restore(pb.RASSnap)
 	if si.Branch.IsConditional() {
-		f.dir.SpecUpdate(si.PC, true)
+		f.dir.SpecUpdate(si.PC(), true)
 	}
 	if si.Branch.PushesRAS() {
 		f.ras.Push(si.FallThrough())
@@ -168,7 +168,7 @@ func (f *Frontend) Recover(fi *FrontInstr, cycle uint64) {
 // OnRetire trains the predictors with a retired (necessarily on-path)
 // instruction and feeds the tuner's Seniority-FTQ matching.
 func (f *Frontend) OnRetire(fi *FrontInstr, cycle uint64) {
-	f.tuner.OnRetire(fi.Static.PC.Line())
+	f.tuner.OnRetire(fi.Static.PC().Line())
 	pb := fi.Branch
 	if pb == nil {
 		return
@@ -176,15 +176,15 @@ func (f *Frontend) OnRetire(fi *FrontInstr, cycle uint64) {
 	si := fi.Static
 	o := fi.Oracle
 	if o.Taken {
-		f.tuner.OnRetireTakenBranch(si.PC.Block())
+		f.tuner.OnRetireTakenBranch(si.PC().Block())
 	}
 	if si.Branch.IsConditional() && pb.Predicted() {
-		f.dir.Train(si.PC, o.Taken, pb.Pred)
+		f.dir.Train(si.PC(), o.Taken, pb.Pred)
 	}
 	switch si.Branch {
 	case isa.BranchIndirect, isa.BranchIndirectCall:
-		f.ibtb.Update(si.PC, pb.HistSnap.PathHist, o.Target)
+		f.ibtb.Update(si.PC(), pb.HistSnap.PathHist, o.Target)
 		// Keep the BTB's fallback target fresh for indirect branches.
-		f.btb.Insert(si.PC, si.Branch, o.Target, cycle)
+		f.btb.Insert(si.PC(), si.Branch, o.Target, cycle)
 	}
 }

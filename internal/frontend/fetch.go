@@ -51,7 +51,7 @@ func (f *Frontend) predecodeLine(line isa.Addr, cycle uint64) {
 		switch si.Branch {
 		case isa.BranchCond, isa.BranchUncond, isa.BranchCall, isa.BranchReturn:
 			if !f.btb.Probe(pc) {
-				f.btb.Insert(pc, si.Branch, si.Target, cycle)
+				f.btb.Insert(pc, si.Branch, si.Target(), cycle)
 				f.Stats.PredecodeBTBFills++
 			}
 		}

@@ -286,15 +286,9 @@ func (f *Frontend) MSHRs() *cache.MSHRFile { return f.mshrs }
 // FTQ exposes the fetch target queue.
 func (f *Frontend) Queue() *FTQ { return f.ftq }
 
-// RAS exposes the return address stack.
-func (f *Frontend) RAS() *bp.RAS { return f.ras }
-
 // OnOraclePath reports whether the frontend is currently synchronized
 // with the oracle stream (model ground truth).
 func (f *Frontend) OnOraclePath() bool { return f.onPath }
-
-// FetchPC returns the prediction stage's current cursor.
-func (f *Frontend) FetchPC() isa.Addr { return f.fetchPC }
 
 // Cycle advances the frontend by one cycle: fill completions, block
 // building, FDIP scan, and the fetch stage.
@@ -398,7 +392,7 @@ func (f *Frontend) staticAt(pc isa.Addr, fi *FrontInstr) *isa.StaticInstr {
 // taken branch; (0, false) when the frontend walks on sequentially.
 func (f *Frontend) handleBranch(fb *FetchBlock, fi *FrontInstr, cycle uint64) (isa.Addr, bool) {
 	si := fi.Static
-	pc := si.PC
+	pc := si.PC()
 	entry, hit := f.btb.Lookup(pc, cycle)
 	if !hit {
 		// The frontend is blind to this branch: it continues
@@ -494,7 +488,7 @@ func (f *Frontend) diverge(fi *FrontInstr, kind DivKind, recoverPC isa.Addr, act
 		RASSnap:      fi.Branch.RASSnap,
 		ActualTaken:  actualTaken,
 		ActualTarget: actualTarget,
-		BranchPC:     fi.Static.PC,
+		BranchPC:     fi.Static.PC(),
 		BranchKind:   fi.Static.Branch,
 		BornCycle:    cycle,
 	}
@@ -527,7 +521,6 @@ func (q *instrQueue) init(capacity int) { q.buf = make([]*FrontInstr, capacity) 
 
 func (q *instrQueue) full() bool  { return q.count == len(q.buf) }
 func (q *instrQueue) empty() bool { return q.count == 0 }
-func (q *instrQueue) len() int    { return q.count }
 
 func (q *instrQueue) push(fi *FrontInstr) {
 	if q.full() {
@@ -554,9 +547,6 @@ func (q *instrQueue) clear() {
 		q.pop()
 	}
 }
-
-// DecodeQueueLen reports how many instructions await decode.
-func (f *Frontend) DecodeQueueLen() int { return f.decodeQ.len() }
 
 // PopDecode hands the next instruction to the backend's decode stage.
 func (f *Frontend) PopDecode() *FrontInstr { return f.decodeQ.pop() }

@@ -17,7 +17,11 @@ func TestInstrPoolGetClearsHeader(t *testing.T) {
 	if typ.NumField() != fields {
 		t.Fatalf("FrontInstr has %d fields, this test knows %d: update instrPool.get and this test", typ.NumField(), fields)
 	}
-	si := &isa.StaticInstr{PC: 0x40}
+	alu, err := isa.NewStaticInstr(0x40, isa.ClassALU, isa.BranchNone, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := &alu
 	p := newInstrPool(1)
 	fi := p.get()
 	*fi = FrontInstr{Static: si, OnPath: true, Oracle: isa.DynInstr{Static: si, Taken: true, Seq: 7},

@@ -8,7 +8,10 @@
 // mechanisms observe.
 package isa
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Addr is a byte address in the simulated address space.
 type Addr uint64
@@ -148,25 +151,98 @@ func (k BranchKind) AlwaysTaken() bool {
 		k == BranchIndirect || k == BranchIndirectCall
 }
 
-// StaticInstr is one instruction of the static program image.
+// MaxAddr is the highest address a StaticInstr holds. Every address a
+// program image names fits in 32 bits: generated code sits just above
+// 4 MiB and its data regions below 1 GiB (workload.Profile.Validate
+// bounds them), and a trace image that names a higher address fails to
+// decode.
+const MaxAddr Addr = 1<<32 - 1
+
+// StaticInstr is one instruction of the static program image, packed
+// into 16 bytes: an image holds one per instruction of a multi-megabyte
+// footprint, so its size is most of a run's live heap. Build one with
+// NewStaticInstr.
 type StaticInstr struct {
-	PC     Addr
-	Class  Class
-	Branch BranchKind
+	pc uint32
+	// operand is the instruction's one address operand, which op names:
+	// a branch's Target or a load or store's DataAddr. No instruction
+	// has both, so they share the word.
+	operand uint32
 	// Site is 1 + the dense index of the generating program's behaviour
 	// metadata for this branch (its conditional table for BranchCond,
 	// its indirect table for the indirect kinds), or 0 when it has none:
 	// every other instruction, and every image decoded from a trace.
-	// Only the executor reads it. It fills what was alignment padding,
-	// so the struct stays 32 bytes.
+	// Only the executor reads it.
 	Site uint32
-	// Target is the taken target for direct branches; for indirect
-	// branches it is the most common target (the image generator also
-	// records alternates on the owning block).
-	Target Addr
-	// DataAddr is a representative data address for loads/stores; the
-	// executor perturbs it per dynamic instance.
-	DataAddr Addr
+	instrKind
+}
+
+// instrKind holds StaticInstr's three one-byte fields. Grouping them
+// gives StaticInstr four fields, few enough for the compiler to keep a
+// StaticInstr in registers: NewStaticInstr then returns one without
+// storing its bytes one by one and reloading them as a block, a
+// store-forwarding stall that took a quarter of image generation's time.
+type instrKind struct {
+	Class  Class
+	Branch BranchKind
+	op     operandKind
+}
+
+// operandKind names what StaticInstr.operand holds.
+type operandKind uint8
+
+const (
+	operandNone operandKind = iota
+	operandTarget
+	operandData
+)
+
+// The errors NewStaticInstr returns: preallocated, so that it stays
+// small enough to inline.
+var (
+	errAddrRange   = errors.New("isa: address above 4 GiB")
+	errTwoOperands = errors.New("isa: instruction with both a target and a data address")
+)
+
+// NewStaticInstr builds the instruction at pc. Target is the taken
+// target of a direct branch, or the most common target of an indirect
+// one (the image generator records the alternates with the executor's
+// metadata); data is a load's or store's representative data address,
+// which the executor perturbs per dynamic instance. Zero means "none"
+// for both. It refuses an address above MaxAddr and an instruction
+// with both a target and a data address.
+func NewStaticInstr(pc Addr, class Class, kind BranchKind, target, data Addr) (StaticInstr, error) {
+	if pc|target|data > MaxAddr {
+		return StaticInstr{}, errAddrRange
+	}
+	if min(target, data) != 0 {
+		return StaticInstr{}, errTwoOperands
+	}
+	// At most one operand is nonzero, so their OR is that operand, and
+	// its kind is operandTarget (1), operandData (2) or operandNone (0).
+	op := operandKind(min(target, 1) + 2*min(data, 1))
+	return StaticInstr{pc: uint32(pc), operand: uint32(target | data), instrKind: instrKind{class, kind, op}}, nil
+}
+
+// PC returns the instruction's address.
+func (si *StaticInstr) PC() Addr { return Addr(si.pc) }
+
+// Target returns the branch target NewStaticInstr was given, or 0 when
+// it was given none (every load, store and other non-branch).
+func (si *StaticInstr) Target() Addr {
+	if si.op != operandTarget {
+		return 0
+	}
+	return Addr(si.operand)
+}
+
+// DataAddr returns the data address NewStaticInstr was given, or 0
+// when it was given none (every branch and non-memory op).
+func (si *StaticInstr) DataAddr() Addr {
+	if si.op != operandData {
+		return 0
+	}
+	return Addr(si.operand)
 }
 
 // IsBranch reports whether the instruction is any control-flow kind.
@@ -174,8 +250,8 @@ func (si *StaticInstr) IsBranch() bool { return si.Branch != BranchNone }
 
 // FallThrough returns the address of the next sequential instruction,
 // PC+InstrBytes. It is derived rather than stored: the field would cost
-// every image a fifth of its bytes for one add on the read.
-func (si *StaticInstr) FallThrough() Addr { return si.PC + InstrBytes }
+// every image a quarter of its bytes for one add on the read.
+func (si *StaticInstr) FallThrough() Addr { return si.PC() + InstrBytes }
 
 // DynInstr is one dynamically executed instruction: a static instruction
 // plus its resolved outcome. The workload executor produces the on-path
@@ -195,7 +271,7 @@ type DynInstr struct {
 }
 
 // PC returns the instruction's program counter.
-func (d *DynInstr) PC() Addr { return d.Static.PC }
+func (d *DynInstr) PC() Addr { return d.Static.PC() }
 
 // NextPC returns the architecturally correct next program counter.
 func (d *DynInstr) NextPC() Addr {

@@ -104,8 +104,18 @@ func TestKindAndClassStrings(t *testing.T) {
 	}
 }
 
+// mustInstr is NewStaticInstr for arguments that fit.
+func mustInstr(t *testing.T, pc Addr, class Class, kind BranchKind, target, data Addr) *StaticInstr {
+	t.Helper()
+	si, err := NewStaticInstr(pc, class, kind, target, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &si
+}
+
 func TestDynInstrNextPC(t *testing.T) {
-	si := &StaticInstr{PC: 0x1000, Branch: BranchCond, Target: 0x2000}
+	si := mustInstr(t, 0x1000, ClassBranch, BranchCond, 0x2000, 0)
 	taken := &DynInstr{Static: si, Taken: true, Target: 0x2000}
 	if taken.NextPC() != 0x2000 {
 		t.Errorf("taken NextPC = %v", taken.NextPC())
@@ -118,7 +128,7 @@ func TestDynInstrNextPC(t *testing.T) {
 		t.Errorf("PC = %v", taken.PC())
 	}
 
-	alu := &StaticInstr{PC: 0x1000, Class: ClassALU}
+	alu := mustInstr(t, 0x1000, ClassALU, BranchNone, 0, 0)
 	d := &DynInstr{Static: alu}
 	if d.NextPC() != 0x1004 {
 		t.Errorf("ALU NextPC = %v", d.NextPC())
@@ -131,11 +141,61 @@ func TestDynInstrNextPC(t *testing.T) {
 	}
 }
 
+// TestStaticInstrOperand checks that the shared operand word reads back
+// as the one operand it was given: Target is 0 on loads and stores,
+// DataAddr is 0 on branches, and both are 0 on everything else. The
+// largest address that fits round-trips.
+func TestStaticInstrOperand(t *testing.T) {
+	cases := []struct {
+		class        Class
+		kind         BranchKind
+		target, data Addr
+	}{
+		{ClassLoad, BranchNone, 0, 0x2000_0008},
+		{ClassStore, BranchNone, 0, MaxAddr},
+		{ClassBranch, BranchCond, 0x40_0100, 0},
+		{ClassBranch, BranchCall, MaxAddr, 0},
+		{ClassBranch, BranchReturn, 0, 0},
+		{ClassALU, BranchNone, 0, 0},
+	}
+	for _, c := range cases {
+		si := mustInstr(t, MaxAddr-3, c.class, c.kind, c.target, c.data)
+		if si.PC() != MaxAddr-3 || si.Class != c.class || si.Branch != c.kind {
+			t.Errorf("%v/%v: pc %v, class %v, kind %v", c.class, c.kind, si.PC(), si.Class, si.Branch)
+		}
+		if si.Target() != c.target || si.DataAddr() != c.data {
+			t.Errorf("%v/%v: Target() %v, DataAddr() %v, want %v and %v", c.class, c.kind, si.Target(), si.DataAddr(), c.target, c.data)
+		}
+	}
+}
+
+// TestNewStaticInstrRefuses checks that the constructor refuses what the
+// 16-byte layout cannot hold: an address above 4 GiB, and a target and
+// a data address on one instruction.
+func TestNewStaticInstrRefuses(t *testing.T) {
+	cases := []struct {
+		name             string
+		pc, target, data Addr
+		want             error
+	}{
+		{"pc", MaxAddr + 1, 0, 0, errAddrRange},
+		{"target", 0x1000, MaxAddr + 1, 0, errAddrRange},
+		{"data", 0x1000, 0, 1 << 40, errAddrRange},
+		{"both operands", 0x1000, 0x2000, 0x3000, errTwoOperands},
+	}
+	for _, c := range cases {
+		if _, err := NewStaticInstr(c.pc, ClassBranch, BranchCond, c.target, c.data); err != c.want {
+			t.Errorf("%s: pc %v, target %v, data %v: got error %v, want %v", c.name, c.pc, c.target, c.data, err, c.want)
+		}
+	}
+}
+
 // TestStaticInstrSize pins the image's per-instruction footprint: four
-// 8-byte words (PC, Target, DataAddr, and Class+Branch padded). A new
-// field grows every generated and trace-decoded image by its size.
+// 4-byte words (PC, the shared Target/DataAddr operand, Site, and
+// Class+Branch with the operand's kind). A new field grows every
+// generated and trace-decoded image by its size.
 func TestStaticInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(StaticInstr{}); got != 32 {
-		t.Errorf("sizeof(StaticInstr) = %d, want 32", got)
+	if got := unsafe.Sizeof(StaticInstr{}); got != 16 {
+		t.Errorf("sizeof(StaticInstr) = %d, want 16", got)
 	}
 }

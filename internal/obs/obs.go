@@ -187,10 +187,10 @@ type Observer struct {
 	Life *Lifecycle
 	// Interval is the sampling period in cycles (0 = no sampling).
 	Interval uint64
-	// OnSample, when set, streams each interval sample instead of
-	// buffering it in Samples — the live path for long sweeps (wrap a
-	// MetricsWriter's Write). The callback runs on the simulating
-	// goroutine; it must serialize its own sinks.
+	// OnSample receives each interval sample (wrap a MetricsWriter's
+	// Write to stream them); without it samples are dropped. The
+	// callback runs on the simulating goroutine; it must serialize its
+	// own sinks.
 	OnSample func(IntervalSample)
 
 	// Run tags stamped onto every sample. AttachObserver sets
@@ -201,8 +201,7 @@ type Observer struct {
 	Config    string
 	Salt      uint64
 
-	now     uint64
-	samples []IntervalSample
+	now uint64
 }
 
 // SetNow advances the observer's cycle clock; the sim driver calls it
@@ -213,21 +212,12 @@ func (o *Observer) SetNow(cycle uint64) { o.now = cycle }
 // Now returns the current cycle clock.
 func (o *Observer) Now() uint64 { return o.now }
 
-// AddSample records one interval sample (streaming via OnSample when
-// configured, buffering otherwise).
+// AddSample hands one interval sample to OnSample, if set.
 func (o *Observer) AddSample(s IntervalSample) {
 	if o.OnSample != nil {
 		o.OnSample(s)
-		return
 	}
-	o.samples = append(o.samples, s)
 }
-
-// Samples returns the buffered interval samples (empty when streaming).
-func (o *Observer) Samples() []IntervalSample { return o.samples }
-
-// ResetSamples discards buffered samples (end of warmup).
-func (o *Observer) ResetSamples() { o.samples = o.samples[:0] }
 
 func b2u(b bool) uint64 {
 	if b {

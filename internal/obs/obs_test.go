@@ -195,22 +195,14 @@ func TestHooksDoNotAllocate(t *testing.T) {
 	}
 }
 
-func TestAddSampleBufferAndStream(t *testing.T) {
-	o := &Observer{}
-	o.AddSample(IntervalSample{Cycle: 1})
-	o.AddSample(IntervalSample{Cycle: 2})
-	if got := len(o.Samples()); got != 2 {
-		t.Fatalf("buffered samples = %d, want 2", got)
-	}
-	o.ResetSamples()
-	if got := len(o.Samples()); got != 0 {
-		t.Fatalf("samples after reset = %d, want 0", got)
-	}
+func TestAddSampleStreams(t *testing.T) {
+	(&Observer{}).AddSample(IntervalSample{Cycle: 1}) // no sink: dropped
 
 	var streamed []IntervalSample
-	o = &Observer{OnSample: func(s IntervalSample) { streamed = append(streamed, s) }}
+	o := &Observer{OnSample: func(s IntervalSample) { streamed = append(streamed, s) }}
+	o.AddSample(IntervalSample{Cycle: 2})
 	o.AddSample(IntervalSample{Cycle: 3})
-	if len(streamed) != 1 || len(o.Samples()) != 0 {
-		t.Fatalf("streamed = %d buffered = %d, want 1/0", len(streamed), len(o.Samples()))
+	if len(streamed) != 2 || streamed[0].Cycle != 2 || streamed[1].Cycle != 3 {
+		t.Fatalf("streamed %+v, want the samples of cycles 2 and 3 in order", streamed)
 	}
 }

@@ -24,9 +24,9 @@ func TestRetirementFollowsOracle(t *testing.T) {
 		checked := 0
 		m.BE.RetireObserver = func(fi *frontend.FrontInstr) {
 			want := ref.Next()
-			if fi.Static.PC != want.PC() || fi.Oracle.Taken != want.Taken || fi.Oracle.Target != want.Target {
+			if fi.Static.PC() != want.PC() || fi.Oracle.Taken != want.Taken || fi.Oracle.Target != want.Target {
 				t.Fatalf("%s: retired instr %d at %v (taken %v → %v) diverges from oracle %v (taken %v → %v)",
-					mech, checked, fi.Static.PC, fi.Oracle.Taken, fi.Oracle.Target,
+					mech, checked, fi.Static.PC(), fi.Oracle.Taken, fi.Oracle.Target,
 					want.PC(), want.Taken, want.Target)
 			}
 			checked++

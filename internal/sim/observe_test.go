@@ -13,16 +13,14 @@ import (
 // the final partial interval is flushed).
 func TestIntervalSamplesSumToInstructions(t *testing.T) {
 	cfg := testConfig(MechBaseline)
-	var o *obs.Observer
+	var samples []obs.IntervalSample
 	attach := func(region int, m *Machine) {
-		o = &obs.Observer{Interval: 5_000}
-		m.AttachObserver(o)
+		m.AttachObserver(&obs.Observer{Interval: 5_000, OnSample: func(s obs.IntervalSample) { samples = append(samples, s) }})
 	}
 	results, agg, err := RunSimpointsObserved(cfg, 1, 1, attach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := o.Samples()
 	if len(samples) == 0 {
 		t.Fatal("no interval samples recorded")
 	}

@@ -623,7 +623,6 @@ func (m *Machine) ResetStats() {
 		if m.obs.Life != nil {
 			m.obs.Life.Reset()
 		}
-		m.obs.ResetSamples()
 		m.obsRearm()
 	}
 }

@@ -98,6 +98,9 @@ func FuzzLoadSourceBytes(f *testing.F) {
 	}
 	f.Add(claimingMax(f, valid))
 	f.Add(strayPCTrace(f, workload.ImageBase-isa.InstrBytes))
+	for _, c := range wideOperandImages() {
+		f.Add(imageTrace(f, c.raw))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src, err := LoadSourceBytes("fuzz", data)
 		if err != nil {
@@ -148,6 +151,9 @@ func FuzzImage(f *testing.F) {
 	branch := []byte{imageVersion, 0, 0, 0, 0, 1, byte(isa.ClassBranch), byte(isa.BranchUncond), imageHasTarget}
 	f.Add(binary.AppendVarint(branch, -int64(workload.ImageBase)))
 	f.Add([]byte{imageVersion, 0, 0, 0, 0, 1, byte(isa.ClassLoad), byte(isa.BranchNone), imageHasData, 0})
+	for _, c := range wideOperandImages() {
+		f.Add(c.raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := decodeImage(data)
 		if err != nil {

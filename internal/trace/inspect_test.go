@@ -45,17 +45,21 @@ func fixtureProgram(t testing.TB) *workload.Program {
 	code := make([]isa.StaticInstr, 16)
 	for i := range code {
 		pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
-		code[i] = isa.StaticInstr{PC: pc, Class: isa.ClassALU}
+		class, kind, target, data := isa.ClassALU, isa.BranchNone, isa.Addr(0), isa.Addr(0)
 		if i < len(classes) {
-			code[i].Class = classes[i].c
-			code[i].Branch = classes[i].b
-			if classes[i].b != isa.BranchNone {
-				code[i].Target = workload.ImageBase
+			class, kind = classes[i].c, classes[i].b
+			if kind != isa.BranchNone {
+				target = workload.ImageBase
 			}
-			if classes[i].c == isa.ClassLoad || classes[i].c == isa.ClassStore {
-				code[i].DataAddr = 0x10000
+			if class == isa.ClassLoad || class == isa.ClassStore {
+				data = 0x10000
 			}
 		}
+		si, err := isa.NewStaticInstr(pc, class, kind, target, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code[i] = si
 	}
 	prog, err := workload.NewProgramFromImage(workload.Profile{Name: "fixture"}, workload.ImageBase, code)
 	if err != nil {

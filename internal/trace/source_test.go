@@ -80,6 +80,38 @@ func TestSourceRecordsSizedOnce(t *testing.T) {
 	}
 }
 
+// TestLoadSourceAllocBound holds a trace load to the arrays it keeps.
+// Loading an xgboost recording may allocate its image and record arrays,
+// the compressed file once more (each chunk's payload is read into a
+// buffer of its own) and 2 MiB for the rest: the decompressor, the image
+// decode window and the record chunks' inflate buffer, which grows by
+// doubling to one chunk's ~330 KB and is reused (~1 MB in all).
+// Inflating the 852k-instruction image into a buffer before decoding
+// it, as a load once did, takes ~8 MB more, and ~24 MB with growth.
+func TestLoadSourceAllocBound(t *testing.T) {
+	const records = 80_000
+	var buf bytes.Buffer
+	if err := RecordN2(&buf, workload.MustByName("xgboost"), 1, records); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	src, err := LoadSourceBytes("xgboost", data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := uint64(len(src.prog.StaticCode()))*uint64(unsafe.Sizeof(isa.StaticInstr{})) +
+		uint64(cap(src.recs))*uint64(unsafe.Sizeof(record{}))
+	bound := kept + uint64(len(data)) + 2<<20
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > bound {
+		t.Errorf("LoadSourceBytes allocated %d bytes for %d kept in image and records and a %d-byte file (bound %d)",
+			got, kept, len(data), bound)
+	}
+}
+
 // TestSourceRejectsStrayPC checks that a record whose PC is not an
 // instruction of the embedded image fails the load with a *FormatError
 // naming its record chunk.

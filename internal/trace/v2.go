@@ -169,20 +169,21 @@ func appendImageHeader(b []byte, img *image) []byte {
 func appendImageInstrs(b []byte, code []isa.StaticInstr, lo, hi int) []byte {
 	for i := lo; i < hi; i++ {
 		in := &code[i]
+		target, data := in.Target(), in.DataAddr()
 		var flags byte
-		if in.Target != 0 {
+		if target != 0 {
 			flags |= imageHasTarget
 		}
-		if in.DataAddr != 0 {
+		if data != 0 {
 			flags |= imageHasData
 		}
 		b = append(b, byte(in.Class), byte(in.Branch), flags)
-		if in.Target != 0 {
+		if target != 0 {
 			pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
-			b = binary.AppendVarint(b, int64(in.Target-pc))
+			b = binary.AppendVarint(b, int64(target-pc))
 		}
-		if in.DataAddr != 0 {
-			b = binary.AppendUvarint(b, uint64(in.DataAddr))
+		if data != 0 {
+			b = binary.AppendUvarint(b, uint64(data))
 		}
 	}
 	return b
@@ -234,39 +235,114 @@ func minimal(b []byte, n int) bool {
 	return n == 1 || (n > 1 && b[n-1] != 0)
 }
 
-// decodeImage parses a binary image payload. It bounds the claimed
-// instruction count by the bytes that follow before allocating, so a
-// short payload cannot claim a huge image.
-func decodeImage(b []byte) (*image, error) {
+// imageInstrMaxLen is the longest instruction encoding: the three fixed
+// bytes and two ten-byte varints.
+const imageInstrMaxLen = imageInstrMinLen + 2*binary.MaxVarintLen64
+
+// imageWindowBytes is the size of the window imageStream reads the
+// decompressed payload through.
+const imageWindowBytes = 64 << 10
+
+// imageStream is a decompressed image payload read through one small
+// window, so a decode never holds the whole payload: the image it
+// builds is the only allocation that grows with the image.
+type imageStream struct {
+	r     io.Reader
+	buf   []byte // the window
+	b     []byte // its unread bytes
+	total uint64 // bytes read from r
+	eof   bool   // r is exhausted
+	err   error  // r failed, or yielded more than decompressedLimit bytes
+}
+
+// want reports whether n bytes are unread, reading more into the
+// window when fewer are and r holds more. n is at most the window.
+func (s *imageStream) want(n int) bool {
+	if len(s.b) >= n {
+		return true
+	}
+	s.fill()
+	return len(s.b) >= n
+}
+
+// fill moves the unread bytes to the window's front and reads until
+// the window is full or r ends.
+func (s *imageStream) fill() {
+	if s.eof || s.err != nil {
+		return
+	}
+	k := copy(s.buf, s.b)
+	for k < len(s.buf) && !s.eof && s.err == nil {
+		m, err := s.r.Read(s.buf[k:])
+		k += m
+		s.total += uint64(m)
+		switch {
+		case s.total > decompressedLimit:
+			s.err = fmt.Errorf("decompressed payload exceeds %d bytes", decompressedLimit)
+		case err == io.EOF:
+			s.eof = true
+		case err != nil:
+			s.err = err
+		}
+	}
+	s.b = s.buf[:k]
+}
+
+// left is how many of the payload's at most maxLen bytes can still
+// follow the ones decoded so far.
+func (s *imageStream) left(maxLen uint64) uint64 {
+	if used := s.total - uint64(len(s.b)); used < maxLen {
+		return maxLen - used
+	}
+	return 0
+}
+
+// readImage parses a binary image payload of at most maxLen bytes from
+// s. It bounds the claimed instruction count by the bytes that can
+// follow before allocating, so a short payload cannot claim a huge
+// image.
+func readImage(s *imageStream, maxLen uint64) (*image, error) {
 	fail := func(format string, args ...any) (*image, error) {
+		if s.err != nil {
+			return nil, &FormatError{Chunk: 0, Reason: "image decompress", Err: s.err}
+		}
 		return nil, &FormatError{Chunk: 0, Reason: "image: " + fmt.Sprintf(format, args...)}
 	}
-	if len(b) == 0 {
+	if !s.want(1) {
 		return fail("empty payload")
 	}
-	if b[0] == '{' {
+	if s.b[0] == '{' {
 		return fail("JSON image from a trace recorded before the binary image format; re-record the trace")
 	}
-	if b[0] != imageVersion {
-		return fail("unsupported image version %d (want %d)", b[0], imageVersion)
+	if s.b[0] != imageVersion {
+		return fail("unsupported image version %d (want %d)", s.b[0], imageVersion)
 	}
-	b = b[1:]
+	s.b = s.b[1:]
 	bad := false
 	next := func() uint64 {
-		v, n := binary.Uvarint(b)
-		if !minimal(b, n) {
+		s.want(binary.MaxVarintLen64)
+		v, n := binary.Uvarint(s.b)
+		if !minimal(s.b, n) {
 			bad = true
 			return 0
 		}
-		b = b[n:]
+		s.b = s.b[n:]
 		return v
 	}
 	nameLen := next()
-	if bad || nameLen > uint64(len(b)) {
+	if bad || nameLen > s.left(maxLen) {
 		return fail("truncated header")
 	}
-	img := &image{name: string(b[:nameLen])}
-	b = b[nameLen:]
+	var name []byte
+	for uint64(len(name)) < nameLen {
+		if !s.want(1) {
+			return fail("truncated header")
+		}
+		m := min(uint64(len(s.b)), nameLen-uint64(len(name)))
+		name = append(name, s.b[:m]...)
+		s.b = s.b[m:]
+	}
+	img := &image{name: string(name)}
 	img.seed, img.salt, img.entry = next(), next(), isa.Addr(next())
 	count := next()
 	if bad {
@@ -275,29 +351,30 @@ func decodeImage(b []byte) (*image, error) {
 	if count > imageInstrsMax {
 		return fail("implausible size %d instrs", count)
 	}
-	if count > uint64(len(b)/imageInstrMinLen) {
-		return fail("claims %d instrs but only %d bytes follow", count, len(b))
+	if follow := s.left(maxLen); count > follow/imageInstrMinLen {
+		return fail("claims %d instrs but at most %d bytes follow", count, follow)
 	}
 	img.code = make([]isa.StaticInstr, count)
 	for i := range img.code {
-		if len(b) < imageInstrMinLen {
+		if !s.want(imageInstrMinLen) {
 			return fail("truncated at instr %d", i)
 		}
+		s.want(imageInstrMaxLen)
+		b := s.b
 		class, kind, flags := b[0], b[1], b[2]
 		b = b[imageInstrMinLen:]
 		if int(class) >= isa.NumClasses || int(kind) >= isa.NumBranchKinds || flags&^(imageHasTarget|imageHasData) != 0 {
 			return fail("instr %d: bad class %d, branch kind %d or flags %#x", i, class, kind, flags)
 		}
 		pc := workload.ImageBase + isa.Addr(i*isa.InstrBytes)
-		in := &img.code[i]
-		*in = isa.StaticInstr{PC: pc, Class: isa.Class(class), Branch: isa.BranchKind(kind)}
+		var target, data isa.Addr
 		if flags&imageHasTarget != 0 {
 			d, n := binary.Varint(b)
 			if !minimal(b, n) {
 				return fail("instr %d: malformed target", i)
 			}
 			b = b[n:]
-			if in.Target = pc + isa.Addr(d); in.Target == 0 {
+			if target = pc + isa.Addr(d); target == 0 {
 				return fail("instr %d: target flag with a zero target", i)
 			}
 		}
@@ -307,11 +384,18 @@ func decodeImage(b []byte) (*image, error) {
 				return fail("instr %d: malformed data address", i)
 			}
 			b = b[n:]
-			in.DataAddr = isa.Addr(v)
+			data = isa.Addr(v)
 		}
+		in, err := isa.NewStaticInstr(pc, isa.Class(class), isa.BranchKind(kind), target, data)
+		if err != nil {
+			return fail("instr %d: %v", i, err)
+		}
+		img.code[i] = in
+		s.b = b
 	}
-	if len(b) != 0 {
-		return fail("%d trailing bytes", len(b))
+	// Reading on to the end also runs the decompressor's checksums.
+	if s.want(1) || s.err != nil {
+		return fail("trailing bytes after %d instrs", count)
 	}
 	return img, nil
 }
@@ -514,17 +598,15 @@ func NewReader2(r io.Reader) (*Reader2, error) {
 	if records != 0 {
 		return nil, &FormatError{Chunk: 0, Reason: "image chunk claims records"}
 	}
-	raw, err := rd.gunzip(payload)
-	if err != nil {
+	// The image inflates to megabytes, so it decodes straight from the
+	// decompressor; the payload's deflate ceiling bounds its claims.
+	if err := rd.resetGzip(payload); err != nil {
 		return nil, &FormatError{Chunk: 0, Reason: "image decompress", Err: err}
 	}
-	if rd.img, err = decodeImage(raw); err != nil {
+	s := &imageStream{r: rd.zr, buf: make([]byte, imageWindowBytes)}
+	if rd.img, err = readImage(s, min(deflateRatioMax*uint64(len(payload)), decompressedLimit)); err != nil {
 		return nil, err
 	}
-	// The image inflates to megabytes, a record chunk to a few hundred
-	// kilobytes: let the image's buffer go rather than hold it while the
-	// records decode.
-	rd.zbuf = nil
 	rd.chunk = 1
 	return rd, nil
 }
@@ -532,14 +614,7 @@ func NewReader2(r io.Reader) (*Reader2, error) {
 // gunzip decompresses b into the reader's reused buffer, with an
 // allocation bound. The result is valid until the next call.
 func (r *Reader2) gunzip(b []byte) ([]byte, error) {
-	src := bytes.NewReader(b)
-	if r.zr == nil {
-		zr, err := gzip.NewReader(src)
-		if err != nil {
-			return nil, err
-		}
-		r.zr = zr
-	} else if err := r.zr.Reset(src); err != nil {
+	if err := r.resetGzip(b); err != nil {
 		return nil, err
 	}
 	out := bytes.NewBuffer(r.zbuf[:0])
@@ -551,6 +626,17 @@ func (r *Reader2) gunzip(b []byte) ([]byte, error) {
 	}
 	r.zbuf = out.Bytes()
 	return r.zbuf, nil
+}
+
+// resetGzip points the reader's reused decompressor at the gzip stream b.
+func (r *Reader2) resetGzip(b []byte) error {
+	src := bytes.NewReader(b)
+	if r.zr == nil {
+		zr, err := gzip.NewReader(src)
+		r.zr = zr
+		return err
+	}
+	return r.zr.Reset(src)
 }
 
 // readChunk reads and CRC-verifies one framed chunk.

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"udpsim/internal/isa"
 	"udpsim/internal/workload"
 )
 
@@ -183,6 +184,12 @@ func imageTrace(t testing.TB, raw []byte) []byte {
 	return buf.Bytes()
 }
 
+// decodeImage parses a binary image payload held in memory, as
+// NewReader2 does one read from its decompressor.
+func decodeImage(b []byte) (*image, error) {
+	return readImage(&imageStream{b: b, total: uint64(len(b)), eof: true}, uint64(len(b)))
+}
+
 // lyingImage is an image payload whose header claims count
 // instructions but which holds the bytes of only one.
 func lyingImage(count uint64) []byte {
@@ -207,6 +214,53 @@ func TestV2ImageLyingCount(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Errorf("count %d: rejecting the image allocated %d bytes", count, grew)
 		}
+	}
+}
+
+// wideOperandImages are one-instruction image payloads whose operands
+// an isa.StaticInstr cannot hold: a target or a data address at 4 GiB,
+// and an instruction with both a target and a data address.
+func wideOperandImages() []struct {
+	name string
+	raw  []byte
+} {
+	instr := func(class isa.Class, kind isa.BranchKind, flags byte) []byte {
+		return []byte{imageVersion, 0, 0, 0, 0, 1, byte(class), byte(kind), flags}
+	}
+	tooFar := int64(isa.MaxAddr + 1 - workload.ImageBase)
+	both := binary.AppendVarint(instr(isa.ClassBranch, isa.BranchCond, imageHasTarget|imageHasData), 64)
+	return []struct {
+		name string
+		raw  []byte
+	}{
+		{"target at 4 GiB", binary.AppendVarint(instr(isa.ClassBranch, isa.BranchUncond, imageHasTarget), tooFar)},
+		{"data at 4 GiB", binary.AppendUvarint(instr(isa.ClassLoad, isa.BranchNone, imageHasData), uint64(isa.MaxAddr)+1)},
+		{"target and data", binary.AppendUvarint(both, 0x1000_0000)},
+	}
+}
+
+// TestV2ImageRejectsWideOperands checks that an image naming an address
+// at or above 4 GiB, or giving one instruction both a target and a data
+// address, fails with a chunk-0 *FormatError, alone and inside a trace.
+// The largest address that fits still decodes.
+func TestV2ImageRejectsWideOperands(t *testing.T) {
+	for _, c := range wideOperandImages() {
+		_, err := decodeImage(c.raw)
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Chunk != 0 {
+			t.Errorf("%s: decodeImage: want a chunk-0 *FormatError, got %v", c.name, err)
+		}
+		if fe := wantFormatError(t, imageTrace(t, c.raw)); fe.Chunk != 0 {
+			t.Errorf("%s: trace rejected at chunk %d, want 0", c.name, fe.Chunk)
+		}
+	}
+	top := []byte{imageVersion, 0, 0, 0, 0, 1, byte(isa.ClassLoad), byte(isa.BranchNone), imageHasData}
+	img, err := decodeImage(binary.AppendUvarint(top, uint64(isa.MaxAddr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := img.code[0].DataAddr(); got != isa.MaxAddr {
+		t.Errorf("data address %v decoded as %v", isa.MaxAddr, got)
 	}
 }
 

@@ -77,16 +77,16 @@ func (e *Executor) Next() isa.DynInstr {
 	case si.Branch == isa.BranchCond:
 		d.Taken = e.resolveCond(si)
 		if d.Taken {
-			d.Target = si.Target
+			d.Target = si.Target()
 		} else {
 			d.Target = si.FallThrough()
 		}
 	case si.Branch == isa.BranchUncond:
 		d.Taken = true
-		d.Target = si.Target
+		d.Target = si.Target()
 	case si.Branch == isa.BranchCall:
 		d.Taken = true
-		d.Target = si.Target
+		d.Target = si.Target()
 		e.stack = append(e.stack, si.FallThrough())
 	case si.Branch == isa.BranchReturn:
 		d.Taken = true
@@ -171,7 +171,7 @@ func (e *Executor) resolveIndirect(si *isa.StaticInstr) isa.Addr {
 	if m == nil || len(m.Targets) == 0 {
 		return si.FallThrough()
 	}
-	if si.PC == e.prog.dispatchPC && e.prog.profile.DispatchSequential {
+	if si.PC() == e.prog.dispatchPC && e.prog.profile.DispatchSequential {
 		idx := int(e.dispatchRR) % len(m.Targets)
 		e.dispatchRR++
 		return m.Targets[idx]
@@ -184,7 +184,7 @@ func (e *Executor) resolveIndirect(si *isa.StaticInstr) isa.Addr {
 			break
 		}
 	}
-	if e.phaseShift != 0 && si.PC == e.prog.dispatchPC {
+	if e.phaseShift != 0 && si.PC() == e.prog.dispatchPC {
 		idx = (idx + e.phaseShift) % len(m.Targets)
 	}
 	return m.Targets[idx]
@@ -196,7 +196,7 @@ func (e *Executor) resolveIndirect(si *isa.StaticInstr) isa.Addr {
 // access (exercising the stream prefetcher).
 func (e *Executor) resolveData(si *isa.StaticInstr) isa.Addr {
 	const streamRegion = 0x30000000
-	a := si.DataAddr
+	a := si.DataAddr()
 	switch {
 	case uint64(a) >= 0x20000000 && uint64(a) < 0x30000000:
 		span := e.prog.profile.DataRegionBytes

@@ -95,6 +95,9 @@ func Generate(p Profile) (*Program, error) {
 	}
 	sized := &builder{prog: &Program{profile: p, FuncEntries: make([]isa.Addr, p.Funcs)}, sizing: true}
 	sized.run()
+	if end := pcOf(sized.n); end > isa.MaxAddr {
+		return nil, fmt.Errorf("workload %s: %d instructions run past the 4 GiB address space (to %v)", p.Name, sized.n, end)
+	}
 	counts := sized.prog
 
 	prog := &Program{
@@ -159,8 +162,8 @@ func NewProgramFromImage(p Profile, entry isa.Addr, code []isa.StaticInstr) (*Pr
 	pr := &Program{profile: p, code: code, entry: entry}
 	start := 0
 	for i := range code {
-		if want := pcOf(i); code[i].PC != want {
-			return nil, fmt.Errorf("workload: image not dense at instr %d: pc %#x, want %#x", i, code[i].PC, want)
+		if want := pcOf(i); code[i].PC() != want {
+			return nil, fmt.Errorf("workload: image not dense at instr %d: pc %#x, want %#x", i, code[i].PC(), want)
 		}
 		switch code[i].Branch {
 		case isa.BranchCond:
@@ -200,16 +203,37 @@ func (b *builder) emit(class isa.Class, kind isa.BranchKind, target, data isa.Ad
 	i := b.n
 	b.n++
 	if !b.sizing {
-		b.prog.code[i] = isa.StaticInstr{PC: pcOf(i), Class: class, Branch: kind, Target: target, DataAddr: data}
+		b.put(i, class, kind, target, data)
 	}
 	return i
+}
+
+// put builds instruction i into the code array. It is emit's build-pass
+// half, kept out of emit so that emit inlines and the sizing pass makes
+// no call per instruction.
+func (b *builder) put(i int, class isa.Class, kind isa.BranchKind, target, data isa.Addr) {
+	b.prog.code[i] = mustInstr(pcOf(i), class, kind, target, data)
 }
 
 // setTarget backpatches instruction i's branch target.
 func (b *builder) setTarget(i int, target isa.Addr) {
 	if !b.sizing {
-		b.prog.code[i].Target = target
+		si := &b.prog.code[i]
+		site := si.Site
+		*si = mustInstr(si.PC(), si.Class, si.Branch, target, 0)
+		si.Site = site
 	}
+}
+
+// mustInstr is isa.NewStaticInstr for the generator, whose addresses
+// always fit: Generate bounds the image and Profile.Validate the data
+// regions before any instruction is built.
+func mustInstr(pc isa.Addr, class isa.Class, kind isa.BranchKind, target, data isa.Addr) isa.StaticInstr {
+	si, err := isa.NewStaticInstr(pc, class, kind, target, data)
+	if err != nil {
+		panic(err)
+	}
+	return si
 }
 
 // emitStatement generates one statement (possibly nested).
@@ -503,9 +527,15 @@ func (pr *Program) FootprintBytes() int { return len(pr.code) * isa.InstrBytes }
 // PadNop is the instruction at a pc outside the image, which only a
 // deep wrong-path walk reaches: a synthetic nop, so the frontend keeps
 // walking — and polluting the icache — exactly as hardware running into
-// unmapped bytes would.
+// unmapped bytes would. Past isa.MaxAddr, which only a walk from a
+// crafted trace's target reaches, the nop's PC reads 0: the frontend
+// reads a static PC only on branches and on retirement, which a nop
+// outside the image never reaches.
 func PadNop(pc isa.Addr) isa.StaticInstr {
-	return isa.StaticInstr{PC: pc, Class: isa.ClassNop}
+	if pc > isa.MaxAddr {
+		pc = 0
+	}
+	return mustInstr(pc, isa.ClassNop, isa.BranchNone, 0, 0)
 }
 
 // Index returns the layout index of the instruction at pc, and false

@@ -42,11 +42,11 @@ func imageDigest(pr *Program) string {
 	flush()
 	for i := range pr.code {
 		si := &pr.code[i]
-		u64(uint64(si.PC))
+		u64(uint64(si.PC()))
 		buf = append(buf, byte(si.Class), byte(si.Branch))
-		u64(uint64(si.Target))
-		u64(uint64(si.DataAddr))
-		if m := pr.CondMetaAt(si.PC); m != nil {
+		u64(uint64(si.Target()))
+		u64(uint64(si.DataAddr()))
+		if m := pr.CondMetaAt(si.PC()); m != nil {
 			buf = append(buf, 'c', byte(m.Behavior))
 			u64(uint64(m.Idx))
 			f64(m.PTaken)
@@ -55,7 +55,7 @@ func imageDigest(pr *Program) string {
 			u64(uint64(m.Trip))
 			u64(uint64(m.TripJitter))
 		}
-		if m := pr.IndirectMetaAt(si.PC); m != nil {
+		if m := pr.IndirectMetaAt(si.PC()); m != nil {
 			buf = append(buf, 'i')
 			u64(uint64(len(m.Targets)))
 			for _, a := range m.Targets {

@@ -130,7 +130,8 @@ type Profile struct {
 	// DataRandFrac is the fraction of loads touching a large random
 	// region (dcache misses); the rest hit small hot/stream regions.
 	DataRandFrac float64
-	// DataRegionBytes is the size of the random data region.
+	// DataRegionBytes is the size of the random data region, at most
+	// MaxDataRegionBytes; 0 means 16 MiB.
 	DataRegionBytes uint64
 
 	// --- phases ---
@@ -167,8 +168,16 @@ func (p *Profile) Validate() error {
 	if p.SwitchTargets[0] < 2 || p.SwitchTargets[1] < p.SwitchTargets[0] {
 		return fmt.Errorf("workload %s: bad SwitchTargets %v", p.Name, p.SwitchTargets)
 	}
+	if p.DataRegionBytes > MaxDataRegionBytes {
+		return fmt.Errorf("workload %s: DataRegionBytes %d exceeds %d", p.Name, p.DataRegionBytes, uint64(MaxDataRegionBytes))
+	}
 	return nil
 }
+
+// MaxDataRegionBytes bounds Profile.DataRegionBytes: the random region
+// starts at 0x2000_0000 and must end by 0x3000_0000, where the
+// executor's stream region begins.
+const MaxDataRegionBytes = 1 << 28
 
 // Key returns the canonical, collision-free serialization of every
 // profile field. It is the synthetic half of the workload-source cache

@@ -3,6 +3,8 @@ package workload
 import (
 	"strings"
 	"testing"
+
+	"udpsim/internal/isa"
 )
 
 func tinySourceProfile() Profile {
@@ -67,7 +69,12 @@ func TestNewProgramFromImageRejectsSparseCode(t *testing.T) {
 	p := tinySourceProfile()
 	code := MustGenerate(p).StaticCode()
 	sparse := append(code[:0:0], code...)
-	sparse[3].PC += 4 // break density
+	si := &sparse[3]
+	shifted, err := isa.NewStaticInstr(si.PC()+4, si.Class, si.Branch, si.Target(), si.DataAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse[3] = shifted // break density
 	if _, err := NewProgramFromImage(p, ImageBase, sparse); err == nil {
 		t.Error("sparse code accepted")
 	}

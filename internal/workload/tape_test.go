@@ -22,7 +22,7 @@ func TestTapeMatchesExecutor(t *testing.T) {
 	want := make([]DynRecord, n)
 	for i := range want {
 		d := ref.Next()
-		want[i] = DynRecord{Seq: d.Seq, PC: d.Static.PC, Target: d.Target, Taken: d.Taken, Data: d.DataAddr}
+		want[i] = DynRecord{Seq: d.Seq, PC: d.Static.PC(), Target: d.Target, Taken: d.Taken, Data: d.DataAddr}
 	}
 
 	tape := NewTape(prog, 42)
@@ -31,7 +31,7 @@ func TestTapeMatchesExecutor(t *testing.T) {
 	lagPos := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		d := lead.At(i)
-		if got := (DynRecord{Seq: d.Seq, PC: d.Static.PC, Target: d.Target, Taken: d.Taken, Data: d.DataAddr}); got != want[i] {
+		if got := (DynRecord{Seq: d.Seq, PC: d.Static.PC(), Target: d.Target, Taken: d.Taken, Data: d.DataAddr}); got != want[i] {
 			t.Fatalf("lead record %d: got %+v want %+v", i, got, want[i])
 		}
 		// The lagging reader trails by the full rewind window.

@@ -62,6 +62,7 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		mk(func(p *Profile) { p.DispatchTargets = p.Funcs + 1 }),
 		mk(func(p *Profile) { p.LoopTrip = [2]int{0, 4} }),
 		mk(func(p *Profile) { p.SwitchTargets = [2]int{1, 4} }),
+		mk(func(p *Profile) { p.DataRegionBytes = MaxDataRegionBytes + 1 }),
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -69,6 +70,25 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		}
 		if _, err := Generate(p); err == nil {
 			t.Errorf("Generate accepted bad profile %d", i)
+		}
+	}
+}
+
+// TestDataRegionBound checks that the largest random region Validate
+// accepts keeps every static data address below the executor's stream
+// region at 0x3000_0000.
+func TestDataRegionBound(t *testing.T) {
+	p := tinyProfile()
+	p.DataRandFrac = 1
+	p.DataRegionBytes = MaxDataRegionBytes
+	prog, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range prog.StaticCode() {
+		si := &prog.StaticCode()[i]
+		if a := si.DataAddr(); si.Class == isa.ClassLoad && (a < 0x2000_0000 || a >= 0x3000_0000) {
+			t.Fatalf("load at %v reads %v, outside the random region", si.PC(), a)
 		}
 	}
 }
@@ -106,20 +126,20 @@ func TestImageStructure(t *testing.T) {
 		si := prog.InstrAt(ImageBase + isa.Addr(i*isa.InstrBytes))
 		switch si.Branch {
 		case isa.BranchCond:
-			if prog.CondMetaAt(si.PC) == nil {
-				t.Fatalf("cond at %v has no behaviour metadata", si.PC)
+			if prog.CondMetaAt(si.PC()) == nil {
+				t.Fatalf("cond at %v has no behaviour metadata", si.PC())
 			}
-			if !prog.InImage(si.Target) {
-				t.Fatalf("cond target %v outside image", si.Target)
+			if !prog.InImage(si.Target()) {
+				t.Fatalf("cond target %v outside image", si.Target())
 			}
 		case isa.BranchUncond, isa.BranchCall:
-			if !prog.InImage(si.Target) {
-				t.Fatalf("%v target %v outside image", si.Branch, si.Target)
+			if !prog.InImage(si.Target()) {
+				t.Fatalf("%v target %v outside image", si.Branch, si.Target())
 			}
 		case isa.BranchIndirect, isa.BranchIndirectCall:
-			m := prog.IndirectMetaAt(si.PC)
+			m := prog.IndirectMetaAt(si.PC())
 			if m == nil || len(m.Targets) == 0 {
-				t.Fatalf("indirect at %v has no targets", si.PC)
+				t.Fatalf("indirect at %v has no targets", si.PC())
 			}
 			for _, tg := range m.Targets {
 				if !prog.InImage(tg) {
@@ -127,7 +147,7 @@ func TestImageStructure(t *testing.T) {
 				}
 			}
 			if len(m.Cum) != len(m.Targets) {
-				t.Fatalf("cumulative table mismatch at %v", si.PC)
+				t.Fatalf("cumulative table mismatch at %v", si.PC())
 			}
 		}
 	}
@@ -195,18 +215,18 @@ func TestExecutorControlFlowLegal(t *testing.T) {
 		switch {
 		case si.Branch == isa.BranchNone:
 			if d.Target != si.FallThrough() {
-				t.Fatalf("non-branch at %v jumped to %v", si.PC, d.Target)
+				t.Fatalf("non-branch at %v jumped to %v", si.PC(), d.Target)
 			}
 		case si.Branch == isa.BranchCond:
-			if d.Taken && d.Target != si.Target {
-				t.Fatalf("taken cond at %v went to %v, want %v", si.PC, d.Target, si.Target)
+			if d.Taken && d.Target != si.Target() {
+				t.Fatalf("taken cond at %v went to %v, want %v", si.PC(), d.Target, si.Target())
 			}
 			if !d.Taken && d.Target != si.FallThrough() {
-				t.Fatalf("not-taken cond at %v went to %v", si.PC, d.Target)
+				t.Fatalf("not-taken cond at %v went to %v", si.PC(), d.Target)
 			}
 		case si.Branch.AlwaysTaken():
 			if !d.Taken {
-				t.Fatalf("%v at %v resolved not-taken", si.Branch, si.PC)
+				t.Fatalf("%v at %v resolved not-taken", si.Branch, si.PC())
 			}
 		}
 		prev = d
@@ -418,6 +438,22 @@ func TestExecutorNeverTrapped(t *testing.T) {
 		}
 		if dispatches == 0 {
 			t.Errorf("%s: executor trapped after 2M instructions", p.Name)
+		}
+	}
+}
+
+// TestPadNop checks the nop an out-of-image walk reads: at its own PC,
+// and with PC 0 past isa.MaxAddr, which a wrong-path walk from a
+// crafted trace's target can reach.
+func TestPadNop(t *testing.T) {
+	for _, c := range []struct{ pc, want isa.Addr }{
+		{ImageBase - isa.InstrBytes, ImageBase - isa.InstrBytes},
+		{isa.MaxAddr - 3, isa.MaxAddr - 3},
+		{isa.MaxAddr + 1, 0},
+	} {
+		n := PadNop(c.pc)
+		if n.Class != isa.ClassNop || n.IsBranch() || n.PC() != c.want || n.Target() != 0 || n.DataAddr() != 0 {
+			t.Errorf("PadNop(%v) = %+v, want a nop at %v", c.pc, n, c.want)
 		}
 	}
 }
