@@ -50,10 +50,15 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON of the measured region (load in Perfetto)")
 		traceCap   = flag.Int("trace-cap", 0, "event ring capacity per region (0 = default 1Mi events)")
 		metricsOut = flag.String("metrics-out", "", "write a per-interval metrics time series (.csv, or .jsonl/.json for JSON lines)")
-		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out (0 with -metrics-out defaults to 10000)")
+		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out, which it requires (0 defaults to 10000)")
 		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
 	)
 	flag.Parse()
+	if *interval > 0 && *metricsOut == "" {
+		// The samples would have no sink to go to.
+		fmt.Fprintln(os.Stderr, "udpsim: -interval needs -metrics-out")
+		os.Exit(2)
+	}
 
 	log := obs.NewLogger(os.Stderr, *verbose)
 	fatal := func(msg string, args ...any) {
@@ -148,7 +153,7 @@ func main() {
 	if err != nil {
 		fatal("metrics-out create failed", "err", err)
 	}
-	observing := *traceOut != "" || metrics != nil || *interval > 0
+	observing := *traceOut != "" || metrics != nil
 	var (
 		obsMu     sync.Mutex
 		observers = map[int]*obs.Observer{}

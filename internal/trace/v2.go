@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -613,19 +614,44 @@ func NewReader2(r io.Reader) (*Reader2, error) {
 
 // gunzip decompresses b into the reader's reused buffer, with an
 // allocation bound. The result is valid until the next call.
+//
+// The buffer is sized once from the gzip member's ISIZE trailer, the
+// decompressed length mod 2^32. The trailer is untrusted: it only sizes
+// the allocation, bounded by b's deflate ceiling and decompressedLimit,
+// and the real length is whatever the decompressor yields. A buffer one
+// byte longer than the claim takes the end-of-stream read without
+// growing; a stream longer than its claim grows the buffer by append.
 func (r *Reader2) gunzip(b []byte) ([]byte, error) {
 	if err := r.resetGzip(b); err != nil {
 		return nil, err
 	}
-	out := bytes.NewBuffer(r.zbuf[:0])
-	if _, err := out.ReadFrom(io.LimitReader(r.zr, decompressedLimit+1)); err != nil {
-		return nil, err
+	var claim uint64
+	if len(b) >= 4 {
+		claim = uint64(binary.LittleEndian.Uint32(b[len(b)-4:]))
 	}
-	if out.Len() > decompressedLimit {
-		return nil, fmt.Errorf("decompressed payload exceeds %d bytes", decompressedLimit)
+	claim = min(claim, deflateRatioMax*uint64(len(b)), decompressedLimit)
+	if uint64(cap(r.zbuf)) <= claim {
+		r.zbuf = make([]byte, 0, claim+1)
 	}
-	r.zbuf = out.Bytes()
-	return r.zbuf, nil
+	out := r.zbuf[:0]
+	for {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, 1)
+		}
+		n, err := r.zr.Read(out[len(out):min(cap(out), decompressedLimit+1)])
+		out = out[:len(out)+n]
+		if len(out) > decompressedLimit {
+			return nil, fmt.Errorf("decompressed payload exceeds %d bytes", decompressedLimit)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.zbuf = out
+	return out, nil
 }
 
 // resetGzip points the reader's reused decompressor at the gzip stream b.

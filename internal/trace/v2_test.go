@@ -8,6 +8,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -157,6 +158,50 @@ func gzipBytes(b []byte, level int) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// TestGunzipTrailer checks that a record chunk's inflate buffer is sized
+// once from the gzip ISIZE trailer, and that the trailer is not trusted:
+// a payload of two members, whose trailer gives only the second's
+// length, still inflates in full, and a trailer claiming 4 GiB sizes
+// the buffer to no more than the payload's deflate ceiling.
+func TestGunzipTrailer(t *testing.T) {
+	raw := bytes.Repeat([]byte("udpsim record bytes "), 5000)
+	one, err := gzipBytes(raw, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := new(Reader2)
+	got, err := r.gunzip(one)
+	if err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("one member: got %d bytes, %v; want the %d raw bytes", len(got), err, len(raw))
+	}
+	if c := cap(r.zbuf); c != len(raw)+1 {
+		t.Errorf("one member: buffer cap %d, want %d (the trailer's length plus one)", c, len(raw)+1)
+	}
+
+	head, err := gzipBytes(raw[:len(raw)-100], gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := gzipBytes(raw[len(raw)-100:], gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = new(Reader2).gunzip(append(head, tail...))
+	if err != nil || !bytes.Equal(got, raw) {
+		t.Errorf("two members: got %d bytes, %v; want the %d raw bytes", len(got), err, len(raw))
+	}
+
+	lying := bytes.Clone(one)
+	binary.LittleEndian.PutUint32(lying[len(lying)-4:], math.MaxUint32)
+	r = new(Reader2)
+	if _, err := r.gunzip(lying); err == nil {
+		t.Error("a trailer claiming 4 GiB inflated without error")
+	}
+	if c, ceiling := uint64(cap(r.zbuf)), deflateRatioMax*uint64(len(lying)); c > ceiling+1 {
+		t.Errorf("a trailer claiming 4 GiB sized the buffer to %d bytes, past the payload's %d-byte deflate ceiling", c, ceiling)
+	}
 }
 
 // imageTrace frames raw as the (gzipped) image payload of an otherwise

@@ -2,6 +2,10 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sort"
+	"sync"
 
 	"udpsim/internal/isa"
 )
@@ -65,72 +69,144 @@ type Program struct {
 	NumCalls    int
 }
 
-// builder lays out a program image; Generate runs it twice.
+// builder lays out a program image. Generate runs one sizing builder
+// over the whole image, then one build builder per shard.
 type builder struct {
 	prog *Program
-	r    *rng
+	r    rng
 	p    *Profile
-	// sizing marks the counting pass: nothing is stored, only n, the
-	// static counts and FuncEntries advance.
+	// sizing marks the counting pass: it stores no instruction, but it
+	// alone writes the Program's FuncEntries, entry, dispatch PC and
+	// static counts, and it records ckpts.
 	sizing bool
-	// n is the number of instructions emitted so far.
-	n      int
-	levels []int
-	depth  int
+	// n is the number of instructions emitted so far; cond, indirect and
+	// calls count the sites emitted so far. cond and indirect are also
+	// the next site indices.
+	n, cond, indirect, calls int
+	levels                   []int
+	depth                    int
+	// ckpts is the sizing pass's record of the generator's state at each
+	// function's entry, ckpts[p.Funcs] being the state after the
+	// dispatcher: the end of the image.
+	ckpts []checkpoint
 }
 
+// checkpoint is the builder's whole state between two functions, so a
+// build shard can start at any function without replaying the ones
+// before it. It holds no depth: every function starts at depth 0.
+type checkpoint struct {
+	r                 rng
+	n, cond, indirect int
+}
+
+func (b *builder) state() checkpoint {
+	return checkpoint{r: b.r, n: b.n, cond: b.cond, indirect: b.indirect}
+}
+
+// minShardInstrs is the least work Generate gives one build shard: an
+// image smaller than two of these is built on the calling goroutine.
+const minShardInstrs = 1 << 14
+
 // Generate builds the program image for a profile. Generation is fully
-// deterministic in Profile.Seed.
+// deterministic in Profile.Seed, and the image is the same on any
+// number of cores.
 //
-// The builder runs twice, each time from a fresh generator with the
-// same seed, so both passes draw the same random stream and lay out the
-// same code. The sizing pass stores nothing; it yields the instruction,
-// conditional and indirect counts and every function's entry address.
-// The build pass then writes into a code array made once at its exact
-// size (no regrowth, no spare capacity) and emits each direct call with
-// its callee's entry already known, so no call needs a fixup.
-func Generate(p Profile) (*Program, error) {
+// A sizing pass runs the builder over the whole image, storing nothing;
+// it yields the instruction, conditional and indirect counts, every
+// function's entry address, and a checkpoint of the generator at every
+// function's entry. The code array and both site tables are then made
+// once at their exact sizes, and the build pass fills them: it splits
+// the functions into up to GOMAXPROCS shards of about equal instruction
+// count, each replaying its functions from its first checkpoint into
+// its own range of the arrays. Every direct call's callee entry is
+// already known, so no call needs a fixup, and no shard writes what
+// another reads.
+func Generate(p Profile) (*Program, error) { return generate(p, 0) }
+
+// generate is Generate with the build pass split into shards shards, or
+// fewer when there are fewer functions; shards <= 0 picks one per
+// GOMAXPROCS, each at least minShardInstrs long.
+func generate(p Profile, shards int) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sized := &builder{prog: &Program{profile: p, FuncEntries: make([]isa.Addr, p.Funcs)}, sizing: true}
-	sized.run()
+	prog := &Program{profile: p, FuncEntries: make([]isa.Addr, p.Funcs)}
+	sized := &builder{prog: prog, p: &prog.profile, r: *newRNG(p.Seed), sizing: true, ckpts: make([]checkpoint, p.Funcs+1)}
+	// Assign call-graph levels: function i may only call functions with
+	// a strictly greater level, which rules out recursion.
+	sized.levels = make([]int, p.Funcs)
+	for i := range sized.levels {
+		sized.levels[i] = sized.r.intn(p.MaxCallDepth)
+	}
+	sized.layout(0, p.Funcs)
 	if end := pcOf(sized.n); end > isa.MaxAddr {
 		return nil, fmt.Errorf("workload %s: %d instructions run past the 4 GiB address space (to %v)", p.Name, sized.n, end)
 	}
-	counts := sized.prog
+	prog.NumCond, prog.NumIndirect, prog.NumCalls = sized.cond, sized.indirect, sized.calls
+	prog.code = make([]isa.StaticInstr, sized.n)
+	prog.condTab = make([]CondMeta, sized.cond)
+	prog.indirectTab = make([]IndirectMeta, sized.indirect)
 
-	prog := &Program{
-		profile:     p,
-		code:        make([]isa.StaticInstr, sized.n),
-		condTab:     make([]CondMeta, 0, counts.NumCond),
-		indirectTab: make([]IndirectMeta, 0, counts.NumIndirect),
-		FuncEntries: counts.FuncEntries,
+	if shards <= 0 {
+		shards = min(runtime.GOMAXPROCS(0), max(1, sized.n/minShardInstrs))
 	}
-	b := &builder{prog: prog}
-	b.run()
-	if b.n != sized.n {
-		panic(fmt.Sprintf("workload: %s: build pass emitted %d instructions, sizing pass %d", p.Name, b.n, sized.n))
+	cuts := shardCuts(sized.ckpts, shards)
+	var wg sync.WaitGroup
+	for k := 1; k < len(cuts); k++ {
+		b := &builder{prog: prog, p: &prog.profile, levels: sized.levels, ckpts: sized.ckpts}
+		if k == len(cuts)-1 {
+			b.build(cuts[k-1], cuts[k])
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			b.build(lo, hi)
+		}(cuts[k-1], cuts[k])
 	}
+	wg.Wait()
 	return prog, nil
 }
 
-// run lays out the whole image: every function in address order, then
-// the top-level dispatcher.
-func (b *builder) run() {
-	p := &b.prog.profile
-	b.p = p
-	b.r = newRNG(p.Seed)
-
-	// Assign call-graph levels: function i may only call functions with
-	// a strictly greater level, which rules out recursion.
-	b.levels = make([]int, p.Funcs)
-	for i := range b.levels {
-		b.levels[i] = b.r.intn(p.MaxCallDepth)
+// shardCuts splits functions [0, len(ckpts)-1) into at most shards
+// nonempty runs of about equal instruction count, returning the run
+// boundaries: cuts[0] is 0 and the last cut is the function count. The
+// last run also carries the dispatcher.
+func shardCuts(ckpts []checkpoint, shards int) []int {
+	funcs := len(ckpts) - 1
+	total := ckpts[funcs].n
+	cuts := []int{0}
+	for k := 1; k < shards; k++ {
+		want := int(int64(total) * int64(k) / int64(shards))
+		f := sort.Search(funcs, func(f int) bool { return ckpts[f].n >= want })
+		if f > cuts[len(cuts)-1] && f < funcs {
+			cuts = append(cuts, f)
+		}
 	}
+	return append(cuts, funcs)
+}
 
-	for f := 0; f < p.Funcs; f++ {
-		b.prog.FuncEntries[f] = b.nextAddr()
+// build lays out functions [lo, hi) from lo's checkpoint, and the
+// dispatcher when hi is the last function. It must end exactly where
+// the sizing pass recorded hi's checkpoint.
+func (b *builder) build(lo, hi int) {
+	start := b.ckpts[lo]
+	b.r, b.n, b.cond, b.indirect = start.r, start.n, start.cond, start.indirect
+	b.layout(lo, hi)
+	if got, want := b.state(), b.ckpts[hi]; got != want {
+		panic(fmt.Sprintf("workload: %s: build of functions [%d, %d) ended at %+v, sizing pass at %+v", b.p.Name, lo, hi, got, want))
+	}
+}
+
+// layout emits functions [lo, hi) in address order and, when hi is the
+// last function, the top-level dispatcher after them.
+func (b *builder) layout(lo, hi int) {
+	p := b.p
+	for f := lo; f < hi; f++ {
+		if b.sizing {
+			b.ckpts[f] = b.state()
+			b.prog.FuncEntries[f] = b.nextAddr()
+		}
 		b.depth = 0
 		nStmts := b.r.rangeIn(p.StmtsPerFunc[0], p.StmtsPerFunc[1])
 		for s := 0; s < nStmts; s++ {
@@ -138,12 +214,19 @@ func (b *builder) run() {
 		}
 		b.emitReturn()
 	}
-
+	if hi < p.Funcs {
+		return
+	}
 	// Top-level dispatcher: an infinite loop around an indirect call
 	// that selects among the DispatchTargets hottest functions — the
 	// synthetic stand-in for the server's request-dispatch loop.
-	b.prog.entry = b.nextAddr()
+	if b.sizing {
+		b.prog.entry = b.nextAddr()
+	}
 	b.emitDispatcher()
+	if b.sizing {
+		b.ckpts[hi] = b.state()
+	}
 }
 
 // NewProgramFromImage rebuilds a Program from an externally captured
@@ -261,17 +344,25 @@ func (b *builder) emitStatement(funcID int) {
 }
 
 // emitStraight emits a run of non-branch instructions with the profile's
-// load/store mix and data-region assignment.
+// load/store mix and data-region assignment. Each instruction's class
+// compares its draw's integer bits with below's thresholds, which
+// decides exactly as comparing the draw's float with the fractions.
 func (b *builder) emitStraight() {
 	n := b.r.rangeIn(b.p.BBLInstrs[0], b.p.BBLInstrs[1])
+	if b.sizing {
+		b.sizeStraight(n)
+		return
+	}
+	load := below(b.p.LoadFrac)
+	store := below(b.p.LoadFrac + b.p.StoreFrac)
+	mul := below(b.p.LoadFrac + b.p.StoreFrac + 0.05)
 	for i := 0; i < n; i++ {
-		x := b.r.float()
-		switch {
-		case x < b.p.LoadFrac:
+		switch u := b.r.next() >> 11; {
+		case u < load:
 			b.emit(isa.ClassLoad, isa.BranchNone, 0, b.dataAddr())
-		case x < b.p.LoadFrac+b.p.StoreFrac:
+		case u < store:
 			b.emit(isa.ClassStore, isa.BranchNone, 0, b.dataAddr())
-		case x < b.p.LoadFrac+b.p.StoreFrac+0.05:
+		case u < mul:
 			b.emit(isa.ClassMul, isa.BranchNone, 0, 0)
 		default:
 			b.emit(isa.ClassALU, isa.BranchNone, 0, 0)
@@ -279,15 +370,43 @@ func (b *builder) emitStraight() {
 	}
 }
 
+// sizeStraight is emitStraight's sizing pass: it draws each of the n
+// instructions' class and skips a load's or store's two address draws,
+// in the order emitStraight draws them, and builds nothing. The skip is
+// a conditional assignment rather than a branch: the class is random,
+// so a branch would mispredict often, and each draw waits on the last
+// one's outcome.
+func (b *builder) sizeStraight(n int) {
+	memOp := max(below(b.p.LoadFrac), below(b.p.LoadFrac+b.p.StoreFrac))
+	for i := 0; i < n; i++ {
+		var skip uint64
+		if b.r.next()>>11 < memOp {
+			skip = 2
+		}
+		b.r.skip(skip)
+	}
+	b.n += n
+}
+
+// below returns the t for which rng.float's draw, float64(u)/2^53 with
+// u = next()>>11, is less than f exactly when u < t. Scaling by 2^53 is
+// exact, so for f in (0, 1) u < f*2^53 holds exactly when u is below
+// its ceiling; no u passes f <= 0 (or NaN), and every u passes f >= 1.
+func below(f float64) uint64 {
+	switch {
+	case !(f > 0):
+		return 0
+	case f >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(f * (1 << 53)))
+}
+
 // dataAddr assigns a static representative data address: either in the
 // small hot region (reused, cache-friendly) or the large random region.
 // It takes exactly two draws either way, which lets the sizing pass skip
 // them without computing either.
 func (b *builder) dataAddr() isa.Addr {
-	if b.sizing {
-		b.r.skip(2) // the two draws below; the sizing pass stores no address
-		return 0
-	}
 	const hotRegion = 0x10000000
 	const randRegion = 0x20000000
 	if b.r.float() < b.p.DataRandFrac {
@@ -335,27 +454,25 @@ func (b *builder) condMeta() CondMeta {
 // it the next dense site index (used by the executor for slice-backed
 // per-site state instead of map lookups on the hot path).
 func (b *builder) addCond(i int, m CondMeta) {
-	b.prog.NumCond++
+	m.Idx = b.cond
+	b.cond++
 	if b.sizing {
 		return
 	}
-	pr := b.prog
-	m.Idx = len(pr.condTab)
-	pr.condTab = append(pr.condTab, m)
-	pr.code[i].Site = uint32(m.Idx + 1)
+	b.prog.condTab[m.Idx] = m
+	b.prog.code[i].Site = uint32(m.Idx + 1)
 }
 
 // addIndirect registers the indirect branch at instruction i with a
 // Zipf(s) popularity over targets in order.
 func (b *builder) addIndirect(i int, targets []isa.Addr, s float64) {
-	b.prog.NumIndirect++
+	k := b.indirect
+	b.indirect++
 	if b.sizing {
 		return
 	}
-	pr := b.prog
-	k := len(pr.indirectTab)
-	pr.indirectTab = append(pr.indirectTab, IndirectMeta{Targets: targets, Cum: zipfWeights(len(targets), s, b.r)})
-	pr.code[i].Site = uint32(k + 1)
+	b.prog.indirectTab[k] = IndirectMeta{Targets: targets, Cum: zipfWeights(len(targets), s, &b.r)}
+	b.prog.code[i].Site = uint32(k + 1)
 }
 
 // emitDiamond generates
@@ -447,7 +564,7 @@ func (b *builder) emitCall(funcID int) {
 		callee := b.r.intn(len(b.levels))
 		if b.levels[callee] > myLevel {
 			b.emit(isa.ClassBranch, isa.BranchCall, b.prog.FuncEntries[callee], 0)
-			b.prog.NumCalls++
+			b.calls++
 			return
 		}
 	}
@@ -498,7 +615,9 @@ func (b *builder) emitDispatcher() {
 	b.emitStraight()
 	entries := b.prog.FuncEntries
 	icIdx := b.emit(isa.ClassBranch, isa.BranchIndirectCall, entries[0], 0)
-	b.prog.dispatchPC = pcOf(icIdx)
+	if b.sizing {
+		b.prog.dispatchPC = pcOf(icIdx)
+	}
 
 	n := b.p.DispatchTargets
 	if n <= 0 || n > len(entries) {

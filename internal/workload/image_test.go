@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -134,6 +136,43 @@ func TestGenerateAllocBound(t *testing.T) {
 		prog := MustGenerate(p)
 		if c, n := cap(prog.StaticCode()), prog.Size(); c != n {
 			t.Errorf("%s: image cap %d, len %d", p.Name, c, n)
+		}
+	}
+}
+
+// TestGenerateShardInvariant checks that the build pass lays out the
+// same image however many shards it is split into: every built-in
+// profile and the tiny test profile, built at 2, 3 and 8 shards, match
+// the one-shard build in code, site tables, function entries, static
+// counts, entry and dispatch PC.
+func TestGenerateShardInvariant(t *testing.T) {
+	profiles := append(append(All(), Extras()...), tinyProfile())
+	for _, p := range profiles {
+		want, err := generate(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 3, 8} {
+			got, err := generate(p, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []struct {
+				what string
+				same bool
+			}{
+				{"code", slices.Equal(got.code, want.code)},
+				{"cond sites", slices.Equal(got.condTab, want.condTab)},
+				{"indirect sites", reflect.DeepEqual(got.indirectTab, want.indirectTab)},
+				{"function entries", slices.Equal(got.FuncEntries, want.FuncEntries)},
+				{"static counts", got.NumCond == want.NumCond && got.NumIndirect == want.NumIndirect && got.NumCalls == want.NumCalls},
+				{"entry", got.entry == want.entry},
+				{"dispatch pc", got.dispatchPC == want.dispatchPC},
+			} {
+				if !d.same {
+					t.Errorf("%s at %d shards: %s differ from the one-shard build", p.Name, shards, d.what)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -454,6 +455,25 @@ func TestPadNop(t *testing.T) {
 		n := PadNop(c.pc)
 		if n.Class != isa.ClassNop || n.IsBranch() || n.PC() != c.want || n.Target() != 0 || n.DataAddr() != 0 {
 			t.Errorf("PadNop(%v) = %+v, want a nop at %v", c.pc, n, c.want)
+		}
+	}
+}
+
+// TestBelow checks that below's integer threshold decides exactly as
+// rng.float's comparison would, for fractions at and around the edges
+// and draws on both sides of each threshold.
+func TestBelow(t *testing.T) {
+	fracs := []float64{math.NaN(), math.Inf(-1), -0.1, 0, 1e-300, 0x1p-53, 0.05, 0.25 + 0.1,
+		0.25 + 0.1 + 0.05, 1 - 0x1p-53, 1, 1.5, math.Inf(1)}
+	for _, f := range fracs {
+		th := below(f)
+		for _, u := range []uint64{0, 1, th - 1, th, th + 1, 1<<53 - 1} {
+			if u >= 1<<53 {
+				continue
+			}
+			if got, want := u < th, float64(u)/float64(1<<53) < f; got != want {
+				t.Errorf("f=%v u=%d: below says %v, float says %v", f, u, got, want)
+			}
 		}
 	}
 }
