@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // UDP's two off-path triggers, the super-line compression, the
-// confidence threshold, the Seniority-FTQ capacity, and the combined
-// UDP+UFTQ mechanism. Each reports the IPC delta against the same-run
+// confidence threshold, the Seniority-FTQ capacity, and the useful-set
+// storage bound. Each reports the IPC delta against the same-run
 // UDP default so `go test -bench=Ablation` prints a self-contained
 // ablation table.
 package udpsim_test
@@ -93,22 +93,6 @@ func BenchmarkAblationInfiniteStorage(b *testing.B) {
 		ipc = r.IPC
 	}
 	b.ReportMetric(ipc, "IPC")
-}
-
-func BenchmarkAblationCombinedUDPUFTQ(b *testing.B) {
-	cfg := ablationConfig(udpsim.MechUDPUFTQ)
-	var ipc float64
-	var depth int
-	for i := 0; i < b.N; i++ {
-		r, err := sim.RunOne(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ipc = r.IPC
-		depth = r.FinalFTQDepth
-	}
-	b.ReportMetric(ipc, "IPC")
-	b.ReportMetric(float64(depth), "finalFTQ")
 }
 
 func BenchmarkAblationFlushThreshold(b *testing.B) {

@@ -29,18 +29,7 @@ import (
 
 	"udpsim/internal/experiments"
 	"udpsim/internal/obs"
-	"udpsim/internal/sim"
 )
-
-// printMechanisms lists every registered mechanism with its one-line
-// doc, straight from the plugin registry.
-func printMechanisms() {
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	for _, d := range sim.MechanismDescriptors() {
-		fmt.Fprintf(tw, "%s\t%s\n", d.Name, d.Doc)
-	}
-	tw.Flush()
-}
 
 func main() {
 	var (
@@ -59,14 +48,8 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every simulated cell (.csv or .jsonl)")
 		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out (0 with -metrics-out defaults to 10000)")
 		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
-		listMechs  = flag.Bool("list-mechanisms", false, "list registered prefetch mechanisms and exit")
 	)
 	flag.Parse()
-
-	if *listMechs {
-		printMechanisms()
-		return
-	}
 
 	log := obs.NewLogger(os.Stderr, *verbose)
 	fatal := func(msg string, args ...any) {

@@ -61,18 +61,8 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every simulated cell (.csv or .jsonl)")
 		interval   = flag.Uint64("interval", 0, "sampling interval in cycles for -metrics-out/-timeline (0 defaults to 10000)")
 		pprofAddr  = flag.String("pprof", "", "serve live pprof+metrics on this address (e.g. :6060)")
-		listMechs  = flag.Bool("list-mechanisms", false, "list registered prefetch mechanisms and exit")
 	)
 	flag.Parse()
-
-	if *listMechs {
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		for _, d := range sim.MechanismDescriptors() {
-			fmt.Fprintf(tw, "%s\t%s\n", d.Name, d.Doc)
-		}
-		tw.Flush()
-		return
-	}
 
 	logger = obs.NewLogger(os.Stderr, *verbose)
 	fatal := func(msg string, args ...any) {

@@ -40,7 +40,7 @@ func main() {
 		simpoints = flag.Int("simpoints", 1, "number of simulated regions")
 		parallel  = flag.Int("j", 1, "max concurrently simulated regions (0 = GOMAXPROCS)")
 		list      = flag.Bool("list", false, "list workloads and exit")
-		listMechs = flag.Bool("list-mechanisms", false, "list registered prefetch mechanisms and exit")
+		listMechs = flag.Bool("list-mechanisms", false, "list prefetch mechanisms and exit")
 		udpThresh = flag.Int("udp-threshold", 0, "override UDP confidence threshold")
 		udpHidden = flag.Bool("udp-hidden", true, "enable UDP hidden-taken-branch trigger")
 		btbFill   = flag.Bool("btb-fill", false, "enable predecode BTB fill from prefetched lines (Boomerang-style)")
@@ -76,7 +76,7 @@ func main() {
 
 	if *listMechs {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		for _, d := range sim.MechanismDescriptors() {
+		for _, d := range sim.MechanismDocs() {
 			fmt.Fprintf(tw, "%s\t%s\n", d.Name, d.Doc)
 		}
 		tw.Flush()

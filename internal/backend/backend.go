@@ -200,8 +200,7 @@ func New(cfg Config, fe *frontend.Frontend, hier *memory.Hierarchy) *Backend {
 }
 
 // ResetStats clears the backend's accumulated statistics (end of
-// warmup) while preserving pipeline state. It implements the sim
-// package's StatsResetter.
+// warmup) while preserving pipeline state.
 func (b *Backend) ResetStats() { b.Stats = Stats{} }
 
 // Cycle advances the backend: retire, complete/resolve, issue, decode.

@@ -8,6 +8,8 @@
 package btb
 
 import (
+	"math/bits"
+
 	"udpsim/internal/isa"
 )
 
@@ -41,6 +43,7 @@ type Stats struct {
 type BTB struct {
 	sets    [][]way
 	setMask uint64
+	setBits int // log2 of the set count: the tag is the index above it
 	tagBits uint
 	Stats   Stats
 }
@@ -66,13 +69,13 @@ func New(cfg Config) *BTB {
 	for i := range sets {
 		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	return &BTB{sets: sets, setMask: uint64(nsets - 1), tagBits: cfg.TagBits}
+	return &BTB{sets: sets, setMask: uint64(nsets - 1), setBits: bits.TrailingZeros(uint(nsets)), tagBits: cfg.TagBits}
 }
 
 func (b *BTB) index(pc isa.Addr) (uint64, uint64) {
 	n := uint64(pc) >> 2 // instruction-granular
 	set := n & b.setMask
-	tag := n >> popBits(b.setMask)
+	tag := n >> b.setBits
 	if b.tagBits > 0 {
 		tag &= 1<<b.tagBits - 1
 	}
@@ -112,8 +115,7 @@ func (b *BTB) Probe(pc isa.Addr) bool {
 func (b *BTB) RecordTakenMiss() { b.Stats.MissesTaken++ }
 
 // ResetStats clears the accumulated statistics (end of warmup) while
-// preserving the predictor contents. It implements the sim package's
-// StatsResetter.
+// preserving the predictor contents.
 func (b *BTB) ResetStats() { b.Stats = Stats{} }
 
 // Insert installs or updates the entry for the branch at pc. The
@@ -159,15 +161,6 @@ func (s *Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(s.Lookups)
-}
-
-func popBits(mask uint64) uint {
-	n := uint(0)
-	for mask != 0 {
-		n++
-		mask >>= 1
-	}
-	return n
 }
 
 // IndirectBTB predicts targets of indirect jumps and calls, indexed by

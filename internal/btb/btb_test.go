@@ -7,21 +7,30 @@ import (
 )
 
 func TestInsertLookup(t *testing.T) {
-	b := New(Config{Entries: 64, Ways: 4})
-	pc := isa.Addr(0x401000)
-	b.Insert(pc, isa.BranchCond, 0x402000, 1)
-	e, hit := b.Lookup(pc, 2)
-	if !hit {
-		t.Fatal("miss after insert")
-	}
-	if e.Kind != isa.BranchCond || e.Target != 0x402000 {
-		t.Errorf("entry %+v", e)
-	}
-	if _, hit := b.Lookup(0x409999<<2, 3); hit {
-		t.Error("phantom hit")
-	}
-	if b.Stats.Hits != 1 || b.Stats.Misses != 1 || b.Stats.Inserts != 1 {
-		t.Errorf("stats %+v", b.Stats)
+	// 16 sets, 1 set (no index bits) and the default 1024 sets.
+	for _, cfg := range []Config{{Entries: 64, Ways: 4}, {Entries: 4, Ways: 4}, {Entries: 8192, Ways: 8}} {
+		b := New(cfg)
+		sets := cfg.Entries / cfg.Ways
+		pc := isa.Addr(0x400000) // even tag at every geometry
+		b.Insert(pc, isa.BranchCond, 0x402000, 1)
+		e, hit := b.Lookup(pc, 2)
+		if !hit {
+			t.Fatalf("%d sets: miss after insert", sets)
+		}
+		if e.Kind != isa.BranchCond || e.Target != 0x402000 {
+			t.Errorf("%d sets: entry %+v", sets, e)
+		}
+		if _, hit := b.Lookup(0x409999<<2, 3); hit {
+			t.Errorf("%d sets: phantom hit", sets)
+		}
+		// Same set, tag one higher: the lowest tag bit must not be
+		// shifted away with the index bits.
+		if _, hit := b.Lookup(pc+isa.Addr(sets*4), 4); hit {
+			t.Errorf("%d sets: neighbouring tag aliased", sets)
+		}
+		if b.Stats.Hits != 1 || b.Stats.Misses != 2 || b.Stats.Inserts != 1 {
+			t.Errorf("%d sets: stats %+v", sets, b.Stats)
+		}
 	}
 }
 

@@ -22,19 +22,6 @@ const (
 	Random
 )
 
-func (p ReplacementPolicy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
 // line is one cache line's metadata apart from its tag, which lives in
 // the cache's packed tag array. The simulator tracks no data bytes:
 // only presence and provenance matter for timing.
@@ -329,19 +316,6 @@ func (c *Cache) Occupancy() int {
 
 // Capacity returns the total number of lines.
 func (c *Cache) Capacity() int { return len(c.tags) }
-
-// Flush invalidates every line, counting still-unused prefetched lines
-// as useless.
-func (c *Cache) Flush() {
-	for i, t := range c.tags {
-		if t != invalidTag && c.lines[i].prefetch {
-			c.Stats.UselessPrefetchEvictions++
-		}
-		c.tags[i] = invalidTag
-		c.lines[i] = line{}
-	}
-	c.version++
-}
 
 // pickVictim chooses the way to evict from a full set's metadata.
 func (c *Cache) pickVictim(ways []line) int {

@@ -348,10 +348,6 @@ func CombineQD(qdAUR, qdATR int) int {
 // OnCondPrediction implements frontend.Tuner (UFTQ ignores confidence).
 func (u *UFTQ) OnCondPrediction(bp.Confidence) {}
 
-// StorageBits returns the hardware budget: four 10-bit counters + two
-// 32-bit fixed-point ratio registers + state machine registers.
-func (u *UFTQ) StorageBits() int { return 4*10 + 2*32 + 24 }
-
 func ratio(a, b int) float64 {
 	if a+b == 0 {
 		return 0

@@ -167,13 +167,6 @@ func TestCombineQDPolynomial(t *testing.T) {
 	}
 }
 
-func TestUFTQStorage(t *testing.T) {
-	u := testUFTQ(UFTQATRAUR)
-	if bits := u.StorageBits(); bits > 200 {
-		t.Errorf("UFTQ storage %d bits — the paper promises a handful of counters", bits)
-	}
-}
-
 func TestUFTQNames(t *testing.T) {
 	for _, m := range []UFTQMode{UFTQAUR, UFTQATR, UFTQATRAUR} {
 		if NewUFTQ(DefaultUFTQConfig(m)).Name() == "" {

@@ -9,20 +9,20 @@ import (
 	"udpsim/internal/workload"
 )
 
-// TestRegistryConformance is the contract every registered mechanism
-// must satisfy to live in the registry: its name round-trips through
-// descriptor JSON validation and the result-cache key, and its Build
-// produces a machine that actually simulates (a tiny run retires the
-// requested instructions with a plausible IPC). A mechanism that
-// registers but fails any of these would silently poison experiment
-// grids, so the conformance suite runs the whole registry.
+// TestRegistryConformance is the contract every row of the mechanism
+// table must satisfy: it has a doc line, its name round-trips through
+// descriptor JSON validation and the result-cache key, and it builds a
+// machine that actually simulates (a tiny run retires the requested
+// instructions with a plausible IPC). A mechanism that is listed but
+// fails any of these would silently poison experiment grids, so the
+// conformance suite runs the whole table.
 func TestRegistryConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	mechs := sim.Mechanisms()
-	if len(mechs) == 0 {
-		t.Fatal("empty mechanism registry")
+	docs := sim.MechanismDocs()
+	if len(docs) == 0 {
+		t.Fatal("empty mechanism table")
 	}
 
 	prof := workload.MustByName("mysql")
@@ -30,15 +30,11 @@ func TestRegistryConformance(t *testing.T) {
 	prof.DispatchTargets = 40
 
 	seenKeys := map[string]sim.Mechanism{}
-	for _, mech := range mechs {
-		mech := mech
+	for _, d := range docs {
+		mech := d.Name
 		t.Run(string(mech), func(t *testing.T) {
 			t.Parallel()
-			desc, ok := sim.LookupMechanism(mech)
-			if !ok {
-				t.Fatalf("listed mechanism %q not resolvable", mech)
-			}
-			if desc.Doc == "" {
+			if d.Doc == "" {
 				t.Errorf("mechanism %q has no doc line for -list-mechanisms", mech)
 			}
 
@@ -46,7 +42,7 @@ func TestRegistryConformance(t *testing.T) {
 			// user writes in an isca.json-style spec must be accepted.
 			js := fmt.Sprintf(`{"name":"conf","workloads":["mysql"],"configs":[{"label":"x","mechanism":%q}]}`, mech)
 			if _, err := ParseDescriptor(strings.NewReader(js)); err != nil {
-				t.Fatalf("descriptor validation rejects registered mechanism: %v", err)
+				t.Fatalf("descriptor validation rejects mechanism %q: %v", mech, err)
 			}
 
 			// Round-trip through the result-cache key: the mechanism
@@ -120,7 +116,7 @@ func TestRegistryConformance(t *testing.T) {
 	}
 
 	// Key distinctness is a cross-mechanism property; compute serially.
-	for _, mech := range mechs {
+	for _, mech := range sim.Mechanisms() {
 		cfg := sim.NewConfig(prof, mech)
 		key := sim.ConfigKey(cfg)
 		if prev, dup := seenKeys[key]; dup {

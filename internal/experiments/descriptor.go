@@ -228,8 +228,8 @@ func (d *Descriptor) Validate() error {
 		seen[c.Label] = true
 		// Descriptors must name mechanisms explicitly — the empty-string
 		// alias for baseline is a programmatic convenience only.
-		if _, ok := sim.LookupMechanism(sim.Mechanism(c.Mechanism)); !ok || c.Mechanism == "" {
-			bad(fmt.Sprintf("configs[%d].mechanism", i), "unknown mechanism %q (registered: %s)",
+		if !sim.ValidMechanism(sim.Mechanism(c.Mechanism)) {
+			bad(fmt.Sprintf("configs[%d].mechanism", i), "unknown mechanism %q (known: %s)",
 				c.Mechanism, sim.MechanismNames())
 		}
 		if c.UFTQMinDepth > 0 && c.UFTQMaxDepth > 0 && c.UFTQMinDepth > c.UFTQMaxDepth {

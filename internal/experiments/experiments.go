@@ -611,14 +611,7 @@ func Correlation(xs, ys []float64) float64 {
 	if sxx == 0 || syy == 0 {
 		return 0
 	}
-	return sxy / (sqrt(sxx) * sqrt(syy))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Sqrt(x)
+	return sxy / (math.Sqrt(sxx) * math.Sqrt(syy))
 }
 
 // SortedSeriesNames returns the series names of bar rows in the one

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"udpsim/internal/sim"
 	"udpsim/internal/workload"
 )
 
@@ -166,6 +167,23 @@ func TestDescriptorParseValidate(t *testing.T) {
 	for i, src := range bad {
 		if _, err := ParseDescriptor(strings.NewReader(src)); err == nil {
 			t.Errorf("bad descriptor %d accepted", i)
+		}
+	}
+
+	// A mechanism that was removed from the table is rejected as a
+	// field error on its config whose reason lists every known name.
+	_, err = ParseDescriptor(strings.NewReader(
+		`{"name":"t","configs":[{"label":"a","mechanism":"udp-uftq"}]}`))
+	ve := AsValidationError(err)
+	if ve == nil {
+		t.Fatalf("removed mechanism: error is %T, want *ValidationError: %v", err, err)
+	}
+	if len(ve.Fields) != 1 || ve.Fields[0].Field != "configs[0].mechanism" {
+		t.Fatalf("removed mechanism: fields = %v, want one configs[0].mechanism error", ve.Fields)
+	}
+	for _, m := range sim.Mechanisms() {
+		if !strings.Contains(ve.Fields[0].Reason, string(m)) {
+			t.Errorf("removed mechanism: reason %q does not list %q", ve.Fields[0].Reason, m)
 		}
 	}
 }

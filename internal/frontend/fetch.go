@@ -61,7 +61,7 @@ func (f *Frontend) predecodeLine(line isa.Addr, cycle uint64) {
 // fdipScan runs FDIP's runahead over unscanned FTQ blocks, probing the
 // icache and emitting prefetches (paper Section II).
 func (f *Frontend) fdipScan(cycle uint64) {
-	if f.cfg.NoPrefetch || f.cfg.PerfectICache || f.ext != nil && f.cfg.NoFDIPWithExternal {
+	if f.cfg.NoPrefetch || f.cfg.PerfectICache {
 		return
 	}
 	for i := 0; i < f.cfg.ScanPerCycle; i++ {

@@ -38,9 +38,6 @@ type Config struct {
 	PerfectICache bool
 	// NoPrefetch disables FDIP (no-prefetch baseline).
 	NoPrefetch bool
-	// NoFDIPWithExternal disables the FDIP scan when an external
-	// prefetcher is attached (stand-alone prefetcher evaluation).
-	NoFDIPWithExternal bool
 	// PredecodeBTBFill pre-decodes every line installed into the icache
 	// and fills the BTB with its branches — the Boomerang/Confluence
 	// family of BTB-miss elimination the paper cites as orthogonal to
@@ -267,8 +264,7 @@ func New(cfg Config, d Deps) *Frontend {
 // ResetStats clears every statistic the frontend accumulates — its own
 // counters, the icache and fill-buffer stats, the resolution-latency
 // histogram, and the FTQ occupancy accumulators — while preserving
-// microarchitectural state. It implements the sim package's
-// StatsResetter.
+// microarchitectural state.
 func (f *Frontend) ResetStats() {
 	f.Stats = Stats{}
 	f.icache.Stats = cache.Stats{}

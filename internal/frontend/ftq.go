@@ -87,21 +87,6 @@ const (
 	DivPostFetch
 )
 
-func (k DivKind) String() string {
-	switch k {
-	case DivDirection:
-		return "direction"
-	case DivTarget:
-		return "target"
-	case DivBTBMiss:
-		return "btb-miss"
-	case DivPostFetch:
-		return "post-fetch"
-	default:
-		return "divergence(?)"
-	}
-}
-
 // Divergence carries recovery state for the branch where the frontend
 // left the oracle path.
 type Divergence struct {
@@ -224,14 +209,6 @@ func (q *FTQ) NextUnscanned() *FetchBlock {
 	fb := q.blocks[(q.head+q.scanned)%len(q.blocks)]
 	q.scanned++
 	return fb
-}
-
-// Flush empties the queue (recovery/resteer).
-func (q *FTQ) Flush() {
-	for q.count > 0 {
-		q.Pop()
-	}
-	q.scanned = 0
 }
 
 // FlushYoungerThan removes blocks with Seq > seq (post-fetch correction

@@ -67,23 +67,6 @@ func TestFTQScanPointer(t *testing.T) {
 	}
 }
 
-func TestFTQFlush(t *testing.T) {
-	q := NewFTQ(8, 8)
-	for i := uint64(1); i <= 5; i++ {
-		q.Push(blockSeq(i))
-	}
-	q.NextUnscanned()
-	q.Flush()
-	if q.Len() != 0 || q.NextUnscanned() != nil {
-		t.Error("flush left state")
-	}
-	// Queue is reusable after flush.
-	q.Push(blockSeq(9))
-	if q.Peek().Seq != 9 {
-		t.Error("queue unusable after flush")
-	}
-}
-
 func TestFTQFlushYoungerThan(t *testing.T) {
 	q := NewFTQ(8, 8)
 	for i := uint64(1); i <= 5; i++ {
@@ -202,13 +185,5 @@ func TestInstrQueue(t *testing.T) {
 	q.clear()
 	if !q.empty() {
 		t.Error("clear left entries")
-	}
-}
-
-func TestDivKindStrings(t *testing.T) {
-	for _, k := range []DivKind{DivDirection, DivTarget, DivBTBMiss, DivPostFetch, DivKind(9)} {
-		if k.String() == "" {
-			t.Errorf("empty string for %d", k)
-		}
 	}
 }

@@ -370,7 +370,7 @@ func (h *Hierarchy) L1DMSHRFile() *cache.MSHRFile { return h.l1dm }
 
 // ResetStats clears the hierarchy's and every level's accumulated
 // statistics (end of warmup) while preserving cache contents and
-// in-flight fills. It implements the sim package's StatsResetter.
+// in-flight fills.
 //
 // Fills in flight across the reset complete afterwards, so immediately
 // after a reset Completions can exceed Allocations in the MSHR files;

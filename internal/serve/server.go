@@ -188,7 +188,7 @@ const maxDescriptorBytes = 1 << 20
 //	DELETE /v1/tune/{id}         cancel a tune run
 //	GET    /v1/tune/{id}/events  SSE stream (probes, generations, incumbents)
 //	GET    /v1/results/{key}     content-addressed result record
-//	GET    /v1/mechanisms        registered mechanism registry
+//	GET    /v1/mechanisms        the mechanism table (name + doc)
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness (503 while draining)
 //	GET    /metrics              Prometheus text exposition
@@ -258,8 +258,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Structured 400: the validation error's field list maps each
 		// problem to its descriptor field, and the unknown-mechanism
-		// reason carries the registered-mechanism list just like the
-		// CLIs' -list-mechanisms hint.
+		// reason lists the known mechanisms.
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
@@ -482,7 +481,7 @@ func (s *Server) handleMechanisms(w http.ResponseWriter, r *http.Request) {
 		Doc  string `json:"doc"`
 	}
 	var out []mech
-	for _, d := range sim.MechanismDescriptors() {
+	for _, d := range sim.MechanismDocs() {
 		out = append(out, mech{Name: string(d.Name), Doc: d.Doc})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"mechanisms": out})

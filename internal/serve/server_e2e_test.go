@@ -297,7 +297,7 @@ func TestServerValidation400(t *testing.T) {
 		t.Fatalf("no configs[0].mechanism entry in %v", byField)
 	}
 	if !bytes.Contains([]byte(reason), []byte("baseline")) {
-		t.Fatalf("unknown-mechanism reason does not list registered mechanisms: %q", reason)
+		t.Fatalf("unknown-mechanism reason does not list the known mechanisms: %q", reason)
 	}
 	if _, ok := byField["workloads[1]"]; !ok {
 		t.Fatalf("no workloads[1] entry in %v", byField)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRunBatchEquivalence is the core invariant of batched lockstep
-// mode: for every registered mechanism, stepping the machine inside a
+// mode: for every mechanism, stepping the machine inside a
 // batch over the shared tape yields the bit-for-bit identical Result
 // (the struct is comparable) the machine produces in an independent
 // run — same stream, same cycle sequence, same warmup boundary, same

@@ -111,7 +111,7 @@ func BenchmarkMachineStep(b *testing.B) {
 }
 
 // TestMachineStepZeroAlloc pins the zero-allocation invariant of the
-// per-cycle hot path for every registered mechanism: after warmup,
+// per-cycle hot path for every mechanism: after warmup,
 // stepping the machine must never allocate, not once over the watched
 // window. This is the CI gate for the "fast as the hardware allows"
 // budget — any allocation on this path multiplies by ~10^8 cycles per

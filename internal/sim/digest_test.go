@@ -11,7 +11,7 @@ import (
 )
 
 // pinnedResultDigests holds the SHA-256 of the JSON encoding of the full
-// Result of every registered mechanism on the full mysql and xgboost
+// Result of every mechanism on the full mysql and xgboost
 // profiles over a short region (see digestConfig). A pure-speed change
 // must leave every entry untouched.
 //
@@ -28,7 +28,6 @@ var pinnedResultDigests = map[string]string{
 	"mysql/udp":              "167d99dbebd1f81edbd19ecd003f0223c2aef5b18a4e42100e8f0bb7bc0bef00",
 	"mysql/udp-infinite":     "1b1e4b3ad72f50026fc73f06b7b2d3b845763edc281deb8fcad592e1d3aad9c2",
 	"mysql/eip":              "1658f690bafc5a43b802b4ada7c19371c8659d9d44476e0491d58866db6c7866",
-	"mysql/udp-uftq":         "de617508dff90f060998eb58499dc20fced7737dfb9807f16e67820e83b96c0f",
 	"xgboost/baseline":       "9d6565572f953c62bf879dcd9e3013d1c91e23d8c6c5e7cb07f80751551760f4",
 	"xgboost/no-prefetch":    "cfa87d91e1ede15da51dd6656c1522f82e02c74fe308b220e7753ef32a1dcb30",
 	"xgboost/perfect-icache": "0aced50fba0abbb4f6fbcb7bfce0d76c36cdf225bcad0078d7b4baf8ef2e1105",
@@ -38,7 +37,6 @@ var pinnedResultDigests = map[string]string{
 	"xgboost/udp":            "7798d7d3cf70233426f725442e04a1509e87f99e09fc49b262239fe753f4badc",
 	"xgboost/udp-infinite":   "c94eff6ece8e1885871398b709c15f7a72ac848dfa9488b4b9cf81f501c851f0",
 	"xgboost/eip":            "c8e1132542564bcb2401ef595822c813b3ad722133268545f37507f4a361aa3e",
-	"xgboost/udp-uftq":       "390374482bfeb1fd4f4df6012eb32c7f49ffe19d249b64139fd9331c5f733ec0",
 }
 
 // digestConfig is the short region every pinned digest covers: long

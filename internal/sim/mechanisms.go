@@ -2,11 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"udpsim/internal/core"
 	"udpsim/internal/eip"
 	"udpsim/internal/frontend"
-	"udpsim/internal/obs"
 )
 
 // Mechanism selects the instruction-prefetch policy under evaluation.
@@ -34,135 +35,115 @@ const (
 	// MechEIP is the entangled-instruction-prefetcher comparator at an
 	// 8KB metadata budget (Fig. 13).
 	MechEIP Mechanism = "eip"
-	// MechUDPUFTQ composes UDP's candidate filtering with UFTQ-ATR-AUR's
-	// dynamic FTQ sizing — the orthogonal combination the paper suggests
-	// but does not evaluate (ablation extension).
-	MechUDPUFTQ Mechanism = "udp-uftq"
 )
 
-// The in-tree mechanisms register themselves here; adding a comparator
-// is one RegisterMechanism call (see DESIGN.md "Adding a mechanism").
-// Registration order is the canonical presentation order (Mechanisms(),
-// -list-mechanisms, conformance tests).
-func init() {
-	RegisterMechanism(MechDescriptor{
-		Name:  MechBaseline,
-		Doc:   "FDIP with a fixed-depth FTQ (paper baseline, Table II depth 32)",
-		Build: func(Config) (Bindings, error) { return Bindings{}, nil },
-	})
-	RegisterMechanism(MechDescriptor{
-		Name: MechNoPrefetch,
-		Doc:  "FDIP disabled: demand fetch only (Fig. 1 lower bound)",
-		Build: func(Config) (Bindings, error) {
-			return Bindings{
-				MutateFrontend: func(fc *frontend.Config) { fc.NoPrefetch = true },
-			}, nil
-		},
-	})
-	RegisterMechanism(MechDescriptor{
-		Name: MechPerfectICache,
-		Doc:  "every instruction fetch hits the L1I (Fig. 1 upper bound)",
-		Build: func(Config) (Bindings, error) {
-			return Bindings{
-				MutateFrontend: func(fc *frontend.Config) { fc.PerfectICache = true },
-			}, nil
-		},
-	})
-	RegisterMechanism(MechDescriptor{
-		Name:  MechUFTQAUR,
-		Doc:   "dynamic FTQ sizing by prefetch utility ratio (Section IV-A)",
-		Build: buildUFTQ(core.UFTQAUR),
-	})
-	RegisterMechanism(MechDescriptor{
-		Name:  MechUFTQATR,
-		Doc:   "dynamic FTQ sizing by prefetch timeliness ratio (Section IV-A)",
-		Build: buildUFTQ(core.UFTQATR),
-	})
-	RegisterMechanism(MechDescriptor{
-		Name:  MechUFTQATRAUR,
-		Doc:   "dynamic FTQ sizing combining AUR and ATR searches (Section IV-A)",
-		Build: buildUFTQ(core.UFTQATRAUR),
-	})
-	RegisterMechanism(MechDescriptor{
-		Name:  MechUDP,
-		Doc:   "utility-driven prefetch filtering, 8KB Bloom useful-set (Section IV-B)",
-		Build: buildUDP(false),
-	})
-	RegisterMechanism(MechDescriptor{
-		Name:  MechUDPInfinite,
-		Doc:   "UDP with an unbounded useful-set (upper bound, Fig. 13)",
-		Build: buildUDP(true),
-	})
-	RegisterMechanism(MechDescriptor{
-		Name: MechEIP,
-		Doc:  "entangled instruction prefetcher comparator at 8KB metadata (Fig. 13)",
-		Build: func(cfg Config) (Bindings, error) {
-			e := eip.New(cfg.EIP)
-			return Bindings{External: e, EIP: e}, nil
-		},
-	})
-	RegisterMechanism(MechDescriptor{
-		Name: MechUDPUFTQ,
-		Doc:  "UDP filtering composed with UFTQ-ATR-AUR sizing (ablation extension)",
-		Build: func(cfg Config) (Bindings, error) {
-			u := cfg.UFTQ
-			u.Mode = core.UFTQATRAUR
-			comb := core.NewCombined(cfg.UDP, u)
-			b := Bindings{Tuner: comb, UDP: comb.UDP, UFTQ: comb.UFTQ}
-			b.Observe = func(o *obs.Observer) {
-				comb.UDP.Obs = o
-				comb.UFTQ.Obs = o
-			}
-			b.Telemetry = func(r *Result) {
-				udpTelemetry(comb.UDP)(r)
-				uftqTelemetry(comb.UFTQ)(r)
-			}
-			return b, nil
-		},
-	})
+// MechDoc is one row of the mechanism table.
+type MechDoc struct {
+	// Name is the identifier used in configs, descriptors, flags and
+	// result-cache keys.
+	Name Mechanism
+	// Doc is a one-line description (help text, -list-mechanisms).
+	Doc string
 }
 
-// buildUFTQ returns a Build function for one UFTQ sizing mode.
-func buildUFTQ(mode core.UFTQMode) func(Config) (Bindings, error) {
-	return func(cfg Config) (Bindings, error) {
+// mechanismTable is the closed set of mechanisms in presentation order
+// (Mechanisms(), -list-mechanisms, GET /v1/mechanisms, conformance
+// tests). Adding a mechanism is a constant above, a row here and a case
+// in buildMechanism.
+var mechanismTable = []MechDoc{
+	{MechBaseline, "FDIP with a fixed-depth FTQ (paper baseline, Table II depth 32)"},
+	{MechNoPrefetch, "FDIP disabled: demand fetch only (Fig. 1 lower bound)"},
+	{MechPerfectICache, "every instruction fetch hits the L1I (Fig. 1 upper bound)"},
+	{MechUFTQAUR, "dynamic FTQ sizing by prefetch utility ratio (Section IV-A)"},
+	{MechUFTQATR, "dynamic FTQ sizing by prefetch timeliness ratio (Section IV-A)"},
+	{MechUFTQATRAUR, "dynamic FTQ sizing combining AUR and ATR searches (Section IV-A)"},
+	{MechUDP, "utility-driven prefetch filtering, 8KB Bloom useful-set (Section IV-B)"},
+	{MechUDPInfinite, "UDP with an unbounded useful-set (upper bound, Fig. 13)"},
+	{MechEIP, "entangled instruction prefetcher comparator at 8KB metadata (Fig. 13)"},
+}
+
+// NormalizeMechanism maps the empty mechanism to MechBaseline. The two
+// spellings always built identical machines, but before normalization
+// they produced distinct ConfigKeys and the experiment result cache
+// simulated the same cell twice.
+func NormalizeMechanism(m Mechanism) Mechanism {
+	if m == "" {
+		return MechBaseline
+	}
+	return m
+}
+
+// ValidMechanism reports whether m names a mechanism in the table. The
+// empty alias is not a name: callers that accept it normalize first.
+func ValidMechanism(m Mechanism) bool {
+	for _, d := range mechanismTable {
+		if d.Name == m {
+			return true
+		}
+	}
+	return false
+}
+
+// Mechanisms lists every mechanism in table order.
+func Mechanisms() []Mechanism {
+	out := make([]Mechanism, len(mechanismTable))
+	for i, d := range mechanismTable {
+		out[i] = d.Name
+	}
+	return out
+}
+
+// MechanismDocs returns the mechanism table in order.
+func MechanismDocs() []MechDoc {
+	return append([]MechDoc(nil), mechanismTable...)
+}
+
+// MechanismNames returns the names as a comma-separated, sorted string
+// (stable error messages and flag help).
+func MechanismNames() string {
+	names := make([]string, len(mechanismTable))
+	for i, d := range mechanismTable {
+		names[i] = string(d.Name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
+}
+
+// uftqModes maps each UFTQ mechanism to its sizing controller.
+var uftqModes = map[Mechanism]core.UFTQMode{
+	MechUFTQAUR:    core.UFTQAUR,
+	MechUFTQATR:    core.UFTQATR,
+	MechUFTQATRAUR: core.UFTQATRAUR,
+}
+
+// buildMechanism constructs the configured mechanism's state into the
+// machine's udp, uftq or eip field, applies its frontend switches, and
+// returns the hooks to install. Baseline returns a nil Tuner, which the
+// frontend replaces with its no-op tuner.
+func (m *Machine) buildMechanism(fc *frontend.Config) (frontend.Tuner, frontend.ExternalPrefetcher, error) {
+	cfg := &m.cfg
+	switch cfg.Mechanism {
+	case MechBaseline:
+		return nil, nil, nil
+	case MechNoPrefetch:
+		fc.NoPrefetch = true
+		return nil, nil, nil
+	case MechPerfectICache:
+		fc.PerfectICache = true
+		return nil, nil, nil
+	case MechUFTQAUR, MechUFTQATR, MechUFTQATRAUR:
 		u := cfg.UFTQ
-		u.Mode = mode
-		q := core.NewUFTQ(u)
-		return Bindings{
-			Tuner:     q,
-			UFTQ:      q,
-			Observe:   func(o *obs.Observer) { q.Obs = o },
-			Telemetry: uftqTelemetry(q),
-		}, nil
-	}
-}
-
-// buildUDP returns a Build function for UDP with a bounded or infinite
-// useful-set.
-func buildUDP(infinite bool) func(Config) (Bindings, error) {
-	return func(cfg Config) (Bindings, error) {
+		u.Mode = uftqModes[cfg.Mechanism]
+		m.uftq = core.NewUFTQ(u)
+		return m.uftq, nil, nil
+	case MechUDP, MechUDPInfinite:
 		c := cfg.UDP
-		c.Infinite = infinite
-		u := core.NewUDP(c)
-		return Bindings{
-			Tuner:     u,
-			UDP:       u,
-			Observe:   func(o *obs.Observer) { u.Obs = o },
-			Telemetry: udpTelemetry(u),
-		}, nil
+		c.Infinite = cfg.Mechanism == MechUDPInfinite
+		m.udp = core.NewUDP(c)
+		return m.udp, nil, nil
+	case MechEIP:
+		m.eip = eip.New(cfg.EIP)
+		return nil, m.eip, nil
 	}
-}
-
-func udpTelemetry(u *core.UDP) func(*Result) {
-	return func(r *Result) {
-		r.UDPStorage = u.StorageBytes()
-		r.MechanismSummary = u.String()
-	}
-}
-
-func uftqTelemetry(q *core.UFTQ) func(*Result) {
-	return func(r *Result) {
-		r.MechanismSummary = fmt.Sprintf("%s: depth %d (QDAUR %d, QDATR %d), %d windows, %d adjustments, %d re-searches",
-			q.Name(), q.Depth(), q.QDAUR(), q.QDATR(), q.Windows, q.Adjustments, q.Researches)
-	}
+	return nil, nil, fmt.Errorf("sim: unknown mechanism %q (known: %s)", cfg.Mechanism, MechanismNames())
 }

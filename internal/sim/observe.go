@@ -24,8 +24,11 @@ func (m *Machine) AttachObserver(o *obs.Observer) {
 	m.obs = o
 	m.FE.Obs = o
 	m.Hier.Obs = o
-	if m.mech.Observe != nil {
-		m.mech.Observe(o)
+	if m.udp != nil {
+		m.udp.Obs = o
+	}
+	if m.uftq != nil {
+		m.uftq.Obs = o
 	}
 	if o == nil {
 		return

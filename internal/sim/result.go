@@ -117,8 +117,13 @@ func (m *Machine) Snapshot() Result {
 		r.LostInstrsPKI = float64(r.LostInstrs) / float64(be.Retired) * 1000
 		r.BranchMPKI = float64(fe.Recoveries) / float64(be.Retired) * 1000
 	}
-	if m.mech.Telemetry != nil {
-		m.mech.Telemetry(&r)
+	if u := m.udp; u != nil {
+		r.UDPStorage = u.StorageBytes()
+		r.MechanismSummary = u.String()
+	}
+	if q := m.uftq; q != nil {
+		r.MechanismSummary = fmt.Sprintf("%s: depth %d (QDAUR %d, QDATR %d), %d windows, %d adjustments, %d re-searches",
+			q.Name(), q.Depth(), q.QDAUR(), q.QDATR(), q.Windows, q.Adjustments, q.Researches)
 	}
 	if m.obs != nil && m.obs.Life != nil {
 		r.Lifecycle = m.obs.Life.Summary()

@@ -23,9 +23,8 @@ import (
 	"udpsim/internal/workload"
 )
 
-// The Mechanism type, its constants, and the plugin registry that
-// replaced the old hand-maintained mechanism switch live in
-// mechanisms.go and registry.go.
+// The Mechanism type, its constants, the mechanism table and the
+// switch that builds each mechanism live in mechanisms.go.
 
 // Config is a full simulation configuration. NewConfig supplies the
 // paper's Table II values; tests and sweeps override single fields.
@@ -197,13 +196,11 @@ type Machine struct {
 	BE     *backend.Backend
 	Oracle *frontend.OracleStream
 
-	// mech is the active mechanism's binding bundle (see registry.go);
-	// the UDP/UFTQ/EIP accessors expose its typed views.
-	mech Bindings
-
-	// resetters is the fixed walk ResetStats takes over every component
-	// that accumulates statistics, assembled at construction.
-	resetters []StatsResetter
+	// The active mechanism's state: at most one is non-nil (see
+	// buildMechanism).
+	udp  *core.UDP
+	uftq *core.UFTQ
+	eip  *eip.EIP
 
 	cycle uint64
 
@@ -285,12 +282,26 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 	if err := validateGeometry(cfg); err != nil {
 		return nil, err
 	}
-	desc, ok := LookupMechanism(cfg.Mechanism)
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown mechanism %q (registered: %s)",
-			cfg.Mechanism, MechanismNames())
-	}
 	m := &Machine{cfg: cfg, prog: prog}
+	feCfg := frontend.Config{
+		FTQPhysMax:     cfg.FTQPhysMax,
+		FTQDepth:       cfg.FTQDepth,
+		BlocksPerCycle: cfg.BlocksPerCycle,
+		ScanPerCycle:   cfg.ScanPerCycle,
+		FetchWidth:     cfg.FetchWidth,
+		MSHRs:          cfg.IMSHRs,
+		RASEntries:     cfg.RASEntries,
+		L1I: cache.Config{
+			Name: "L1I", SizeBytes: cfg.ICacheBytes, Ways: cfg.ICacheWays,
+			Policy: cache.LRU, HitLatency: 3,
+		},
+		PredecodeBTBFill: cfg.PredecodeBTBFill,
+		InFlightHint:     cfg.ROBSize,
+	}
+	tuner, ext, err := m.buildMechanism(&feCfg)
+	if err != nil {
+		return nil, err
+	}
 
 	m.Dir = bp.NewTage(cfg.Tage)
 	m.BTB = btb.New(btb.Config{Entries: cfg.BTBEntries, Ways: cfg.BTBWays})
@@ -339,31 +350,6 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 	}
 	m.Oracle = frontend.NewOracleStream(src)
 
-	feCfg := frontend.Config{
-		FTQPhysMax:     cfg.FTQPhysMax,
-		FTQDepth:       cfg.FTQDepth,
-		BlocksPerCycle: cfg.BlocksPerCycle,
-		ScanPerCycle:   cfg.ScanPerCycle,
-		FetchWidth:     cfg.FetchWidth,
-		MSHRs:          cfg.IMSHRs,
-		RASEntries:     cfg.RASEntries,
-		L1I: cache.Config{
-			Name: "L1I", SizeBytes: cfg.ICacheBytes, Ways: cfg.ICacheWays,
-			Policy: cache.LRU, HitLatency: 3,
-		},
-		PredecodeBTBFill: cfg.PredecodeBTBFill,
-		InFlightHint:     cfg.ROBSize,
-	}
-
-	bind, err := desc.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building mechanism %q: %w", cfg.Mechanism, err)
-	}
-	m.mech = bind
-	if bind.MutateFrontend != nil {
-		bind.MutateFrontend(&feCfg)
-	}
-
 	m.FE = frontend.New(feCfg, frontend.Deps{
 		Program:  prog,
 		Oracle:   m.Oracle,
@@ -371,8 +357,8 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 		BTB:      m.BTB,
 		IndirBTB: m.IBTB,
 		Hier:     m.Hier,
-		Tuner:    bind.Tuner,
-		External: bind.External,
+		Tuner:    tuner,
+		External: ext,
 	})
 	m.BE = backend.New(backend.Config{
 		Width:       cfg.Width,
@@ -384,26 +370,19 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 		LoadBuffer:  cfg.LoadBuffer,
 		StoreBuffer: cfg.StoreBuffer,
 	}, m.FE, m.Hier)
-
-	// Everything that accumulates statistics registers a resetter here;
-	// ResetStats walks this list instead of hand-naming fields.
-	m.resetters = []StatsResetter{m.FE, m.BE, m.Hier, m.BTB}
-	if bind.Stats != nil {
-		m.resetters = append(m.resetters, bind.Stats)
-	}
 	return m, nil
 }
 
 // UDP returns the active UDP instance (nil unless a UDP-family
 // mechanism is selected).
-func (m *Machine) UDP() *core.UDP { return m.mech.UDP }
+func (m *Machine) UDP() *core.UDP { return m.udp }
 
 // UFTQ returns the active UFTQ controller (nil unless a UFTQ-family
 // mechanism is selected).
-func (m *Machine) UFTQ() *core.UFTQ { return m.mech.UFTQ }
+func (m *Machine) UFTQ() *core.UFTQ { return m.uftq }
 
 // EIP returns the active EIP comparator (nil unless mechanism "eip").
-func (m *Machine) EIP() *eip.EIP { return m.mech.EIP }
+func (m *Machine) EIP() *eip.EIP { return m.eip }
 
 // validateGeometry checks every cache geometry in the configuration up
 // front and returns an error instead of letting the cache constructors
@@ -611,14 +590,13 @@ func (m *Machine) RunInstructions(n uint64) {
 
 // ResetStats clears all accumulated statistics (end of warmup) while
 // preserving microarchitectural state (caches, predictors, learned
-// sets). It walks the StatsResetter list assembled at construction —
-// frontend, backend, memory hierarchy, BTB, plus whatever the active
-// mechanism registered — so a new component only has to implement
-// ResetStats and join the list.
+// sets): the frontend, backend, memory hierarchy and BTB. Mechanism
+// counters span warmup and are left alone.
 func (m *Machine) ResetStats() {
-	for _, r := range m.resetters {
-		r.ResetStats()
-	}
+	m.FE.ResetStats()
+	m.BE.ResetStats()
+	m.Hier.ResetStats()
+	m.BTB.ResetStats()
 	if m.obs != nil {
 		if m.obs.Life != nil {
 			m.obs.Life.Reset()

@@ -59,7 +59,7 @@ func traceTestConfig(t testing.TB, src *trace.Source, m Mechanism) Config {
 }
 
 // TestTraceSourceEquivalenceAllMechanisms is the portable-frontend
-// acceptance gate: for every registered mechanism, a run driven by a
+// acceptance gate: for every mechanism, a run driven by a
 // UDPT2 recording must be byte-identical — the full Result struct, not
 // headline metrics — to the live execution it was recorded from.
 func TestTraceSourceEquivalenceAllMechanisms(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -147,16 +148,8 @@ func fieldNames() string {
 	for f := range intFields {
 		names = append(names, f)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return strings.Join(append(names, "mechanism"), ", ")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // maxSpaceSize bounds the cross product so a typo'd range cannot
@@ -216,8 +209,8 @@ func (sp *Space) Validate() error {
 	if sp.Mechanism == "" {
 		sp.Mechanism = "udp"
 	}
-	if _, ok := sim.LookupMechanism(sim.Mechanism(sp.Mechanism)); !ok {
-		bad("mechanism", "unknown mechanism %q (registered: %s)", sp.Mechanism, sim.MechanismNames())
+	if !sim.ValidMechanism(sim.Mechanism(sp.Mechanism)) {
+		bad("mechanism", "unknown mechanism %q (known: %s)", sp.Mechanism, sim.MechanismNames())
 	}
 	if sp.Objective == ObjectiveSpeedup {
 		if sp.Baseline == nil {
@@ -226,8 +219,8 @@ func (sp *Space) Validate() error {
 		if sp.Baseline.Label == "" {
 			sp.Baseline.Label = baselineLabel
 		}
-		if _, ok := sim.LookupMechanism(sim.Mechanism(sp.Baseline.Mechanism)); !ok || sp.Baseline.Mechanism == "" {
-			bad("baseline.mechanism", "unknown mechanism %q (registered: %s)",
+		if !sim.ValidMechanism(sim.Mechanism(sp.Baseline.Mechanism)) {
+			bad("baseline.mechanism", "unknown mechanism %q (known: %s)",
 				sp.Baseline.Mechanism, sim.MechanismNames())
 		}
 	} else if sp.Baseline != nil {
@@ -323,8 +316,8 @@ func (d *Dimension) validate(bad func(field, format string, args ...any), field 
 				bad(field("choices"), "duplicate choice %q", c)
 			}
 			seen[c] = true
-			if _, ok := sim.LookupMechanism(sim.Mechanism(c)); !ok || c == "" {
-				bad(fmt.Sprintf("%s[%d]", field("choices"), k), "unknown mechanism %q (registered: %s)",
+			if !sim.ValidMechanism(sim.Mechanism(c)) {
+				bad(fmt.Sprintf("%s[%d]", field("choices"), k), "unknown mechanism %q (known: %s)",
 					c, sim.MechanismNames())
 			}
 		}

@@ -14,6 +14,11 @@ the root package and collects each declared function and method. A
 declaration whose symbol appears in no root binary is unreached. A
 package main's functions are looked up only in its own binary.
 
+"Reached" is an upper bound. Converting a value to an interface keeps
+the methods of every type it reaches linked, whether or not anything
+calls them, so a method can count as reached only because its type
+once passed through an interface.
+
 It fails (exit 1) on an unreached name that scripts/unreached_allow.txt
 does not list, and on an allow entry that is now reached or no longer
 declared, so the allow file can only shrink. Each allow line is

@@ -41,9 +41,6 @@ const (
 	MechUDP           = sim.MechUDP
 	MechUDPInfinite   = sim.MechUDPInfinite
 	MechEIP           = sim.MechEIP
-	// MechUDPUFTQ composes UDP with UFTQ-ATR-AUR (the orthogonal
-	// combination the paper suggests as future work).
-	MechUDPUFTQ = sim.MechUDPUFTQ
 )
 
 // Config is a full simulation configuration (Table II defaults).
