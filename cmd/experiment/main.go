@@ -79,23 +79,13 @@ func main() {
 		defer stopDebug()
 	}
 
-	f, err := os.Open(*file)
+	raw, err := os.ReadFile(*file)
 	if err != nil {
-		fatal("descriptor open failed", "err", err)
+		fatal("descriptor read failed", "err", err)
 	}
-	d, err := experiments.ParseDescriptor(f)
-	f.Close()
+	d, err := experiments.AddDescriptorTraces(raw, *traceIn)
 	if err != nil {
 		fatal("descriptor parse failed", "err", err)
-	}
-	if *traceIn != "" {
-		raw, err := os.ReadFile(*file)
-		if err != nil {
-			fatal("descriptor reread failed", "err", err)
-		}
-		if d, err = experiments.AddDescriptorTraces(raw, *traceIn); err != nil {
-			fatal("descriptor trace grafting failed", "err", err)
-		}
 	}
 	if err := experiments.ResolveTraces(d); err != nil {
 		fatal("trace resolution failed", "err", err)

@@ -32,7 +32,6 @@ import (
 	"udpsim/internal/obs"
 	"udpsim/internal/plot"
 	"udpsim/internal/sim"
-	"udpsim/internal/trace"
 	"udpsim/internal/workload"
 )
 
@@ -95,18 +94,20 @@ func main() {
 		o.Workloads = strings.Split(*apps, ",")
 	}
 	if *traceIn != "" {
-		o.Workloads = nil
-		for _, path := range strings.Split(*traceIn, ",") {
-			src, err := trace.LoadSource(strings.TrimSpace(path))
-			if err != nil {
-				fatal("trace load failed", "path", path, "err", err)
-			}
-			workload.RegisterSource(src)
-			o.Workloads = append(o.Workloads, "trace:"+src.Name())
+		d := &experiments.Descriptor{Instructions: o.Instructions, Warmup: o.Warmup}
+		if err := experiments.FlagTraces(d, *traceIn); err != nil {
+			fatal("trace load failed", "err", err)
+		}
+		if d.Instructions < o.Instructions {
+			logger.Info("trace shorter than requested run; clamping -instrs", "instrs", d.Instructions)
 		}
 		// A trace records exactly one region at one salt; multi-simpoint
 		// schedules have nothing further to sample.
-		o.Simpoints = 1
+		o.Workloads, o.Instructions, o.Simpoints = d.Workloads, d.Instructions, 1
+	}
+	tl, err := timelineWorkload(*timeline, o.Workloads, *traceIn != "")
+	if err != nil {
+		fatal("bad -timeline", "err", err)
 	}
 	o.Parallelism = *parallel
 	o.Batch = *batch
@@ -152,9 +153,9 @@ func main() {
 			fatal("figure failed", "fig", f, "err", err)
 		}
 	}
-	if *timeline != "" {
-		if err := renderTimeline(*timeline, strings.Split(*tlMechs, ","), o, *interval, *svgDir); err != nil {
-			fatal("timeline failed", "workload", *timeline, "err", err)
+	if tl != "" {
+		if err := renderTimeline(tl, strings.Split(*tlMechs, ","), o, *interval, *svgDir); err != nil {
+			fatal("timeline failed", "workload", tl, "err", err)
 		}
 	}
 
@@ -184,20 +185,31 @@ func saveNamedSVG(dir, name, svg string) error {
 	return nil
 }
 
+// timelineWorkload is the workload that -timeline app names. Under
+// -trace (traced) it must be one of the loaded recordings, named by
+// its file, by its workload name with or without the "trace:" prefix,
+// or by the synthetic app it shadows: `-timeline mysql -trace
+// mysql.udpt2` picks trace:mysql-trace.
+func timelineWorkload(app string, workloads []string, traced bool) (string, error) {
+	if !traced || app == "" {
+		return app, nil
+	}
+	w := "trace:" + experiments.TraceName(strings.TrimPrefix(app, "trace:"))
+	if !slices.Contains(workloads, w) {
+		return "", fmt.Errorf("timeline %s names none of the -trace workloads (%s)", app, strings.Join(workloads, ", "))
+	}
+	return w, nil
+}
+
 // renderTimeline runs one region per mechanism with the interval
 // sampler attached and renders cycle-resolved IPC and FTQ-depth line
 // charts — the observability layer's view of how UFTQ window decisions
 // and UDP learning play out over a run, which the paper's end-of-run
-// aggregates average away. Its cells are the engine's: app names a
-// synthetic workload or a "trace:<name>", and under -trace a plain name
-// picks the trace loaded under it.
-func renderTimeline(app string, mechs []string, o experiments.Options, interval uint64, svgDir string) error {
+// aggregates average away. Its cells are the engine's: w names a
+// synthetic workload or a loaded "trace:<name>".
+func renderTimeline(w string, mechs []string, o experiments.Options, interval uint64, svgDir string) error {
 	if interval == 0 {
 		interval = obs.DefaultInterval
-	}
-	w := app
-	if traced := "trace:" + app; slices.Contains(o.Workloads, traced) {
-		w = traced
 	}
 	specs := make([]experiments.ConfigSpec, len(mechs))
 	for i, mech := range mechs {

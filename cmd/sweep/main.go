@@ -21,8 +21,6 @@ import (
 	"udpsim/internal/experiments"
 	"udpsim/internal/obs"
 	"udpsim/internal/sim"
-	"udpsim/internal/trace"
-	"udpsim/internal/workload"
 )
 
 func main() {
@@ -77,32 +75,18 @@ func main() {
 		d.Configs = append(d.Configs, cs)
 	}
 	if *traceIn != "" {
-		src, err := trace.LoadSource(*traceIn)
-		if err != nil {
-			fatal("trace load failed", "path", *traceIn, "err", err)
+		if err := experiments.FlagTraces(d, *traceIn); err != nil {
+			fatal("trace load failed", "err", err)
 		}
-		workload.RegisterSource(src)
-		*name = src.Name()
-		n, err := trace.FitRegion(src.Len(), *warmup, *instrs)
-		if err != nil {
-			fatal("trace too short for -warmup", "records", src.Len(), "warmup", *warmup)
+		if d.Instructions < *instrs {
+			log.Info("trace shorter than requested run; clamping -instrs", "instrs", d.Instructions)
 		}
-		if n < *instrs {
-			log.Info("trace shorter than requested run; clamping -instrs", "instrs", n)
-		}
-		d.Instructions = n
-		// A descriptor's trace may not shadow a synthetic workload
-		// (a recording of mysql is named mysql); the name only labels
-		// results, the content hash keys the cells.
-		tn := src.Name()
-		if _, ok := workload.ByName(tn); ok {
-			tn += "-trace"
-		}
-		d.Traces = []experiments.TraceSpec{{Name: tn, SHA256: src.SHA256()}}
-		d.Workloads = []string{"trace:" + tn}
 	}
 	if err := d.Validate(); err != nil {
 		fatal("bad sweep", "err", err)
+	}
+	if len(d.Workloads) != 1 {
+		fatal("sweep runs one workload or one -trace file", "workloads", len(d.Workloads))
 	}
 
 	opts := experiments.Options{Batch: *batch}
@@ -126,7 +110,7 @@ func main() {
 		fatal("metrics write failed", "err", err)
 	}
 
-	fmt.Printf("# workload=%s mechanism=%s param=%s\n", *name, *mech, *param)
+	fmt.Printf("# workload=%s mechanism=%s param=%s\n", strings.TrimPrefix(d.Workloads[0], "trace:"), *mech, *param)
 	fmt.Println("value,ipc,icache_mpki,timeliness,onpath_ratio,usefulness,mean_ftq_occ,lost_pki")
 	for i, v := range grid {
 		fmt.Println(row(v, results[i].Result))

@@ -1,6 +1,8 @@
 // Command udpsim runs a single simulation: one workload, one mechanism,
-// one configuration. It prints the metrics the paper's figures are
-// built from, and can stream the run's cycle-level observability: a
+// one configuration — one experiment cell, whose machine
+// experiments.CellConfig builds as for every grid cell. It prints the
+// metrics the paper's figures are built from, and can stream the run's
+// cycle-level observability: a
 // Chrome trace-event JSON (Perfetto-loadable), a per-interval metrics
 // time series (CSV/JSONL), and a live pprof/metrics endpoint.
 //
@@ -21,9 +23,9 @@ import (
 	"sync"
 	"text/tabwriter"
 
+	"udpsim/internal/experiments"
 	"udpsim/internal/obs"
 	"udpsim/internal/sim"
-	"udpsim/internal/trace"
 	"udpsim/internal/workload"
 )
 
@@ -34,7 +36,7 @@ func main() {
 		mech      = flag.String("mechanism", "baseline", "prefetch mechanism: "+sim.MechanismNames()+" (see -list-mechanisms)")
 		ftq       = flag.Int("ftq", 32, "FTQ depth (baseline/UDP) or initial depth (UFTQ)")
 		btb       = flag.Int("btb", 8192, "BTB entries")
-		icache    = flag.Int("icache", 32*1024, "L1I size in bytes")
+		icache    = flag.Int("icache", 32*1024, "L1I size in bytes (a whole KiB)")
 		instrs    = flag.Uint64("instrs", 2_000_000, "instructions to simulate per simpoint")
 		warmup    = flag.Uint64("warmup", 200_000, "warmup instructions (excluded from stats)")
 		simpoints = flag.Int("simpoints", 1, "number of simulated regions")
@@ -98,49 +100,33 @@ func main() {
 		return
 	}
 
-	var cfg sim.Config
+	if *icache <= 0 || *icache%1024 != 0 {
+		fatal("-icache size is not a whole KiB", "icache", *icache)
+	}
+	d := &experiments.Descriptor{
+		Name:         "udpsim",
+		Workloads:    []string{*name},
+		Instructions: *instrs,
+		Warmup:       *warmup,
+		Simpoints:    *simpoints,
+		Configs: []experiments.ConfigSpec{{Label: *mech, Mechanism: *mech,
+			FTQ: *ftq, BTB: *btb, ICacheKB: *icache / 1024, UDPConfidence: *udpThresh}},
+	}
 	if *traceIn != "" {
-		src, err := trace.LoadSource(*traceIn)
-		if err != nil {
-			fatal("trace load failed", "path", *traceIn, "err", err)
+		if err := experiments.FlagTraces(d, *traceIn); err != nil {
+			fatal("trace load failed", "err", err)
 		}
-		workload.RegisterSource(src)
-		cfg = sim.NewTraceConfig(src.Name(), src.SHA256(), sim.Mechanism(*mech))
-		if *simpoints > 1 {
-			// A trace records exactly one region; there is nothing to
-			// re-seed a second simpoint from.
-			fatal("-simpoints must be 1 when replaying a trace", "simpoints", *simpoints)
+		if d.Instructions < *instrs {
+			log.Info("trace shorter than requested run; clamping -instrs", "instrs", d.Instructions)
 		}
-		// The frontend runs ahead of retirement, so leave slack at the
-		// tail of the recording; clamp -instrs instead of panicking
-		// mid-run on a short trace.
-		n, err := trace.FitRegion(src.Len(), *warmup, *instrs)
-		if err != nil {
-			fatal("trace too short for -warmup", "records", src.Len(), "warmup", *warmup)
-		}
-		if n < *instrs {
-			log.Info("trace shorter than requested run; clamping -instrs",
-				"records", src.Len(), "instrs", n)
-		}
-		*instrs = n
-	} else {
-		prof, ok := workload.ByName(*name)
-		if !ok {
-			fatal("unknown workload (use -list)", "workload", *name)
-		}
-		cfg = sim.NewConfig(prof, sim.Mechanism(*mech))
 	}
-	cfg.FTQDepth = *ftq
-	cfg.BTBEntries = *btb
-	cfg.ICacheBytes = *icache
-	if w := sim.AutoWays(*icache); w > 0 {
-		cfg.ICacheWays = w // keeps the set count a power of two for any size
+	if err := d.Validate(); err != nil {
+		fatal("bad run", "err", err)
 	}
-	cfg.MaxInstructions = *instrs
-	cfg.WarmupInstructions = *warmup
-	if *udpThresh > 0 {
-		cfg.UDP.ConfidenceThreshold = *udpThresh
+	if len(d.Workloads) != 1 {
+		fatal("udpsim runs one workload or one -trace file", "workloads", len(d.Workloads))
 	}
+	cfg := experiments.CellConfig(d, d.Workloads[0], d.Configs[0])
 	if !*udpHidden {
 		cfg.UDP.HiddenBranchTableBits = 1 // effectively disabled (tiny, never confident)
 		cfg.UDP.DisableHiddenTrigger = true
@@ -175,9 +161,9 @@ func main() {
 		}
 	}
 
-	log.Debug("simulation starting", "workload", *name, "mechanism", *mech,
-		"simpoints", *simpoints, "instrs", *instrs)
-	results, agg, err := sim.RunSimpointsObserved(cfg, *simpoints, *parallel, attach)
+	log.Debug("simulation starting", "workload", d.Workloads[0], "mechanism", *mech,
+		"simpoints", d.Simpoints, "instrs", d.Instructions)
+	results, agg, err := sim.RunSimpointsObserved(cfg, d.Simpoints, *parallel, attach)
 	if err != nil {
 		fatal("simulation failed", "err", err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -92,8 +91,9 @@ type ConfigSpec struct {
 	UFTQInitialDepth int `json:"uftq_initial_depth,omitempty"`
 	UFTQMinDepth     int `json:"uftq_min_depth,omitempty"`
 	UFTQMaxDepth     int `json:"uftq_max_depth,omitempty"`
-	// UDP filter-policy overrides: the useful-fetch confidence
-	// threshold (percent) and the seniority-list capacity.
+	// UDP filter-policy overrides: the off-path confidence-counter
+	// threshold (core.UDPConfig.ConfidenceThreshold, default 8) and
+	// the seniority-list capacity.
 	UDPConfidence int `json:"udp_confidence,omitempty"`
 	UDPSeniority  int `json:"udp_seniority,omitempty"`
 }
@@ -147,16 +147,11 @@ func AsValidationError(err error) *ValidationError {
 
 // ParseDescriptor reads and validates a JSON descriptor.
 func ParseDescriptor(r io.Reader) (*Descriptor, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var d Descriptor
-	if err := dec.Decode(&d); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("experiments: parsing descriptor: %w", err)
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
+	return AddDescriptorTraces(raw, "")
 }
 
 // Validate reports structural problems (all of them, as a
@@ -323,11 +318,11 @@ func (cs ConfigSpec) apply(cfg *sim.Config) {
 // CellConfig builds the full simulation configuration of one
 // (workload, config-spec) cell of a validated descriptor — the exact
 // Config RunDescriptor simulates for that cell, and the one mapping
-// from a cell to a machine: figure grids and cmd/sweep build theirs
-// through it too. Trace cells ("trace:<name>") key on the declared
-// spec's SHA-256 without touching the trace bytes, so cell keys — and
-// therefore daemon dedup and store addressing — are computable at
-// submission time.
+// from a cell to a machine: figure grids, cmd/sweep and cmd/udpsim
+// build theirs through it too. Trace cells ("trace:<name>") key on the
+// declared spec's SHA-256 without touching the trace bytes, so cell
+// keys — and therefore daemon dedup and store addressing — are
+// computable at submission time.
 func CellConfig(d *Descriptor, workloadName string, cs ConfigSpec) sim.Config {
 	var cfg sim.Config
 	if tn, ok := strings.CutPrefix(workloadName, "trace:"); ok {
@@ -345,10 +340,9 @@ func CellConfig(d *Descriptor, workloadName string, cs ConfigSpec) sim.Config {
 	return cfg
 }
 
-// newCell is the grid cell of workload w under cs in descriptor d,
-// resolved with opts' cache and observability hooks.
-func newCell(d *Descriptor, w string, cs ConfigSpec, opts Options) cell {
-	return cell{name: w, label: cs.Label, cfg: CellConfig(d, w, cs), opts: opts}
+// newCell is the grid cell of workload w under cs in descriptor d.
+func newCell(d *Descriptor, w string, cs ConfigSpec) cell {
+	return cell{name: w, label: cs.Label, cfg: CellConfig(d, w, cs)}
 }
 
 // isHexSHA256 reports whether s is a 64-character lowercase/uppercase
@@ -400,7 +394,7 @@ func CellKey(d *Descriptor, workloadName string, cs ConfigSpec) string {
 // Cached and store-served cells emit no interval samples (nothing
 // simulates).
 func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int, obsOpts Options) ([]DescriptorResult, error) {
-	// Per-cell engine options: the descriptor's effort knobs, the
+	// The grid's engine options: the descriptor's effort knobs, the
 	// caller's observability hooks, no engine-level progress (labeled
 	// lines are printed below).
 	opts := Options{
@@ -418,7 +412,7 @@ func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int
 	var out []DescriptorResult
 	for _, w := range d.Workloads {
 		for _, cs := range d.Configs {
-			cells = append(cells, newCell(d, w, cs, opts))
+			cells = append(cells, newCell(d, w, cs))
 			out = append(out, DescriptorResult{Workload: w, Label: cs.Label})
 		}
 	}
@@ -426,7 +420,7 @@ func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int
 		return out, nil
 	}
 
-	res, cerrs := resolveCells(opts.ctx(), cells, parallelism, opts.Batch, nil)
+	res, cerrs := resolveCells(opts, cells, parallelism, opts.Batch, nil)
 	var errs []error
 	for i := range out {
 		r := &out[i]

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -65,13 +64,13 @@ func (o Options) runAll(specs func(app string) []ConfigSpec) ([][]sim.Result, er
 	ends := make([]int, len(apps))
 	for ai, app := range apps {
 		for _, cs := range specs(app) {
-			cells = append(cells, newCell(d, app, cs, o))
+			cells = append(cells, newCell(d, app, cs))
 		}
 		ends[ai] = len(cells)
 	}
 	// Live grid-cell progress for the /metrics endpoint.
 	obs.JobsTotal.Add(float64(len(cells)))
-	flat, errs := resolveCells(o.ctx(), cells, o.parallelism(), o.Batch, func() { obs.JobsDone.Add(1) })
+	flat, errs := resolveCells(o, cells, o.parallelism(), o.Batch, func() { obs.JobsDone.Add(1) })
 	results := make([][]sim.Result, len(apps))
 	start := 0
 	for ai, end := range ends {
@@ -87,13 +86,11 @@ func (o Options) runAll(specs func(app string) []ConfigSpec) ([][]sim.Result, er
 const maxBatchSize = 16
 
 // cell is one grid cell: its workload name for progress lines, its
-// config label for interval samples, its full config, and the Options
-// owning its cache behaviour and observability hooks.
+// config label for interval samples, and its full config.
 type cell struct {
 	name  string
 	label string
 	cfg   sim.Config
-	opts  Options
 }
 
 // resolveCells takes every cell through the cell protocol: the memoized
@@ -106,12 +103,15 @@ type cell struct {
 // claimed keys always belong to a runner already executing, so the
 // wait graph stays acyclic.
 //
-// batch chooses only how the claimed keys simulate: in lockstep groups
-// per workload image (sim.RunBatchSimpoints), or one
-// sim.RunSimpointsCtx per key on the worker pool. Results are
-// bit-identical either way. onCellDone (if non-nil) fires once per
-// finalized cell (the grid-cell progress counter).
-func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, onCellDone func()) ([]sim.Result, []error) {
+// Every cell of one call shares o: its simpoints, context, store,
+// progress and observability hooks. batch chooses only how the claimed
+// keys simulate: in lockstep groups per workload image
+// (sim.RunBatchSimpoints), or one sim.RunSimpointsCtx per key on the
+// worker pool. Results are bit-identical either way. onCellDone (if
+// non-nil) fires once per finalized cell (the grid-cell progress
+// counter).
+func resolveCells(o Options, cells []cell, workers int, batch bool, onCellDone func()) ([]sim.Result, []error) {
+	ctx := o.ctx()
 	results := make([]sim.Result, len(cells))
 	errs := make([]error, len(cells))
 	done := func() {
@@ -134,7 +134,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 
 	resultMu.Lock()
 	for i, c := range cells {
-		key := CacheKey(c.cfg, c.opts.Simpoints)
+		key := CacheKey(c.cfg, o.Simpoints)
 		if g, ok := byKey[key]; ok {
 			g.cells = append(g.cells, i)
 			continue
@@ -158,7 +158,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 	for i, r := range cached {
 		obs.CacheHits.Add(1)
 		results[i] = r
-		cells[i].progress(r, " (cached)")
+		o.cellProgress(cells[i], r, " (cached)")
 		done()
 	}
 
@@ -178,17 +178,16 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 			done()
 		}
 		if err == nil {
-			cells[g.cells[0]].progress(res, how)
+			o.cellProgress(cells[g.cells[0]], res, how)
 		}
 	}
 	// complete publishes a simulated key, writing it back to the store.
 	complete := func(g *group, res sim.Result, err error) {
 		if err == nil {
-			c := cells[g.cells[0]]
 			writeStart := time.Now()
-			c.opts.storeSave(g.key, res)
-			if c.opts.spanStore() {
-				c.opts.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
+			o.storeSave(g.key, res)
+			if o.spanStore() {
+				o.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
 					Args: map[string]any{"key": g.key}})
 			}
 		}
@@ -200,11 +199,10 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 	missed := make([]bool, len(claimed))
 	_ = ForEach(len(claimed), workers, func(j int) error {
 		g := claimed[j]
-		c := cells[g.cells[0]]
 		readStart := time.Now()
-		res, hit := c.opts.storeLoad(g.key)
-		if c.opts.spanStore() {
-			c.opts.OnSpan(obs.Span{Name: "store-read", Start: readStart, End: time.Now(),
+		res, hit := o.storeLoad(g.key)
+		if o.spanStore() {
+			o.OnSpan(obs.Span{Name: "store-read", Start: readStart, End: time.Now(),
 				Args: map[string]any{"key": g.key, "hit": hit}})
 		}
 		if hit {
@@ -223,14 +221,14 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 	}
 
 	if batch {
-		// Group the work by (workload image, simpoint count) — the
-		// identity of the shared stream — and run each group's configs
-		// in lockstep, maxBatchSize machines at a time.
+		// Group the work by workload image — with the call's one
+		// simpoint count, the identity of the shared stream — and run
+		// each group's configs in lockstep, maxBatchSize machines at a
+		// time.
 		var chunks [][]*group
-		open := map[string]int{} // image key -> index of its open chunk
+		open := map[string]int{} // source key -> index of its open chunk
 		for _, g := range toRun {
-			c := cells[g.cells[0]]
-			ik := fmt.Sprintf("%s|sp=%d", sim.SourceKey(c.cfg), c.opts.simpoints())
+			ik := sim.SourceKey(cells[g.cells[0]].cfg)
 			if j, ok := open[ik]; ok && len(chunks[j]) < maxBatchSize {
 				chunks[j] = append(chunks[j], g)
 				continue
@@ -250,9 +248,9 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 			for k, g := range chunk {
 				c := cells[g.cells[0]]
 				cfgs[k] = c.cfg
-				atts[k] = c.attach()
+				atts[k] = o.attach(c)
 			}
-			res, rerrs := sim.RunBatchSimpoints(ctx, cfgs, cells[chunk[0].cells[0]].opts.simpoints(), workers,
+			res, rerrs := sim.RunBatchSimpoints(ctx, cfgs, o.simpoints(), workers,
 				func(region, k int, m *sim.Machine) {
 					if atts[k] != nil {
 						atts[k](region, m)
@@ -270,7 +268,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 				return nil
 			}
 			c := cells[g.cells[0]]
-			_, res, err := sim.RunSimpointsCtx(ctx, c.cfg, c.opts.Simpoints, 1, c.attach())
+			_, res, err := sim.RunSimpointsCtx(ctx, c.cfg, o.Simpoints, 1, o.attach(c))
 			complete(g, res, err)
 			return nil
 		})
@@ -291,7 +289,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 		if canceled(call.err) && ctx.Err() == nil {
 			// The claiming runner was cancelled, not this call: resolve
 			// the cell afresh (alone, so unbatched).
-			rs, es := resolveCells(ctx, cells[i:i+1], 1, false, nil)
+			rs, es := resolveCells(o, cells[i:i+1], 1, false, nil)
 			results[i], errs[i] = rs[0], es[0]
 			done()
 			continue
@@ -302,7 +300,7 @@ func resolveCells(ctx context.Context, cells []cell, workers int, batch bool, on
 			continue
 		}
 		results[i] = call.res
-		cells[i].progress(call.res, " (cached)")
+		o.cellProgress(cells[i], call.res, " (cached)")
 		done()
 	}
 	return results, errs
@@ -313,10 +311,10 @@ func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// progress reports one resolved cell; how tags where the result came
-// from (" (cached)", " (store)", or "" when simulated).
-func (c cell) progress(r sim.Result, how string) {
-	c.opts.progress("%s/%s ftq=%d: IPC %.4f%s", c.name, c.cfg.Mechanism, r.FinalFTQDepth, r.IPC, how)
+// cellProgress reports one resolved cell; how tags where the result
+// came from (" (cached)", " (store)", or "" when simulated).
+func (o Options) cellProgress(c cell, r sim.Result, how string) {
+	o.progress("%s/%s ftq=%d: IPC %.4f%s", c.name, c.cfg.Mechanism, r.FinalFTQDepth, r.IPC, how)
 }
 
 // ForEach runs fn(i) for i in [0, n) on a bounded worker pool of the

@@ -147,8 +147,8 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// attach returns the per-region attach callback of one cell, or nil
-// when its options neither sample nor emit spans (the plain,
+// attach returns the per-region attach callback of cell c, or nil
+// when the options neither sample nor emit spans (the plain,
 // zero-overhead path). Sampling (Options.Interval/OnSample) attaches an
 // interval observer whose samples carry the cell's label as their
 // config tag. Span emission (Options.OnSpan) hooks the machine's run
@@ -156,8 +156,7 @@ func (o Options) ctx() context.Context {
 // workload/mechanism/region), and the measure phase feeds the
 // per-mechanism run-duration histogram. The hook fires O(1) times per
 // run, so the zero-alloc cycle-loop invariant is untouched.
-func (c cell) attach() func(int, *sim.Machine) {
-	o := c.opts
+func (o Options) attach(c cell) func(int, *sim.Machine) {
 	sample := o.Interval != 0 && o.OnSample != nil
 	onSpan := o.OnSpan
 	if !sample && onSpan == nil {
@@ -215,7 +214,7 @@ func (o Options) spanStore() bool {
 // restart serves known configurations from disk. A lone cell has no
 // stream to share, so it never batches.
 func (o Options) run(name string, cs ConfigSpec) (sim.Result, error) {
-	res, errs := resolveCells(o.ctx(), []cell{newCell(o.descriptor(), name, cs, o)}, 1, false, nil)
+	res, errs := resolveCells(o, []cell{newCell(o.descriptor(), name, cs)}, 1, false, nil)
 	return res[0], errs[0]
 }
 
@@ -240,8 +239,8 @@ func Sample(o Options, w string, specs []ConfigSpec) error {
 	o.Workloads, o.Simpoints = []string{w}, 1
 	d := o.descriptor()
 	return ForEachCtx(o.ctx(), len(specs), o.parallelism(), func(i int) error {
-		c := newCell(d, w, specs[i], o)
-		if _, _, err := sim.RunSimpointsCtx(o.ctx(), c.cfg, 1, 1, c.attach()); err != nil {
+		c := newCell(d, w, specs[i])
+		if _, _, err := sim.RunSimpointsCtx(o.ctx(), c.cfg, 1, 1, o.attach(c)); err != nil {
 			return fmt.Errorf("experiments: %s/%s: %w", w, specs[i].Label, err)
 		}
 		return nil
@@ -251,7 +250,7 @@ func Sample(o Options, w string, specs []ConfigSpec) error {
 // descriptor spells the options' region and trace workloads as a
 // descriptor, so a figure grid's cells build through CellConfig exactly
 // like a descriptor's. A "trace:<name>" workload must already be loaded
-// and registered (cmd mains and ResolveTraces do that before any grid
+// and registered (FlagTraces and ResolveTraces do that before any grid
 // runs); its cells key on the registered content hash.
 func (o Options) descriptor() *Descriptor {
 	d := &Descriptor{Instructions: o.Instructions, Warmup: o.Warmup, Simpoints: o.Simpoints}

@@ -283,6 +283,49 @@ func TestAddDescriptorTraces(t *testing.T) {
 	}
 }
 
+// TestFlagTraces checks the flag-sized region rule: the -trace files
+// replace the workload set under TraceName's names, the region is cut
+// to the longest one every trace holds, and only a trace too short for
+// the warmup itself fails — while ResolveTraces rejects the same
+// oversized region when a descriptor declares it.
+func TestFlagTraces(t *testing.T) {
+	dir := t.TempDir()
+	a := writeTestTrace(t, dir, "mysql.udpt2", 5)
+	b := writeTestTrace(t, dir, "webapp.udpt2", 6)
+	d := &Descriptor{Workloads: []string{"mysql"}, Warmup: 500, Instructions: 100_000}
+	if err := FlagTraces(d, a+", "+b); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(d.Workloads, ","); got != "trace:mysql-trace,trace:webapp" {
+		t.Errorf("Workloads = %s, want trace:mysql-trace,trace:webapp", got)
+	}
+	if d.Instructions != 2_000 {
+		t.Errorf("Instructions = %d, want the 2000 that 12500 records hold after 500 warmup and the run-ahead margin", d.Instructions)
+	}
+	for _, ts := range d.Traces {
+		if src, ok := workload.SourceByName(ts.Name); !ok || src.Key() != "trace:"+ts.SHA256 {
+			t.Errorf("trace %s not registered under its name and hash", ts.Name)
+		}
+	}
+
+	if err := FlagTraces(&Descriptor{}, " , "); err == nil {
+		t.Error("FlagTraces accepted a -trace value naming no file")
+	}
+	short := &Descriptor{Warmup: 2_500, Instructions: 1}
+	if err := FlagTraces(short, a); err == nil || !strings.Contains(err.Error(), "leave no measured region") {
+		t.Errorf("FlagTraces with warmup 2500 on 12500 records: err = %v, want the fit error", err)
+	}
+
+	declared := traceDescriptor([]TraceSpec{{Name: "webapp", File: b}}, nil)
+	declared.Instructions = 100_000
+	if err := declared.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ResolveTraces(declared); AsValidationError(err) == nil {
+		t.Errorf("ResolveTraces on an oversized declared region: err = %v, want a validation error", err)
+	}
+}
+
 // TestRunDescriptorTraceCell runs a tiny trace-only descriptor end to
 // end and checks the result equals a live run of the recorded profile
 // region — the experiments-layer leg of the equivalence gate.

@@ -275,68 +275,32 @@ const tuneSubmitRetry = 100 * time.Millisecond
 
 // Probe implements tune.Prober.
 func (p *schedProber) Probe(ctx context.Context, specs []experiments.ConfigSpec, fid tune.Fidelity, class tune.ProbeClass) ([]tune.Outcome, error) {
-	sp := p.run.Space
-	d, err := sp.ProbeDescriptor(specs, fid)
-	if err != nil {
-		return nil, err
-	}
-	obs.TuneProbes.Add(float64(len(specs)))
-	st := p.s.resultStore()
-	outs := make([]tune.Outcome, len(specs))
-	var missing []experiments.ConfigSpec
-	for i, cs := range specs {
-		if st != nil {
-			out, ok, err := tune.OutcomeFromStore(st, sp, d, cs)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				outs[i] = out
-				obs.TuneCacheProbeHits.Add(1)
-				continue
-			}
-		}
-		missing = append(missing, cs)
-	}
-	if len(missing) == 0 {
-		return outs, nil
-	}
-	sub, err := sp.ProbeDescriptor(missing, fid)
-	if err != nil {
-		return nil, err
-	}
 	priority := PriorityLow
 	if class == tune.ProbeRefine {
 		priority = PriorityHigh
 	}
-	job, err := p.submit(ctx, sub, priority)
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-job.Done():
-	}
-	switch job.State() {
-	case JobDone:
-	case JobCanceled:
-		return nil, fmt.Errorf("serve: probe job %s canceled: %s", job.ID, job.Err())
-	default:
-		return nil, fmt.Errorf("serve: probe job %s failed: %s", job.ID, job.Err())
-	}
-	byLabel := tune.SplitByLabel(job.Results())
-	for i := range specs {
-		if outs[i].Results != nil {
-			continue
+	return tune.ProbeStoreFirst(p.s.resultStore(), p.run.Space, specs, fid, func(d *experiments.Descriptor) ([]experiments.DescriptorResult, error) {
+		job, err := p.submit(ctx, d, priority)
+		if err != nil {
+			return nil, err
 		}
-		rs, ok := byLabel[specs[i].Label]
-		if !ok {
-			return nil, fmt.Errorf("serve: probe job %s returned no cells for label %q", job.ID, specs[i].Label)
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-job.Done():
 		}
-		outs[i] = tune.Outcome{Results: rs}
-	}
-	return outs, nil
+		switch job.State() {
+		case JobDone:
+			return job.Results(), nil
+		case JobCanceled:
+			return nil, fmt.Errorf("serve: probe job %s canceled: %s", job.ID, job.Err())
+		default:
+			return nil, fmt.Errorf("serve: probe job %s failed: %s", job.ID, job.Err())
+		}
+	}, func(probes, hits int) {
+		obs.TuneProbes.Add(float64(probes))
+		obs.TuneCacheProbeHits.Add(float64(hits))
+	})
 }
 
 // submit enqueues one probe descriptor under the tune run's identity

@@ -65,7 +65,7 @@ func workloadImage(cfg Config) (*workload.Program, error) {
 	if cfg.TraceRef != "" {
 		s, ok := workload.SourceByKey("trace:" + cfg.TraceRef)
 		if !ok {
-			return nil, fmt.Errorf("sim: trace %s not registered (load it with trace.LoadSource + workload.RegisterSource)", cfg.TraceRef)
+			return nil, fmt.Errorf("sim: trace %s not registered (load it with experiments.ResolveTraces or FlagTraces)", cfg.TraceRef)
 		}
 		return s.Image()
 	}

@@ -337,7 +337,7 @@ func NewMachineWithSource(cfg Config, prog *workload.Program, src frontend.Instr
 		if cfg.TraceRef != "" {
 			s, ok := workload.SourceByKey("trace:" + cfg.TraceRef)
 			if !ok {
-				return nil, fmt.Errorf("sim: trace %s not registered (load it with trace.LoadSource + workload.RegisterSource)", cfg.TraceRef)
+				return nil, fmt.Errorf("sim: trace %s not registered (load it with experiments.ResolveTraces or FlagTraces)", cfg.TraceRef)
 			}
 			stream, err := s.Stream(cfg.SeedSalt)
 			if err != nil {

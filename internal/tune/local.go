@@ -24,52 +24,77 @@ type LocalProber struct {
 
 // Probe implements Prober.
 func (p *LocalProber) Probe(ctx context.Context, specs []experiments.ConfigSpec, fid Fidelity, class ProbeClass) ([]Outcome, error) {
-	d, err := p.Space.ProbeDescriptor(specs, fid)
+	return ProbeStoreFirst(p.Store, p.Space, specs, fid, func(d *experiments.Descriptor) ([]experiments.DescriptorResult, error) {
+		return experiments.RunDescriptorObserved(d, nil, p.Parallelism, experiments.Options{Context: ctx, Store: p.Store})
+	}, nil)
+}
+
+// ProbeStoreFirst is the probe sequence of every prober. It builds the
+// probe descriptor of specs at fid, answers each spec whose cells are
+// all in st from the store (Outcome.Cached), runs the rest as one
+// sub-descriptor through run, and splits run's workload-major results
+// per label. Probers differ only in run: the engine in-process
+// (LocalProber) or a job on the daemon's queue. counted, when non-nil,
+// is told once the store lookups end — finished or failed — how many
+// specs the probe holds and how many the store answered.
+func ProbeStoreFirst(st experiments.ResultStore, sp *Space, specs []experiments.ConfigSpec, fid Fidelity,
+	run func(*experiments.Descriptor) ([]experiments.DescriptorResult, error), counted func(probes, hits int)) ([]Outcome, error) {
+	d, err := sp.ProbeDescriptor(specs, fid)
 	if err != nil {
 		return nil, err
 	}
 	outs := make([]Outcome, len(specs))
 	var missing []experiments.ConfigSpec
+	hits := 0
 	for i, cs := range specs {
-		out, ok, err := OutcomeFromStore(p.Store, p.Space, d, cs)
-		if err != nil {
-			return nil, err
+		var ok bool
+		if outs[i], ok, err = outcomeFromStore(st, sp, d, cs); err != nil {
+			break
 		}
 		if ok {
-			outs[i] = out
+			hits++
 		} else {
 			missing = append(missing, cs)
 		}
 	}
-	if len(missing) > 0 {
-		sub, err := p.Space.ProbeDescriptor(missing, fid)
-		if err != nil {
-			return nil, err
+	if counted != nil {
+		counted(len(specs), hits)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(missing) == 0 {
+		return outs, nil
+	}
+	sub, err := sp.ProbeDescriptor(missing, fid)
+	if err != nil {
+		return nil, err
+	}
+	results, err := run(sub)
+	if err != nil {
+		return nil, err
+	}
+	byLabel := map[string][]experiments.DescriptorResult{} // workload order kept per label
+	for _, r := range results {
+		byLabel[r.Label] = append(byLabel[r.Label], r)
+	}
+	for i, cs := range specs {
+		if outs[i].Cached {
+			continue
 		}
-		results, err := experiments.RunDescriptorObserved(sub, nil, p.Parallelism,
-			experiments.Options{Context: ctx, Store: p.Store})
-		if err != nil {
-			return nil, err
+		rs, ok := byLabel[cs.Label]
+		if !ok {
+			return nil, fmt.Errorf("tune: probe %s returned no cells for label %q", sub.Name, cs.Label)
 		}
-		byLabel := SplitByLabel(results)
-		for i, cs := range specs {
-			if outs[i].Results != nil {
-				continue
-			}
-			rs, ok := byLabel[cs.Label]
-			if !ok {
-				return nil, fmt.Errorf("tune: engine returned no cells for label %q", cs.Label)
-			}
-			outs[i] = Outcome{Results: rs}
-		}
+		outs[i] = Outcome{Results: rs}
 	}
 	return outs, nil
 }
 
-// OutcomeFromStore assembles one spec's outcome entirely from a result
+// outcomeFromStore assembles one spec's outcome entirely from a result
 // store (ok=false when any cell is missing) — the acquisition-cache
-// probe shared by LocalProber and the daemon's queue-backed prober.
-func OutcomeFromStore(st experiments.ResultStore, sp *Space, d *experiments.Descriptor, cs experiments.ConfigSpec) (Outcome, bool, error) {
+// probe of ProbeStoreFirst.
+func outcomeFromStore(st experiments.ResultStore, sp *Space, d *experiments.Descriptor, cs experiments.ConfigSpec) (Outcome, bool, error) {
 	if st == nil {
 		return Outcome{}, false, nil
 	}
@@ -85,14 +110,4 @@ func OutcomeFromStore(st experiments.ResultStore, sp *Space, d *experiments.Desc
 		results = append(results, experiments.DescriptorResult{Workload: w, Label: cs.Label, Result: res})
 	}
 	return Outcome{Results: results, Cached: true}, true, nil
-}
-
-// SplitByLabel groups a probe descriptor's workload-major results per
-// config label, keeping workload order.
-func SplitByLabel(results []experiments.DescriptorResult) map[string][]experiments.DescriptorResult {
-	out := map[string][]experiments.DescriptorResult{}
-	for _, r := range results {
-		out[r.Label] = append(out[r.Label], r)
-	}
-	return out
 }
